@@ -46,6 +46,8 @@ LOS_TAG_MARGIN_DB = 6.0
 # windowed-sinc interpolator used for fractional-sample tap delays
 _INTERP_TAPS = 64
 _INTERP_BETA = 8.6
+_INTERP_LAGS = np.arange(-(_INTERP_TAPS // 2 - 1), _INTERP_TAPS // 2 + 1)
+_INTERP_WINDOW = np.kaiser(_INTERP_TAPS, _INTERP_BETA)
 
 
 class TapFileError(ValueError):
@@ -109,38 +111,22 @@ def _classify_los(taps: list[ChannelTap]) -> bool:
     return strongest_late < first * 10.0 ** (-LOS_TAG_MARGIN_DB / 10.0)
 
 
-def _fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Delay ``x`` by a non-negative (possibly fractional) sample count.
-
-    Integer delays are exact shifts; fractional parts use a Kaiser-windowed
-    sinc interpolator.  Output has the input length (tail truncated, head
-    zero-filled).
-    """
-    n = x.size
-    n0 = int(math.floor(delay_samples))
-    mu = delay_samples - n0
-    if mu < 1e-12 or mu > 1.0 - 1e-12:
-        n0 = int(round(delay_samples))
-        delayed = x
-    else:
-        j = np.arange(-(_INTERP_TAPS // 2 - 1), _INTERP_TAPS // 2 + 1)
-        kernel = np.sinc(j - mu) * np.kaiser(_INTERP_TAPS, _INTERP_BETA)
-        delayed = np.convolve(x, kernel)[
-            _INTERP_TAPS // 2 - 1 : _INTERP_TAPS // 2 - 1 + n
-        ]
-    out = np.zeros(n, dtype=complex)
-    if n0 < n:
-        out[n0:] = delayed[: n - n0]
-    return out
-
-
 def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Waveform:
-    """Run a waveform through the tapped delay-line channel (no noise)."""
+    """Run a waveform through the tapped delay-line channel (no noise).
+
+    ``waveform.samples`` is one frame ``(L,)`` or a stack ``(S, L)`` of frames
+    sharing the framing; every row goes through the same taps and matches a
+    single-frame call exactly.  Integer tap delays are exact shifts;
+    fractional parts use the Kaiser-windowed sinc interpolator.  Each delayed
+    frame keeps the input length (tail truncated, head zero-filled).
+    """
     x = waveform.samples
     fs = waveform.sample_rate
-    duration = x.size / fs
-    t = np.arange(x.size) / fs
-    out = np.zeros_like(x)
+    n = x.shape[-1]
+    duration = n / fs
+    t = np.arange(n) / fs
+    rows = x.reshape(-1, n)
+    out = np.zeros_like(rows)
     for tap in realization.taps:
         if tap.delay_s < 0:
             raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")
@@ -149,43 +135,65 @@ def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Wavefo
                 f"tap delay {tap.delay_s} s exceeds the frame duration "
                 f"{duration} s"
             )
-        shifted = _fractional_delay(x, tap.delay_s * fs)
-        phase = np.exp(2j * np.pi * tap.doppler_hz * (t - tap.delay_s))
-        out += tap.gain * phase * shifted
-    return Waveform(out, fs, waveform.n_dft, waveform.cp_len)
+        delay_samples = tap.delay_s * fs
+        n0 = int(math.floor(delay_samples))
+        mu = delay_samples - n0
+        on_grid = mu < 1e-12 or mu > 1.0 - 1e-12
+        if on_grid:
+            n0 = int(round(delay_samples))
+        else:
+            kernel = np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
+        phasor = tap.gain * np.exp(2j * np.pi * tap.doppler_hz * (t - tap.delay_s))
+        for row, acc in zip(rows, out):
+            if on_grid:
+                delayed = row
+            else:
+                delayed = np.convolve(row, kernel)[_INTERP_TAPS // 2 - 1 :]
+            acc[n0:] += phasor[n0:] * delayed[: n - n0]
+    return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
 
 
 def add_awgn(waveform: Waveform, snr_db: float | None, seed=None) -> Waveform:
     """Add circular complex white Gaussian noise at a target SNR.
 
-    The noise variance is scaled to the measured mean power of the input.
-    ``snr_db=None`` or ``+inf`` returns the waveform unchanged (noiseless).
+    The noise variance is scaled to the measured mean power of the input,
+    row by row for a ``(S, L)`` stack; the rows share one unit noise draw
+    (see :func:`add_noise_power`).  ``snr_db=None`` or ``+inf`` returns the
+    waveform unchanged (noiseless).
     """
     if snr_db is None or math.isinf(snr_db):
         return Waveform(
             waveform.samples.copy(), waveform.sample_rate, waveform.n_dft,
             waveform.cp_len,
         )
-    signal_power = float(np.mean(np.abs(waveform.samples) ** 2))
-    if signal_power == 0.0:
+    signal_power = np.mean(np.abs(waveform.samples) ** 2, axis=-1)
+    if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
-    noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return add_noise_power(waveform, noise_power, seed)
+    return _add_noise(waveform, signal_power * 10.0 ** (-snr_db / 10.0), seed)
 
 
 def add_noise_power(waveform: Waveform, noise_power_watts: float, seed=None) -> Waveform:
-    """Add circular complex white Gaussian noise of absolute mean power."""
+    """Add circular complex white Gaussian noise of absolute mean power.
+
+    A ``(S, L)`` stack gets one ``(L,)`` noise vector added to every row, so
+    each row equals a single-frame call with the same seed.
+    """
     if noise_power_watts < 0:
         raise ValueError("noise power must be >= 0")
+    return _add_noise(waveform, noise_power_watts, seed)
+
+
+def _add_noise(waveform: Waveform, noise_power, seed) -> Waveform:
+    """Add one unit noise draw scaled by a scalar or per-row noise power."""
     rng = np.random.default_rng(seed)
-    n = waveform.samples.size
-    noise = math.sqrt(noise_power_watts / 2.0) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
-    return Waveform(
-        waveform.samples + noise, waveform.sample_rate, waveform.n_dft,
-        waveform.cp_len,
-    )
+    n = waveform.samples.shape[-1]
+    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    scale = np.sqrt(np.asarray(noise_power) / 2.0)
+    noisy = waveform.samples.copy()
+    rows = noisy.reshape(-1, n)
+    for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
+        row += row_scale * unit
+    return Waveform(noisy, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
 
 
 def received_power(

@@ -5,6 +5,7 @@ names.  Unknown keys anywhere in the tree are rejected with the offending
 path so typos cannot silently fall back to defaults.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -113,6 +114,8 @@ def _number(node, path: str, *, positive=False, allow_none=False):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {node!r}")
     value = float(node)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be positive, got {value}")
     return value
@@ -315,6 +318,12 @@ def _parse_sweep(node, path: str) -> SweepConfig:
         cfg.values = [
             _number(v, f"{path}.values[{i}]") for i, v in enumerate(node["values"])
         ]
+    # checked after both keys are read: the valid range depends on the axis
+    for i, value in enumerate(cfg.values):
+        if cfg.axis == "speed_mps" and value < 0:
+            raise ConfigError(f"{path}.values[{i}]: speed must be >= 0, got {value}")
+        if cfg.axis == "delta_f_hz" and value <= 0:
+            raise ConfigError(f"{path}.values[{i}]: spacing must be positive, got {value}")
     return cfg
 
 

@@ -102,7 +102,8 @@ class Waveform:
     Attributes
     ----------
     samples : np.ndarray
-        Complex baseband samples.
+        Complex baseband samples, shape ``(L,)``; the channel functions also
+        accept an ``(S, L)`` stack of frames sharing this framing.
     sample_rate : float
         Samples per second (``subcarrier_spacing * n_dft``).
     n_dft : int
@@ -120,6 +121,15 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=complex)
 
 
+def _symplectic(data: np.ndarray) -> np.ndarray:
+    """Unitary DFT along axis 0, IDFT along axis 1, then transpose.
+
+    With the grids' index orders (``[l, k]`` delay-Doppler, ``[n, m]``
+    time-frequency) this one expression is both the ISFFT and the SFFT.
+    """
+    return np.fft.ifft(np.fft.fft(data, axis=0, norm="ortho"), axis=1, norm="ortho").T
+
+
 def isfft(grid: DelayDopplerGrid, subcarrier_spacing: float = 1.0) -> TimeFrequencyGrid:
     """Inverse symplectic finite Fourier transform (delay-Doppler -> TF).
 
@@ -128,10 +138,9 @@ def isfft(grid: DelayDopplerGrid, subcarrier_spacing: float = 1.0) -> TimeFreque
     Unitary: IDFT of length N along the Doppler axis, DFT of length M along
     the delay axis.
     """
-    tf = np.fft.ifft(
-        np.fft.fft(grid.data, axis=0, norm="ortho"), axis=1, norm="ortho"
-    ).T
-    return TimeFrequencyGrid(data=tf, subcarrier_spacing=subcarrier_spacing)
+    return TimeFrequencyGrid(
+        data=_symplectic(grid.data), subcarrier_spacing=subcarrier_spacing
+    )
 
 
 def sfft(grid: TimeFrequencyGrid) -> DelayDopplerGrid:
@@ -141,10 +150,7 @@ def sfft(grid: TimeFrequencyGrid) -> DelayDopplerGrid:
 
     Exactly inverts :func:`isfft` (same unitary normalization).
     """
-    dd = np.fft.ifft(
-        np.fft.fft(grid.data, axis=0, norm="ortho"), axis=1, norm="ortho"
-    ).T
-    return DelayDopplerGrid(data=dd)
+    return DelayDopplerGrid(data=_symplectic(grid.data))
 
 
 def heisenberg_modulate(grid: TimeFrequencyGrid, n_dft: int, cp_len: int) -> Waveform:

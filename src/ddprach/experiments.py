@@ -20,6 +20,7 @@ from .channel import (
     synthesize_scenario_channel,
 )
 from .config import ConfigError, ExperimentConfig
+from .dd_transform import Waveform
 from .metrics import ErrorSample, ResultRecord, error_cdf, rmse
 from .prach_modem import (
     WaveformParams,
@@ -80,7 +81,12 @@ def _run_grid(
         speed,
     )
     params = {s: _make_params(cfg, s, delta_f) for s in cfg.schemes}
-    tx = {s: transmit(params[s]) for s in cfg.schemes}
+    tx = [transmit(params[s]) for s in cfg.schemes]
+    # one (schemes, L) stack: each item runs one channel pass and one noise
+    # draw for all schemes, which keeps the comparison paired
+    stacked = Waveform(
+        np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len
+    )
     file_taps = (
         load_taps(cfg.channel.taps_path) if cfg.channel.source == "taps_file" else None
     )
@@ -103,16 +109,16 @@ def _run_grid(
                 g_t_db=cfg.channel.g_t_db,
                 doppler_scale=cfg.channel.doppler_scale,
             )
+        rx = apply_channel(stacked, realization)
+        noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
+        if cfg.noise.noise_power_watts is not None:
+            rx = add_noise_power(rx, cfg.noise.noise_power_watts, noise_seed)
+        else:
+            rx = add_awgn(rx, cfg.noise.snr_db, noise_seed)
         records = []
-        for scheme in cfg.schemes:
-            faded = apply_channel(tx[scheme], realization)
-            noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
-            if cfg.noise.noise_power_watts is not None:
-                noisy = add_noise_power(faded, cfg.noise.noise_power_watts, noise_seed)
-            else:
-                noisy = add_awgn(faded, cfg.noise.snr_db, noise_seed)
+        for scheme, samples in zip(cfg.schemes, rx.samples):
             estimate = receive_and_estimate_toa(
-                noisy,
+                Waveform(samples, rx.sample_rate, rx.n_dft, rx.cp_len),
                 params[scheme],
                 target_pfa=cfg.detection.target_pfa,
                 interpolate_peak=cfg.detection.interpolate_peak,

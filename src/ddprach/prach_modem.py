@@ -16,7 +16,9 @@ non-coherently, thresholded against an order-statistics noise model and the
 peak lag is scaled to DFT-rate samples and to metres.
 """
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,9 @@ from .dd_transform import (
     wigner_demodulate,
 )
 from .units import SPEED_OF_LIGHT, dbm_to_watts
-from .zc import CorrelationProfile, ZcSequence, circular_correlation, generate_zc
+# the receiver no longer calls ``circular_correlation``; it stays importable
+# from here because perfbench/tracer.py wraps ``prach_modem.circular_correlation``
+from .zc import CorrelationProfile, ZcSequence, circular_correlation, generate_zc  # noqa: F401
 
 __all__ = [
     "WaveformParams",
@@ -158,23 +162,50 @@ def detection_threshold(profile: CorrelationProfile, target_pfa: float) -> float
     return -math.log(per_bin) * profile.mean_power
 
 
-def _row_profiles(tf: TimeFrequencyGrid, params: WaveformParams) -> list[CorrelationProfile]:
-    """Per-row correlation profiles over the M cyclic delay bins."""
-    zc_seq = generate_zc(params.root, params.n_zc)
-    reference = np.zeros(params.m, dtype=complex)
-    reference[: params.n_zc] = zc_seq.samples
+@functools.lru_cache(maxsize=None)
+def _reference_spectrum(root: int, n_zc: int, m: int, modulation: str) -> np.ndarray:
+    """Conjugated DFT of the ZC correlation reference over the M delay bins.
+
+    OTFS rows are correlated in the delay domain against the zero-padded
+    sequence; OFDM symbols are correlated against its IDFT, the delay-domain
+    pair of the frequency-domain matched filter.
+    """
+    reference = np.zeros(m, dtype=complex)
+    reference[:n_zc] = generate_zc(root, n_zc).samples
+    if modulation == "ofdm":
+        reference = np.fft.ifft(reference)
+    spectrum = np.conj(np.fft.fft(reference))
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+# worker threads share the cache; the lock builds each reference only once
+_reference_lock = threading.Lock()
+
+
+def _combined_profile(tf: TimeFrequencyGrid, params: WaveformParams) -> CorrelationProfile:
+    """Non-coherent sum of the per-row cyclic correlation powers.
+
+    OTFS correlates each Doppler row of the SFFT output, OFDM each symbol
+    taken to the delay domain; all ``n`` rows go through one FFT pass.
+    """
+    with _reference_lock:
+        reference = _reference_spectrum(
+            params.root, params.n_zc, params.m, params.modulation
+        )
     if params.modulation == "otfs":
-        dd = sfft(tf)
-        return [
-            circular_correlation(dd.data[:, k], reference) for k in range(params.n)
-        ]
-    # classic PRACH: correlate each symbol in the delay domain, which is the
-    # IDFT pair of the frequency-domain matched filter
-    reference_delay = np.fft.ifft(reference)
-    return [
-        circular_correlation(np.fft.ifft(tf.data[row, :]), reference_delay)
-        for row in range(params.n)
-    ]
+        # contiguous rows: an FFT pass over strided rows can round differently
+        # from one-row FFTs, which would move profiles in the last bit
+        rows = np.ascontiguousarray(sfft(tf).data.T)
+    else:
+        rows = np.fft.ifft(tf.data, axis=1)
+    corr = np.fft.ifft(np.fft.fft(rows, axis=1) * reference, axis=1)
+    values = np.sum(np.abs(corr) ** 2, axis=0)
+    return CorrelationProfile(
+        values=values,
+        peak_lag=int(np.argmax(values)),
+        mean_power=float(np.mean(values)),
+    )
 
 
 def receive_and_estimate_toa(
@@ -193,13 +224,8 @@ def receive_and_estimate_toa(
     (``refined_sample_delay``); the integer read-out is unchanged.
     """
     tf = wigner_demodulate(rx, params.m, params.n)
-    profiles = _row_profiles(tf, params)
-    values = np.sum([p.values for p in profiles], axis=0)
-    combined = CorrelationProfile(
-        values=values,
-        peak_lag=int(np.argmax(values)),
-        mean_power=float(np.mean(values)),
-    )
+    combined = _combined_profile(tf, params)
+    values = combined.values
     if combined.mean_power == 0.0:
         return ToaEstimate(False, 0, math.inf, combined)
     threshold = detection_threshold(combined, target_pfa)

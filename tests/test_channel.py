@@ -148,6 +148,36 @@ def test_delay_beyond_frame_rejected():
         apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)]))
 
 
+STACK_TAPS = {
+    "zero_delay": [ChannelTap(0.8 - 0.3j, 0.0, 0.0)],
+    "integer_delay": [ChannelTap(1.0, 7.0 / FS, 0.0), ChannelTap(0.5j, 40.0 / FS, 0.0)],
+    "fractional": [ChannelTap(1.0, 3.37 / FS, 0.0), ChannelTap(-0.4, 11.81 / FS, 0.0)],
+    "doppler": [
+        ChannelTap(0.9, 0.0, 1250.0),
+        ChannelTap(0.3 + 0.2j, 5.0 / FS, -800.0),
+        ChannelTap(0.2, 9.5 / FS, 3100.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_TAPS))
+def test_stacked_rows_equal_single_calls(kind):
+    rows = np.stack([bandlimited_noise(256, seed=s) for s in (20, 21, 22)])
+    ch = ChannelRealization(0, 1.0, STACK_TAPS[kind])
+    stacked = apply_channel(make_waveform(rows), ch)
+    assert stacked.samples.shape == rows.shape
+    for row, out in zip(rows, stacked.samples):
+        assert np.array_equal(out, apply_channel(make_waveform(row), ch).samples)
+
+
+def test_stacked_delay_range_still_checked():
+    wf = make_waveform(np.ones((2, 64)))
+    with pytest.raises(ValueError, match="exceeds the frame duration"):
+        apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)]))
+    with pytest.raises(ValueError, match=">= 0"):
+        apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, -1.0 / FS, 0.0)]))
+
+
 def test_taps_sorted_by_delay():
     ch = ChannelRealization(
         0,
@@ -214,6 +244,29 @@ def test_absolute_noise_power():
     out = add_noise_power(wf, 0.25, seed=12)
     noise_power = np.mean(np.abs(out.samples - wf.samples) ** 2)
     assert noise_power == pytest.approx(0.25, rel=0.01)
+
+
+def test_stacked_noise_rows_equal_single_calls():
+    # rows of different power: add_awgn scales per row, one draw is shared
+    rows = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
+    stack = make_waveform(rows)
+    awgn = add_awgn(stack, 5.0, seed=np.random.SeedSequence([1, 2]))
+    absolute = add_noise_power(stack, 0.3, seed=np.random.SeedSequence([1, 2]))
+    for i, row in enumerate(rows):
+        single = make_waveform(row)
+        expected = add_awgn(single, 5.0, seed=np.random.SeedSequence([1, 2])).samples
+        assert np.array_equal(awgn.samples[i], expected)
+        expected = add_noise_power(single, 0.3, seed=np.random.SeedSequence([1, 2])).samples
+        assert np.array_equal(absolute.samples[i], expected)
+    # both rows carry the same unit noise draw
+    unit = (awgn.samples - rows) / np.sqrt(np.mean(np.abs(rows) ** 2, axis=1))[:, None]
+    assert np.allclose(unit[0], unit[1], atol=1e-12)
+
+
+def test_stacked_awgn_rejects_an_all_zero_row():
+    wf = make_waveform(np.stack([np.ones(16), np.zeros(16)]))
+    with pytest.raises(ValueError):
+        add_awgn(wf, 10.0, seed=0)
 
 
 # ---------------------------------------------------------------------------

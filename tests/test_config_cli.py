@@ -1,5 +1,7 @@
 """Config parsing/validation, canonical YAML form and the CLI entry point."""
 
+import re
+
 import yaml
 import pytest
 
@@ -125,6 +127,32 @@ def test_sweep_validation():
         parse_config({"sweep": {"axis": "carrier_hz"}})
     with pytest.raises(ConfigError, match="sweep.values"):
         parse_config({"sweep": {"values": []}})
+
+
+def test_sweep_values_checked_against_axis():
+    with pytest.raises(ConfigError, match=r"sweep\.values\[1\]"):
+        parse_config({"sweep": {"axis": "speed_mps", "values": [5.0, -5.0]}})
+    with pytest.raises(ConfigError, match=r"sweep\.values\[0\]"):
+        parse_config({"sweep": {"values": [0.0]}})  # default axis: delta_f_hz
+    cfg = parse_config({"sweep": {"axis": "speed_mps", "values": [0.0, 5.0]}})
+    assert cfg.sweep.values == [0.0, 5.0]
+    cfg = parse_config({"sweep": {"axis": "tilt_deg", "values": [-10.0, 0.0]}})
+    assert cfg.sweep.values == [-10.0, 0.0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "tree, where",
+    [
+        (lambda v: {"waveform": {"delta_f_hz": v}}, "waveform.delta_f_hz"),
+        (lambda v: {"noise": {"snr_db": v}}, "noise.snr_db"),
+        (lambda v: {"scenario": {"tilt_deg": v}}, "scenario.tilt_deg"),
+        (lambda v: {"sweep": {"axis": "tilt_deg", "values": [v]}}, "sweep.values[0]"),
+    ],
+)
+def test_non_finite_numbers_rejected(value, tree, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_config(tree(value))
 
 
 def test_target_pfa_range():
@@ -264,6 +292,26 @@ def test_cli_malformed_taps_exit_3(tmp_path, capsys):
     rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text)])
     assert rc == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("simulate", "waveform:\n  delta_f_hz: .nan\n", "waveform.delta_f_hz"),
+        ("simulate", "noise:\n  snr_db: .inf\n", "noise.snr_db"),
+        (
+            "speed-tradeoff",
+            "sweep:\n  axis: speed_mps\n  values: [-5.0]\n",
+            "sweep.values[0]",
+        ),
+    ],
+)
+def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
+    rc = main([command, "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert where in err
 
 
 def test_cli_sweep_axis_mismatch_exit_2(tmp_path, capsys):

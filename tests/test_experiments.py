@@ -1,5 +1,6 @@
 """Experiment runners: seeding, pairing, sweeps and summaries."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,9 @@ from ddprach import (
     run_speed_tradeoff,
     run_tilt_sweep,
     summarize,
+    write_results_csv,
 )
+from ddprach import experiments
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
 
@@ -108,6 +111,48 @@ def test_schemes_share_channel_and_noise():
     paired = [r for r in run_simulate(both) if r.scheme == "otfs"]
     alone = run_simulate(otfs_only)
     assert paired == alone
+
+
+# results.csv of the config below, as written before the channel pass and the
+# noise draw were shared between schemes; the shared pass must not move a bit
+GOLDEN_NLOS_RESULTS_SHA256 = (
+    "be95285faf12109ff131f8febabb9f9b6db61a4e4b8e9267d6dd0502332e618a"
+)
+
+
+def test_results_match_golden_digest(tmp_path):
+    cfg = parse_config({
+        "scenario": {"trajectory": {"count": 12}},
+        "noise": {"snr_db": 5.0},
+        "trials": 2,
+        "seed": 3,
+    })
+    assert cfg.channel.nlos is not None and cfg.schemes == ["otfs", "ofdm"]
+    path = tmp_path / "results.csv"
+    write_results_csv(path, run_simulate(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NLOS_RESULTS_SHA256
+
+
+def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
+    calls = {"apply": [], "awgn": 0}
+    real_apply, real_awgn = experiments.apply_channel, experiments.add_awgn
+
+    def apply(waveform, realization):
+        calls["apply"].append(waveform.samples.shape)
+        return real_apply(waveform, realization)
+
+    def awgn(*args, **kwargs):
+        calls["awgn"] += 1
+        return real_awgn(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "apply_channel", apply)
+    monkeypatch.setattr(experiments, "add_awgn", awgn)
+    cfg = parse_config(toy_tree())
+    records = run_simulate(cfg)
+    items = 3 * 2
+    assert len(records) == items * 2
+    assert calls["awgn"] == items
+    assert calls["apply"] == [(2, cfg.waveform.frame_len)] * items
 
 
 def test_taps_file_must_cover_all_points(tmp_path):

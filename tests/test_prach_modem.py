@@ -20,8 +20,9 @@ from ddprach import (
     resolve_range,
     transmit,
 )
+from ddprach.dd_transform import sfft, wigner_demodulate
 from ddprach.units import SPEED_OF_LIGHT
-from ddprach.zc import CorrelationProfile, generate_zc
+from ddprach.zc import CorrelationProfile, circular_correlation, generate_zc
 
 
 def toy_params(scheme="otfs", **kwargs):
@@ -184,6 +185,37 @@ def test_all_zero_rx_not_detected():
     assert not est.detected
     assert est.threshold == math.inf
     assert est.sample_delay == 0
+
+
+def row_correlation_oracle(rx, params):
+    """Sum of per-row circular_correlation powers, one row at a time."""
+    tf = wigner_demodulate(rx, params.m, params.n)
+    reference = np.zeros(params.m, dtype=complex)
+    reference[: params.n_zc] = generate_zc(params.root, params.n_zc).samples
+    if params.modulation == "otfs":
+        dd = sfft(tf)
+        rows = [dd.data[:, k] for k in range(params.n)]
+    else:
+        reference = np.fft.ifft(reference)
+        rows = [np.fft.ifft(tf.data[k, :]) for k in range(params.n)]
+    return sum(circular_correlation(row, reference).values for row in rows)
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+@pytest.mark.parametrize("size", [{}, {"m": 64, "n": 16, "n_dft": 128, "n_zc": 61}])
+def test_batched_profile_matches_row_oracle(scheme, size):
+    params = toy_params(scheme, **size)
+    channel = ChannelRealization(
+        0, 0.0,
+        [ChannelTap(1.0, 3.4 / params.sample_rate, 700.0),
+         ChannelTap(0.5j, 6.0 / params.sample_rate, -300.0)],
+    )
+    rx = add_awgn(apply_channel(transmit(params), channel), 3.0, seed=5)
+    est = receive_and_estimate_toa(rx, params)
+    oracle = row_correlation_oracle(rx, params)
+    assert np.allclose(est.profile.values, oracle, rtol=1e-12, atol=1e-12 * oracle.max())
+    assert est.profile.peak_lag == int(np.argmax(oracle))
+    assert est.profile.mean_power == pytest.approx(float(np.mean(oracle)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
