@@ -8,13 +8,11 @@ models, and Monte Carlo experiment drivers.
 from .channel import (
     ChannelRealization,
     ChannelTap,
-    LinkBudget,
     NlosSpec,
     TapFileError,
     add_awgn,
     add_noise_power,
     apply_channel,
-    channel_gain,
     load_taps,
     received_power,
     save_taps,
@@ -90,7 +88,6 @@ __all__ = [
     "DelayDopplerGrid",
     "ErrorSample",
     "ExperimentConfig",
-    "LinkBudget",
     "NlosSpec",
     "RangingResult",
     "ResultRecord",
@@ -109,7 +106,6 @@ __all__ = [
     "apply_channel",
     "build_preamble_grid",
     "build_trajectory",
-    "channel_gain",
     "circular_correlation",
     "detection_threshold",
     "error_cdf",

@@ -27,13 +27,11 @@ __all__ = [
     "ChannelTap",
     "ChannelRealization",
     "NlosSpec",
-    "LinkBudget",
     "TapFileError",
     "apply_channel",
     "add_awgn",
     "add_noise_power",
     "received_power",
-    "channel_gain",
     "load_taps",
     "save_taps",
     "synthesize_scenario_channel",
@@ -87,17 +85,6 @@ class NlosSpec:
     count: int = 2
     excess_delay_range_s: tuple[float, float] = (6.7e-8, 5.0e-7)
     relative_power_db_range: tuple[float, float] = (-6.0, -3.0)
-
-
-@dataclass
-class LinkBudget:
-    """dB-domain budget terms for the squared channel gain."""
-
-    p_r_db: float          # received power [dBm or dBW, consistent with p_t]
-    p_t_db: float          # transmit power, same unit as p_r_db
-    g_rmax_db: float       # receive antenna boresight gain [dB]
-    g_tmax_db: float       # transmit antenna boresight gain [dB]
-    ls_db: float = 0.0     # extra large-scale loss term [dB]
 
 
 def _classify_los(taps: list[ChannelTap]) -> bool:
@@ -159,9 +146,11 @@ def add_awgn(waveform: Waveform, snr_db: float | None, seed=None) -> Waveform:
     The noise variance is scaled to the measured mean power of the input,
     row by row for a ``(S, L)`` stack; the rows share one unit noise draw
     (see :func:`add_noise_power`).  ``snr_db=None`` or ``+inf`` returns the
-    waveform unchanged (noiseless).
+    waveform unchanged (noiseless); NaN and ``-inf`` raise ``ValueError``.
     """
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db is None or snr_db == math.inf:
         return Waveform(
             waveform.samples.copy(), waveform.sample_rate, waveform.n_dft,
             waveform.cp_len,
@@ -202,35 +191,16 @@ def received_power(
     distance_m: float,
     g_t_db: float = 0.0,
     g_r_db: float = 0.0,
-    friis_gains: bool = False,
 ) -> float:
     """Free-space received power in watts.
 
-    Default form: ``P_r = P_t (lambda / 4 pi d)^2 (G_t G_r)^2`` with linear
-    gains, i.e. the antenna gain product enters squared.  ``friis_gains=True``
-    switches to the textbook Friis form with a first-power gain product.
+    ``P_r = P_t (lambda / 4 pi d)^2 (G_t G_r)^2`` with linear gains, i.e. the
+    antenna gain product enters squared.
     """
     if distance_m <= 0:
         raise ValueError("distance must be positive")
     gains = 10.0 ** (g_t_db / 10.0) * 10.0 ** (g_r_db / 10.0)
-    if not friis_gains:
-        gains = gains**2
-    return p_t_watts * (wavelength_m / (4.0 * math.pi * distance_m)) ** 2 * gains
-
-
-def channel_gain(budget: LinkBudget) -> float:
-    """Squared channel gain |h|^2 from a dB link budget.
-
-    ``Pg = P_r - P_t - G_rmax - G_tmax + LS`` (dB), ``|h|^2 = 10^(Pg / 10)``.
-    """
-    pg_db = (
-        budget.p_r_db
-        - budget.p_t_db
-        - budget.g_rmax_db
-        - budget.g_tmax_db
-        + budget.ls_db
-    )
-    return 10.0 ** (pg_db / 10.0)
+    return p_t_watts * (wavelength_m / (4.0 * math.pi * distance_m)) ** 2 * gains**2
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@ from .metrics import write_results_csv
 __all__ = ["main", "build_parser"]
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddprach",
@@ -51,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, help="override config seed")
             cmd.add_argument("--out", default=".", help="output directory")
             cmd.add_argument(
-                "--threads", type=int, default=1, help="worker threads"
+                "--threads", type=_thread_count, default=1, help="worker threads"
             )
     return parser
 

@@ -1,12 +1,15 @@
 """Experiment configuration: YAML schema, validation and canonical form.
 
 The configuration file is a YAML mapping with explicit units in the key
-names.  Unknown keys anywhere in the tree are rejected with the offending
-path so typos cannot silently fall back to defaults.
+names.  The dataclasses below, and the library dataclasses they nest, are the
+schema: one walk over their fields parses and checks a tree, and ``asdict``
+gives the canonical form.  Unknown keys anywhere in the tree are rejected with
+their dotted path so typos cannot silently fall back to defaults.
 """
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -15,20 +18,17 @@ from .prach_modem import MODULATIONS, WaveformParams
 from .uav_scenario import AirframeConfig, AntennaConfig
 
 __all__ = [
-    "ConfigError",
-    "TrajectorySpec",
-    "ScenarioConfig",
-    "ChannelConfig",
-    "NoiseConfig",
-    "DetectionConfig",
-    "SweepConfig",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "serialize_config",
+    "ConfigError", "TrajectorySpec", "ScenarioConfig", "ChannelConfig",
+    "NoiseConfig", "DetectionConfig", "SweepConfig", "ExperimentConfig",
+    "load_config", "parse_config", "serialize_config",
 ]
 
-SWEEP_AXES = ("delta_f_hz", "speed_mps", "tilt_deg")
+# sweep axis -> dotted path of the field it sweeps (whose range the values obey)
+SWEEP_AXES = {
+    "delta_f_hz": "waveform.delta_f_hz",
+    "speed_mps": "scenario.trajectory.speed_mps",
+    "tilt_deg": "scenario.tilt_deg",
+}
 
 
 class ConfigError(ValueError):
@@ -92,279 +92,124 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
-def _require_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
+def _one_of(choices):
+    return (lambda v: v in choices, f"one of {list(choices)}")
 
 
-def _check_keys(node: dict, allowed, path: str) -> None:
-    unknown = set(node) - set(allowed)
-    if unknown:
-        key = sorted(unknown)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown config key: {where}")
+_ANY = (lambda v: True, "anything")
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+# Allowed values by dotted path (list items and pair bounds share their
+# field's entry).  Numbers not listed must be positive; strings and booleans
+# not listed are free.
+_RULES = {
+    "waveform.cp_len": _NON_NEGATIVE,
+    "waveform.modulation": _one_of(MODULATIONS),
+    "scenario.trajectory.speed_mps": _NON_NEGATIVE,
+    "scenario.antenna.g_rmax_db": _ANY,
+    "scenario.tilt_deg": _ANY,
+    "channel.source": _one_of(("synthetic", "taps_file")),
+    "channel.nlos.count": _NON_NEGATIVE,
+    "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,
+    "channel.nlos.relative_power_db_range": _ANY,
+    "channel.g_t_db": _ANY,
+    "noise.snr_db": _ANY,
+    "noise.noise_power_watts": _NON_NEGATIVE,
+    "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "schemes": _one_of(MODULATIONS),
+    "seed": _NON_NEGATIVE,
+    "sweep.axis": _one_of(SWEEP_AXES),
+    "sweep.values": _ANY,  # checked against the swept field in parse_config
+}
+
+# accepted YAML types and their name in error messages, per field type
+_SCALARS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
-def _number(node, path: str, *, positive=False, allow_none=False):
-    if node is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"{path}: value required")
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {node!r}")
-    value = float(node)
-    if not math.isfinite(value):
+def _rule(path: str, kind):
+    default = _POSITIVE if kind in (int, float) else _ANY
+    return _RULES.get(path.split("[")[0], default)
+
+
+def _scalar(kind, node, path: str):
+    types, noun = _SCALARS[kind]
+    if not isinstance(node, types) or (isinstance(node, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {noun}, got {node!r}")
+    value = float(node) if kind is float else node
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {value}")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
+    check, allowed = _rule(path, kind)
+    if not check(value):
+        raise ConfigError(f"{path}: must be {allowed}, got {value!r}")
     return value
 
 
-def _integer(node, path: str, *, minimum=None) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{path}: expected an integer, got {node!r}")
-    if minimum is not None and node < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {node}")
-    return node
-
-
-def _boolean(node, path: str) -> bool:
-    if not isinstance(node, bool):
-        raise ConfigError(f"{path}: expected a boolean, got {node!r}")
-    return node
-
-
-def _pair(node, path: str) -> tuple[float, float]:
-    if not isinstance(node, list) or len(node) != 2:
-        raise ConfigError(f"{path}: expected a [low, high] pair")
-    lo = _number(node[0], f"{path}[0]")
-    hi = _number(node[1], f"{path}[1]")
-    if hi < lo:
-        raise ConfigError(f"{path}: low bound exceeds high bound")
-    return (lo, hi)
-
-
-def _parse_waveform(node, path: str) -> WaveformParams:
-    node = _require_mapping(node, path)
-    keys = (
-        "delta_f_hz", "n_dft", "m", "n", "n_zc", "root", "cp_len",
-        "modulation", "p_t_watts",
-    )
-    _check_keys(node, keys, path)
-    kwargs = {}
-    if "delta_f_hz" in node:
-        kwargs["delta_f_hz"] = _number(node["delta_f_hz"], f"{path}.delta_f_hz", positive=True)
-    for name in ("n_dft", "m", "n", "n_zc", "root"):
-        if name in node:
-            kwargs[name] = _integer(node[name], f"{path}.{name}", minimum=1)
-    if "cp_len" in node and node["cp_len"] is not None:
-        kwargs["cp_len"] = _integer(node["cp_len"], f"{path}.cp_len", minimum=0)
-    if "modulation" in node:
-        if node["modulation"] not in MODULATIONS:
-            raise ConfigError(
-                f"{path}.modulation: expected one of {list(MODULATIONS)}"
-            )
-        kwargs["modulation"] = node["modulation"]
-    if "p_t_watts" in node:
-        kwargs["p_t_watts"] = _number(node["p_t_watts"], f"{path}.p_t_watts", positive=True)
+def _section(cls, node, path: str):
+    """Build dataclass ``cls`` from a mapping; absent keys keep their default."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path or '<root>'}: expected a mapping, got {type(node).__name__}")
+    types = {f.name: f.type for f in fields(cls) if f.init}
+    unknown = sorted(set(node) - set(types), key=str)
+    if unknown:
+        raise ConfigError(f"unknown config key: {path + '.' if path else ''}{unknown[0]}")
+    kwargs = {
+        key: _parse(types[key], value, f"{path}.{key}" if path else key)
+        for key, value in node.items()
+    }
     try:
-        return WaveformParams(**kwargs)
+        return cls(**kwargs)  # __post_init__ derives cp_len, fnb_deg, ...
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_scenario(node, path: str) -> ScenarioConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, ("carrier_hz", "trajectory", "antenna", "tilt_deg", "airframe"), path)
-    cfg = ScenarioConfig()
-    if "carrier_hz" in node:
-        cfg.carrier_hz = _number(node["carrier_hz"], f"{path}.carrier_hz", positive=True)
-    if "trajectory" in node:
-        sub = _require_mapping(node["trajectory"], f"{path}.trajectory")
-        _check_keys(sub, ("height_m", "dp_m", "count", "speed_mps"), f"{path}.trajectory")
-        if "height_m" in sub:
-            cfg.trajectory.height_m = _number(sub["height_m"], f"{path}.trajectory.height_m", positive=True)
-        if "dp_m" in sub:
-            cfg.trajectory.dp_m = _number(sub["dp_m"], f"{path}.trajectory.dp_m", positive=True)
-        if "count" in sub:
-            cfg.trajectory.count = _integer(sub["count"], f"{path}.trajectory.count", minimum=1)
-        if "speed_mps" in sub:
-            cfg.trajectory.speed_mps = _number(sub["speed_mps"], f"{path}.trajectory.speed_mps")
-            if cfg.trajectory.speed_mps < 0:
-                raise ConfigError(f"{path}.trajectory.speed_mps: must be >= 0")
-    if "antenna" in node:
-        sub = _require_mapping(node["antenna"], f"{path}.antenna")
-        _check_keys(
-            sub, ("g_rmax_db", "gamma_3db_deg", "theta_3db_deg", "fnb_deg"),
-            f"{path}.antenna",
+def _parse(annotation, node, path: str):
+    """Validate ``node`` against a field type and return the parsed value."""
+    if is_dataclass(annotation):
+        return _section(annotation, node, path)
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return None if node is None else _parse(inner, node, path)
+    if node is None:
+        raise ConfigError(f"{path}: value required")
+    origin = typing.get_origin(annotation)
+    if origin is list:
+        if not isinstance(node, list) or not node:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return [_parse(args[0], item, f"{path}[{i}]") for i, item in enumerate(node)]
+    if origin is tuple:
+        if not isinstance(node, list) or len(node) != len(args):
+            raise ConfigError(f"{path}: expected a [low, high] pair")
+        return tuple(
+            _parse(arg, item, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, node))
         )
-        if "g_rmax_db" in sub:
-            cfg.antenna.g_rmax_db = _number(sub["g_rmax_db"], f"{path}.antenna.g_rmax_db")
-        if "gamma_3db_deg" in sub:
-            cfg.antenna.gamma_3db_deg = _number(sub["gamma_3db_deg"], f"{path}.antenna.gamma_3db_deg", positive=True)
-        if "theta_3db_deg" in sub:
-            cfg.antenna.theta_3db_deg = _number(sub["theta_3db_deg"], f"{path}.antenna.theta_3db_deg", positive=True)
-            if "fnb_deg" not in sub:
-                cfg.antenna.fnb_deg = 2.5 * cfg.antenna.theta_3db_deg
-        if "fnb_deg" in sub and sub["fnb_deg"] is not None:
-            cfg.antenna.fnb_deg = _number(sub["fnb_deg"], f"{path}.antenna.fnb_deg", positive=True)
-    if "tilt_deg" in node:
-        cfg.tilt_deg = _number(node["tilt_deg"], f"{path}.tilt_deg", allow_none=True)
-    if "airframe" in node:
-        sub = _require_mapping(node["airframe"], f"{path}.airframe")
-        names = {
-            "mass_kg": "mass_kg",
-            "gravity_mps2": "gravity_mps2",
-            "air_density_kgpm3": "air_density_kgpm3",
-            "drag_coefficient": "drag_coefficient",
-            "swept_area_m2": "swept_area_m2",
-            "blade_profile_power_w": "blade_profile_power_w",
-            "induced_power_w": "induced_power_w",
-            "tip_speed_mps": "tip_speed_mps",
-            "induced_velocity_mps": "induced_velocity_mps",
-            "fuselage_drag_ratio": "fuselage_drag_ratio",
-            "rotor_solidity": "rotor_solidity",
-            "rotor_disc_area_m2": "rotor_disc_area_m2",
-        }
-        _check_keys(sub, names, f"{path}.airframe")
-        for key, attr in names.items():
-            if key in sub:
-                setattr(cfg.airframe, attr, _number(sub[key], f"{path}.airframe.{key}", positive=True))
-    return cfg
-
-
-def _parse_channel(node, path: str) -> ChannelConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, ("source", "taps_path", "nlos", "doppler_scale", "g_t_db"), path)
-    cfg = ChannelConfig()
-    if "source" in node:
-        if node["source"] not in ("synthetic", "taps_file"):
-            raise ConfigError(f"{path}.source: expected 'synthetic' or 'taps_file'")
-        cfg.source = node["source"]
-    if "taps_path" in node and node["taps_path"] is not None:
-        if not isinstance(node["taps_path"], str):
-            raise ConfigError(f"{path}.taps_path: expected a string path")
-        cfg.taps_path = node["taps_path"]
-    if cfg.source == "taps_file" and cfg.taps_path is None:
-        raise ConfigError(f"{path}.taps_path: required when source is 'taps_file'")
-    if "nlos" in node:
-        if node["nlos"] is None:
-            cfg.nlos = None
-        else:
-            sub = _require_mapping(node["nlos"], f"{path}.nlos")
-            _check_keys(
-                sub, ("count", "excess_delay_range_s", "relative_power_db_range"),
-                f"{path}.nlos",
-            )
-            spec = NlosSpec()
-            if "count" in sub:
-                spec.count = _integer(sub["count"], f"{path}.nlos.count", minimum=0)
-            if "excess_delay_range_s" in sub:
-                spec.excess_delay_range_s = _pair(sub["excess_delay_range_s"], f"{path}.nlos.excess_delay_range_s")
-                if spec.excess_delay_range_s[0] < 0:
-                    raise ConfigError(f"{path}.nlos.excess_delay_range_s: delays must be >= 0")
-            if "relative_power_db_range" in sub:
-                spec.relative_power_db_range = _pair(sub["relative_power_db_range"], f"{path}.nlos.relative_power_db_range")
-            cfg.nlos = spec
-    if "doppler_scale" in node:
-        cfg.doppler_scale = _number(node["doppler_scale"], f"{path}.doppler_scale", positive=True)
-    if "g_t_db" in node:
-        cfg.g_t_db = _number(node["g_t_db"], f"{path}.g_t_db")
-    return cfg
-
-
-def _parse_noise(node, path: str) -> NoiseConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, ("snr_db", "noise_power_watts"), path)
-    cfg = NoiseConfig()
-    if "snr_db" in node:
-        cfg.snr_db = _number(node["snr_db"], f"{path}.snr_db", allow_none=True)
-    if "noise_power_watts" in node:
-        cfg.noise_power_watts = _number(
-            node["noise_power_watts"], f"{path}.noise_power_watts", allow_none=True
-        )
-        if cfg.noise_power_watts is not None and cfg.noise_power_watts < 0:
-            raise ConfigError(f"{path}.noise_power_watts: must be >= 0")
-    if cfg.snr_db is not None and cfg.noise_power_watts is not None:
-        raise ConfigError(f"{path}: snr_db and noise_power_watts are mutually exclusive")
-    return cfg
-
-
-def _parse_detection(node, path: str) -> DetectionConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, ("target_pfa", "interpolate_peak"), path)
-    cfg = DetectionConfig()
-    if "target_pfa" in node:
-        cfg.target_pfa = _number(node["target_pfa"], f"{path}.target_pfa", positive=True)
-        if not cfg.target_pfa < 1.0:
-            raise ConfigError(f"{path}.target_pfa: must be in (0, 1)")
-    if "interpolate_peak" in node:
-        cfg.interpolate_peak = _boolean(node["interpolate_peak"], f"{path}.interpolate_peak")
-    return cfg
-
-
-def _parse_sweep(node, path: str) -> SweepConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, ("axis", "values"), path)
-    cfg = SweepConfig()
-    if "axis" in node:
-        if node["axis"] not in SWEEP_AXES:
-            raise ConfigError(f"{path}.axis: expected one of {list(SWEEP_AXES)}")
-        cfg.axis = node["axis"]
-    if "values" in node:
-        if not isinstance(node["values"], list) or not node["values"]:
-            raise ConfigError(f"{path}.values: expected a non-empty list")
-        cfg.values = [
-            _number(v, f"{path}.values[{i}]") for i, v in enumerate(node["values"])
-        ]
-    # checked after both keys are read: the valid range depends on the axis
-    for i, value in enumerate(cfg.values):
-        if cfg.axis == "speed_mps" and value < 0:
-            raise ConfigError(f"{path}.values[{i}]: speed must be >= 0, got {value}")
-        if cfg.axis == "delta_f_hz" and value <= 0:
-            raise ConfigError(f"{path}.values[{i}]: spacing must be positive, got {value}")
-    return cfg
+    return _scalar(annotation, node, path)
 
 
 def parse_config(tree) -> ExperimentConfig:
     """Validate a parsed YAML tree and build the experiment configuration."""
-    tree = _require_mapping(tree, "<root>")
-    _check_keys(
-        tree,
-        (
-            "waveform", "scenario", "channel", "noise", "detection",
-            "schemes", "trials", "seed", "sweep",
-        ),
-        "",
-    )
-    cfg = ExperimentConfig()
-    if "waveform" in tree:
-        cfg.waveform = _parse_waveform(tree["waveform"], "waveform")
-    if "scenario" in tree:
-        cfg.scenario = _parse_scenario(tree["scenario"], "scenario")
-    if "channel" in tree:
-        cfg.channel = _parse_channel(tree["channel"], "channel")
-    if "noise" in tree:
-        cfg.noise = _parse_noise(tree["noise"], "noise")
-    if "detection" in tree:
-        cfg.detection = _parse_detection(tree["detection"], "detection")
-    if "schemes" in tree:
-        schemes = tree["schemes"]
-        if not isinstance(schemes, list) or not schemes:
-            raise ConfigError("schemes: expected a non-empty list")
-        for scheme in schemes:
-            if scheme not in MODULATIONS:
-                raise ConfigError(f"schemes: expected entries from {list(MODULATIONS)}")
-        if len(set(schemes)) != len(schemes):
-            raise ConfigError("schemes: duplicate entries")
-        cfg.schemes = list(schemes)
-    if "trials" in tree:
-        cfg.trials = _integer(tree["trials"], "trials", minimum=1)
-    if "seed" in tree:
-        cfg.seed = _integer(tree["seed"], "seed", minimum=0)
-    if "sweep" in tree:
-        cfg.sweep = _parse_sweep(tree["sweep"], "sweep")
+    cfg = _section(ExperimentConfig, tree, "")
+    channel, noise, sweep = cfg.channel, cfg.noise, cfg.sweep
+    if channel.source == "taps_file" and channel.taps_path is None:
+        raise ConfigError("channel.taps_path: required when source is 'taps_file'")
+    if noise.snr_db is not None and noise.noise_power_watts is not None:
+        raise ConfigError("noise: snr_db and noise_power_watts are mutually exclusive")
+    if len(set(cfg.schemes)) != len(cfg.schemes):
+        raise ConfigError("schemes: duplicate entries")
+    check, allowed = _rule(SWEEP_AXES[sweep.axis], float)
+    for i, value in enumerate(sweep.values):
+        if not check(value):
+            raise ConfigError(f"sweep.values[{i}]: {sweep.axis} must be {allowed}, got {value}")
+    for name in ("excess_delay_range_s", "relative_power_db_range"):
+        low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
+        if low > high:
+            raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
     return cfg
 
 
@@ -377,86 +222,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if tree is None:
-        tree = {}
-    return parse_config(tree)
+    return parse_config({} if tree is None else tree)
 
 
-def _canonical_dict(cfg: ExperimentConfig) -> dict:
-    nlos = cfg.channel.nlos
-    return {
-        "waveform": {
-            "delta_f_hz": cfg.waveform.delta_f_hz,
-            "n_dft": cfg.waveform.n_dft,
-            "m": cfg.waveform.m,
-            "n": cfg.waveform.n,
-            "n_zc": cfg.waveform.n_zc,
-            "root": cfg.waveform.root,
-            "cp_len": cfg.waveform.cp_len,
-            "modulation": cfg.waveform.modulation,
-            "p_t_watts": cfg.waveform.p_t_watts,
-        },
-        "scenario": {
-            "carrier_hz": cfg.scenario.carrier_hz,
-            "trajectory": {
-                "height_m": cfg.scenario.trajectory.height_m,
-                "dp_m": cfg.scenario.trajectory.dp_m,
-                "count": cfg.scenario.trajectory.count,
-                "speed_mps": cfg.scenario.trajectory.speed_mps,
-            },
-            "antenna": {
-                "g_rmax_db": cfg.scenario.antenna.g_rmax_db,
-                "gamma_3db_deg": cfg.scenario.antenna.gamma_3db_deg,
-                "theta_3db_deg": cfg.scenario.antenna.theta_3db_deg,
-                "fnb_deg": cfg.scenario.antenna.fnb_deg,
-            },
-            "tilt_deg": cfg.scenario.tilt_deg,
-            "airframe": {
-                "mass_kg": cfg.scenario.airframe.mass_kg,
-                "gravity_mps2": cfg.scenario.airframe.gravity_mps2,
-                "air_density_kgpm3": cfg.scenario.airframe.air_density_kgpm3,
-                "drag_coefficient": cfg.scenario.airframe.drag_coefficient,
-                "swept_area_m2": cfg.scenario.airframe.swept_area_m2,
-                "blade_profile_power_w": cfg.scenario.airframe.blade_profile_power_w,
-                "induced_power_w": cfg.scenario.airframe.induced_power_w,
-                "tip_speed_mps": cfg.scenario.airframe.tip_speed_mps,
-                "induced_velocity_mps": cfg.scenario.airframe.induced_velocity_mps,
-                "fuselage_drag_ratio": cfg.scenario.airframe.fuselage_drag_ratio,
-                "rotor_solidity": cfg.scenario.airframe.rotor_solidity,
-                "rotor_disc_area_m2": cfg.scenario.airframe.rotor_disc_area_m2,
-            },
-        },
-        "channel": {
-            "source": cfg.channel.source,
-            "taps_path": cfg.channel.taps_path,
-            "nlos": None
-            if nlos is None
-            else {
-                "count": nlos.count,
-                "excess_delay_range_s": list(nlos.excess_delay_range_s),
-                "relative_power_db_range": list(nlos.relative_power_db_range),
-            },
-            "doppler_scale": cfg.channel.doppler_scale,
-            "g_t_db": cfg.channel.g_t_db,
-        },
-        "noise": {
-            "snr_db": cfg.noise.snr_db,
-            "noise_power_watts": cfg.noise.noise_power_watts,
-        },
-        "detection": {
-            "target_pfa": cfg.detection.target_pfa,
-            "interpolate_peak": cfg.detection.interpolate_peak,
-        },
-        "schemes": list(cfg.schemes),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "sweep": {
-            "axis": cfg.sweep.axis,
-            "values": list(cfg.sweep.values),
-        },
-    }
+def _plain(node):
+    """Turn the tuples of an ``asdict`` tree into lists for ``safe_dump``."""
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_plain(item) for item in node]
+    return node
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render the canonical YAML form of a configuration."""
-    return yaml.safe_dump(_canonical_dict(cfg), sort_keys=False)
+    return yaml.safe_dump(_plain(asdict(cfg)), sort_keys=False)

@@ -127,9 +127,7 @@ def antenna_gain(
     return horizontal + vertical + cfg.g_rmax_db
 
 
-def pitch_angle(
-    v_x: float, cfg: AirframeConfig, consistent_v_squared: bool = True
-) -> tuple[float, float]:
+def pitch_angle(v_x: float, cfg: AirframeConfig) -> tuple[float, float]:
     """Forward-flight pitch angles ``(theta_xi, theta_v)`` in degrees.
 
     Balances fuselage drag against thrust: with
@@ -137,12 +135,6 @@ def pitch_angle(
     ``theta_xi = arccos(sqrt(x^2 + 1) - x)`` and the antenna tilt is
     ``theta_v = 90 deg - theta_xi``.  Hover (``v_x = 0``) gives no tilt and
     the tilt grows monotonically with speed.
-
-    ``consistent_v_squared=False`` evaluates the drag denominator of the
-    subtracted term with ``v`` instead of ``v^2``.  That variant is
-    dimensionally inconsistent and leaves the arccos argument outside the
-    usable range for most speeds, where it is clipped into ``[0, 1]``; it
-    exists only for comparison and is not used by the simulator.
     """
     if v_x < 0:
         raise ValueError("v_x must be >= 0")
@@ -151,12 +143,8 @@ def pitch_angle(
     drag = cfg.air_density_kgpm3 * cfg.drag_coefficient * cfg.swept_area_m2
     weight = cfg.mass_kg * cfg.gravity_mps2
     x = weight / (drag * v_x**2)
-    if consistent_v_squared:
-        # sqrt(x^2 + 1) - x, written to avoid cancellation for large x
-        arg = 1.0 / (math.sqrt(x * x + 1.0) + x)
-    else:
-        arg = math.sqrt(x * x + 1.0) - weight / (drag * v_x)
-        arg = min(1.0, max(0.0, arg))
+    # sqrt(x^2 + 1) - x, written to avoid cancellation for large x
+    arg = 1.0 / (math.sqrt(x * x + 1.0) + x)
     theta_xi = math.degrees(math.acos(arg))
     return theta_xi, 90.0 - theta_xi
 

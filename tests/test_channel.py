@@ -1,4 +1,4 @@
-"""Tapped delay-Doppler channel, AWGN, link budget, and tap file I/O."""
+"""Tapped delay-Doppler channel, AWGN, received power, and tap file I/O."""
 
 import math
 
@@ -8,13 +8,11 @@ import pytest
 from ddprach import (
     ChannelRealization,
     ChannelTap,
-    LinkBudget,
     TapFileError,
     Waveform,
     add_awgn,
     add_noise_power,
     apply_channel,
-    channel_gain,
     load_taps,
     received_power,
     save_taps,
@@ -214,6 +212,15 @@ def test_awgn_infinite_snr_passthrough():
     assert np.array_equal(add_awgn(wf, None, seed=1).samples, wf.samples)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_awgn_rejects_nan_and_minus_infinity(snr_db):
+    # -inf asks for infinite noise and NaN for nothing defined: neither may
+    # pass the waveform through noiseless or return NaN samples
+    wf = make_waveform(bandlimited_noise(128, seed=8))
+    with pytest.raises(ValueError, match="snr_db"):
+        add_awgn(wf, snr_db, seed=1)
+
+
 def test_awgn_empirical_snr():
     n = 1_000_000
     rng = np.random.default_rng(9)
@@ -270,7 +277,7 @@ def test_stacked_awgn_rejects_an_all_zero_row():
 
 
 # ---------------------------------------------------------------------------
-# link budget
+# received power
 # ---------------------------------------------------------------------------
 
 def test_received_power_value():
@@ -289,24 +296,11 @@ def test_received_power_squared_gain_product():
     base = received_power(1.0, 0.2, 100.0)
     gained = received_power(1.0, 0.2, 100.0, g_t_db=10.0, g_r_db=0.0)
     assert gained == pytest.approx(100.0 * base, rel=1e-12)
-    friis = received_power(1.0, 0.2, 100.0, g_t_db=10.0, g_r_db=0.0, friis_gains=True)
-    assert friis == pytest.approx(10.0 * base, rel=1e-12)
 
 
 def test_received_power_requires_positive_distance():
     with pytest.raises(ValueError):
         received_power(1.0, 0.2, 0.0)
-
-
-def test_channel_gain_arithmetic():
-    lb = LinkBudget(p_r_db=-80.0, p_t_db=23.0, g_rmax_db=10.0, g_tmax_db=10.0)
-    assert channel_gain(lb) == pytest.approx(10 ** (-12.3), rel=1e-12)
-    lifted = LinkBudget(
-        p_r_db=-80.0, p_t_db=23.0, g_rmax_db=10.0, g_tmax_db=10.0, ls_db=3.0
-    )
-    assert channel_gain(lifted) == pytest.approx(10 ** (-12.0), rel=1e-12)
-    flat = LinkBudget(p_r_db=0.0, p_t_db=0.0, g_rmax_db=0.0, g_tmax_db=0.0)
-    assert channel_gain(flat) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

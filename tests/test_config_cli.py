@@ -1,6 +1,7 @@
 """Config parsing/validation, canonical YAML form and the CLI entry point."""
 
 import re
+from pathlib import Path
 
 import yaml
 import pytest
@@ -13,6 +14,8 @@ from ddprach import (
 )
 from ddprach.cli import main
 from ddprach.metrics import RESULTS_HEADER
+
+DATA = Path(__file__).parent / "data"
 
 TOY_CONFIG = """\
 waveform:
@@ -167,6 +170,13 @@ def test_negative_speed_rejected():
         parse_config({"scenario": {"trajectory": {"speed_mps": -1.0}}})
 
 
+def test_null_fnb_derives_from_custom_beamwidth():
+    cfg = parse_config({"scenario": {"antenna": {"theta_3db_deg": 20.0, "fnb_deg": None}}})
+    assert cfg.scenario.antenna.fnb_deg == 50.0
+    cfg = parse_config({"scenario": {"antenna": {"theta_3db_deg": 20.0}}})
+    assert cfg.scenario.antenna.fnb_deg == 50.0
+
+
 def test_tilt_override():
     cfg = parse_config({"scenario": {"tilt_deg": 12.0}})
     assert cfg.scenario.tilt_deg == 12.0
@@ -210,6 +220,26 @@ def test_cli_validate_config(tmp_path, capsys):
     cfg = parse_config(yaml.safe_load(printed))
     assert cfg.waveform.n_dft == 32
     assert serialize_config(cfg) == printed
+
+
+@pytest.mark.parametrize(
+    "config, golden",
+    [
+        (None, "validate_config_default.out"),
+        ("full_config.yaml", "validate_config_full.out"),
+    ],
+)
+def test_cli_validate_config_golden(tmp_path, capsys, config, golden):
+    """Canonical form recorded before the schema walk replaced per-field code."""
+    path = DATA / config if config else write_toy_config(tmp_path, text="")
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+def test_cli_validate_config_derived_fnb(tmp_path, capsys):
+    text = "scenario:\n  antenna:\n    theta_3db_deg: 20.0\n    fnb_deg: null\n"
+    assert main(["validate-config", "--config", write_toy_config(tmp_path, text=text)]) == 0
+    assert "    fnb_deg: 50.0\n" in capsys.readouterr().out
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
@@ -267,6 +297,17 @@ def test_cli_thread_count_is_invisible(tmp_path, capsys):
     threaded = run("t4", 4)
     capsys.readouterr()
     assert serial == threaded
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg_path = write_toy_config(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg_path, "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_taps_file_exit_3(tmp_path, capsys):

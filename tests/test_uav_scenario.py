@@ -97,15 +97,6 @@ def test_pitch_rejects_negative_speed():
         pitch_angle(-1.0, AirframeConfig())
 
 
-def test_pitch_as_printed_variant_is_clipped():
-    """The dimensionally inconsistent published form stays in [0, 90]."""
-    cfg = AirframeConfig()
-    for v in (0.5, 1.0, 5.0, 10.0, 30.0):
-        theta_xi, theta_v = pitch_angle(v, cfg, consistent_v_squared=False)
-        assert 0.0 <= theta_xi <= 180.0
-        assert 0.0 <= theta_v <= 90.0
-
-
 # ---------------------------------------------------------------------------
 # propulsion power
 # ---------------------------------------------------------------------------
