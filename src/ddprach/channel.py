@@ -46,6 +46,14 @@ _INTERP_TAPS = 64
 _INTERP_BETA = 8.6
 _INTERP_LAGS = np.arange(-(_INTERP_TAPS // 2 - 1), _INTERP_TAPS // 2 + 1)
 _INTERP_WINDOW = np.kaiser(_INTERP_TAPS, _INTERP_BETA)
+_UNIT_KERNEL = np.ones(1)  # on-grid delays: a plain shift
+# separates the halves of [re, gap, im]: as long as the longest kernel's tail
+_INTERP_GAP = np.zeros(_INTERP_TAPS - 1)
+
+# Doppler phasors are the outer product of one exponential per block of this
+# many samples and one per in-block offset
+_PHASOR_BLOCK = 64
+_PHASOR_OFFSETS = np.arange(_PHASOR_BLOCK)
 
 
 class TapFileError(ValueError):
@@ -105,39 +113,94 @@ def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Wavefo
     sharing the framing; every row goes through the same taps and matches a
     single-frame call exactly.  Integer tap delays are exact shifts;
     fractional parts use the Kaiser-windowed sinc interpolator.  Each delayed
-    frame keeps the input length (tail truncated, head zero-filled).
+    frame keeps the input length (tail truncated, head zero-filled).  Only
+    the span between a row's first and last nonzero sample is filtered, so
+    the work per row scales with that span.
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
-    duration = n / fs
-    t = np.arange(n) / fs
+    delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
     rows = x.reshape(-1, n)
     out = np.zeros_like(rows)
-    for tap in realization.taps:
-        if tap.delay_s < 0:
-            raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")
-        if tap.delay_s >= duration:
-            raise ValueError(
-                f"tap delay {tap.delay_s} s exceeds the frame duration "
-                f"{duration} s"
-            )
-        delay_samples = tap.delay_s * fs
-        n0 = int(math.floor(delay_samples))
-        mu = delay_samples - n0
-        on_grid = mu < 1e-12 or mu > 1.0 - 1e-12
-        if on_grid:
-            n0 = int(round(delay_samples))
-        else:
-            kernel = np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
-        phasor = tap.gain * np.exp(2j * np.pi * tap.doppler_hz * (t - tap.delay_s))
-        for row, acc in zip(rows, out):
-            if on_grid:
-                delayed = row
-            else:
-                delayed = np.convolve(row, kernel)[_INTERP_TAPS // 2 - 1 :]
-            acc[n0:] += phasor[n0:] * delayed[: n - n0]
+    for row, acc in zip(rows, out):
+        nonzero = row != 0
+        if not nonzero.any():
+            continue
+        first = int(nonzero.argmax())
+        stop = n - int(nonzero[::-1].argmax())
+        span = row[first:stop]
+        # the kernels are real, so [re, zeros, im] goes through one real
+        # convolution; the zero gap keeps the two halves' outputs apart
+        parts = np.concatenate((span.real, _INTERP_GAP, span.imag))
+        for tap, n0, kernel in delays:
+            _add_tap(acc, parts, first, stop, tap, n0, kernel, fs)
     return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
+
+
+def _tap_delay(tap: ChannelTap, fs: float, n: int):
+    """Check a tap's delay against an ``n``-sample frame and split it.
+
+    Returns ``(tap, n0, kernel)``: the integer delay ``n0`` and the sinc
+    kernel for the fractional part; an on-grid delay gets the unit kernel.
+    """
+    duration = n / fs
+    if tap.delay_s < 0:
+        raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")
+    if tap.delay_s >= duration:
+        raise ValueError(
+            f"tap delay {tap.delay_s} s exceeds the frame duration {duration} s"
+        )
+    delay_samples = tap.delay_s * fs
+    n0 = int(math.floor(delay_samples))
+    mu = delay_samples - n0
+    if mu < 1e-12 or mu > 1.0 - 1e-12:
+        return tap, int(round(delay_samples)), _UNIT_KERNEL
+    return tap, n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
+
+
+def _add_tap(acc, parts, first, stop, tap, n0, kernel, fs) -> None:
+    """Add one tap's copy of the row span ``first .. stop - 1`` to ``acc``.
+
+    ``parts`` is the span as ``[re, _INTERP_GAP, im]``.  The copy is
+    filtered by ``kernel``, delayed by ``n0`` samples, cut at the frame end
+    and rotated by the tap's gain and Doppler phasor.
+    """
+    # filtered sample k reads span samples k - (K - 1 - lead) .. k + lead
+    lead = (kernel.size - 1) // 2
+    start = max(first - lead, 0)
+    end = min(stop + kernel.size - 1 - lead, acc.size - n0)
+    if end <= start:
+        return
+    # the phasor comes before the convolution output exists, so that the
+    # scratch buffer numpy takes for its broadcast product does not add to
+    # the peak memory
+    phasor = _doppler_phasor(tap, fs, n0 + start, n0 + end)
+    filtered = np.convolve(parts, kernel)
+    skip = start + lead - first
+    imag = skip + parts.size - (stop - first)
+    delayed = np.empty(end - start, dtype=complex)
+    delayed.real = filtered[skip : skip + delayed.size]
+    delayed.imag = filtered[imag : imag + delayed.size]
+    phasor *= delayed
+    acc[n0 + start : n0 + end] += phasor
+
+
+def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int) -> np.ndarray:
+    """``g exp(j 2 pi nu (t - tau))`` at samples ``lo .. hi - 1``.
+
+    Sample ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
+    exponential at ``t = B b / fs`` and an offset exponential at ``o / fs``,
+    so its value does not depend on ``lo`` and ``hi``.
+    """
+    first = lo // _PHASOR_BLOCK
+    block_starts = np.arange(first, (hi - 1) // _PHASOR_BLOCK + 1) * _PHASOR_BLOCK
+    blocks = tap.gain * np.exp(
+        2j * np.pi * tap.doppler_hz * (block_starts / fs - tap.delay_s)
+    )
+    offsets = np.exp(2j * np.pi * tap.doppler_hz * (_PHASOR_OFFSETS / fs))
+    skip = lo - first * _PHASOR_BLOCK
+    return (blocks[:, None] * offsets).reshape(-1)[skip : skip + hi - lo]
 
 
 def add_awgn(waveform: Waveform, snr_db: float | None, seed=None) -> Waveform:
@@ -222,8 +285,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
 
     Columns: ``point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz``.
     Rows are grouped by ``point_index``; taps are sorted by delay and the
-    LoS tag is derived from the tap powers.  Malformed rows raise
-    :class:`TapFileError` with the offending line number.
+    LoS tag is derived from the tap powers.  Malformed rows, including
+    non-finite numbers and gains that are zero in linear terms (which
+    :func:`save_taps` cannot store either), raise :class:`TapFileError` with
+    the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
@@ -251,11 +316,17 @@ def load_taps(path) -> dict[int, ChannelRealization]:
                 doppler = float(row[5])
             except ValueError as exc:
                 raise TapFileError(f"{path}: line {line_no}: {exc}") from exc
+            if not all(map(math.isfinite, (distance, gain_db, phase, delay, doppler))):
+                raise TapFileError(f"{path}: line {line_no}: non-finite value")
             if delay < 0:
                 raise TapFileError(
                     f"{path}: line {line_no}: negative delay {delay}"
                 )
             gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
+            if gain == 0.0:
+                raise TapFileError(
+                    f"{path}: line {line_no}: gain {gain_db} dB is zero as a linear amplitude"
+                )
             groups.setdefault(point, []).append(ChannelTap(gain, delay, doppler))
             distances[point] = distance
     return {

@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TapFileError, FileNotFoundError, ValueError) as exc:
+    except (TapFileError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -141,9 +141,16 @@ def _scalar(kind, node, path: str):
     types, noun = _SCALARS[kind]
     if not isinstance(node, types) or (isinstance(node, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {noun}, got {node!r}")
-    value = float(node) if kind is float else node
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    value = node
+    if kind is float:
+        try:
+            value = float(node)
+        except OverflowError:
+            raise ConfigError(
+                f"{path}: expected a finite number, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
     check, allowed = _rule(path, kind)
     if not check(value):
         raise ConfigError(f"{path}: must be {allowed}, got {value!r}")
@@ -218,7 +225,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             tree = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer literal past Python's digit limit
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

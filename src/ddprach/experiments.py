@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (
+    TapFileError,
     add_awgn,
     add_noise_power,
     apply_channel,
@@ -91,13 +92,21 @@ def _run_grid(
         load_taps(cfg.channel.taps_path) if cfg.channel.source == "taps_file" else None
     )
 
+    duration = stacked.samples.shape[-1] / stacked.sample_rate
+
     def run_item(item):
         point_idx, trial = item
         point = trajectory[point_idx]
         if file_taps is not None:
             if point_idx not in file_taps:
-                raise ValueError(f"taps file has no rows for point {point_idx}")
+                raise TapFileError(f"taps file has no rows for point {point_idx}")
             realization = file_taps[point_idx]
+            if realization.taps[-1].delay_s >= duration:
+                raise TapFileError(
+                    f"taps file: point {point_idx}: tap delay "
+                    f"{realization.taps[-1].delay_s} s exceeds the frame "
+                    f"duration {duration} s"
+                )
         else:
             realization = synthesize_scenario_channel(
                 point,

@@ -17,6 +17,7 @@ from ddprach import (
     ChannelRealization,
     ChannelTap,
     DelayDopplerGrid,
+    Waveform,
     WaveformParams,
     add_awgn,
     add_noise_power,
@@ -186,7 +187,11 @@ def test_c04_resolution_law(report):
 def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
     """Paired two-scheme runs over a 3-tap channel at SNR 5 dB."""
     params = {s: WaveformParams(modulation=s) for s in ("otfs", "ofdm")}
-    tx = {s: transmit(params[s]) for s in params}
+    tx = [transmit(params[s]) for s in params]
+    # both schemes share one channel pass and one noise draw per trial
+    stacked = Waveform(
+        np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len
+    )
     fs = params["otfs"].sample_rate
     doppler = eps * params["otfs"].delta_f_hz
     errors = {s: [] for s in params}
@@ -204,9 +209,13 @@ def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
         true_d = range_from_toa(d0, 15e3, 2048)
         realization = ChannelRealization(0, true_d, taps, True)
         noise_seed = np.random.SeedSequence([master_seed, 2, trial])
-        for scheme in params:
-            rx = add_awgn(apply_channel(tx[scheme], realization), 5.0, noise_seed)
-            est = receive_and_estimate_toa(rx, params[scheme], target_pfa=1e-3)
+        rx = add_awgn(apply_channel(stacked, realization), 5.0, noise_seed)
+        for scheme, samples in zip(params, rx.samples):
+            est = receive_and_estimate_toa(
+                Waveform(samples, rx.sample_rate, rx.n_dft, rx.cp_len),
+                params[scheme],
+                target_pfa=1e-3,
+            )
             if not est.detected:
                 continue
             detected[scheme] += 1

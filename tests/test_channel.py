@@ -176,6 +176,77 @@ def test_stacked_delay_range_still_checked():
         apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, -1.0 / FS, 0.0)]))
 
 
+def seed_formula_channel(rows, taps, fs=FS):
+    """Oracle: per row, full-row 64-tap convolution and one exp per sample."""
+    n = rows.shape[-1]
+    t = np.arange(n) / fs
+    lags = np.arange(-31, 33)
+    window = np.kaiser(64, 8.6)
+    out = np.zeros_like(rows)
+    for tap in taps:
+        delay = tap.delay_s * fs
+        n0 = math.floor(delay)
+        mu = delay - n0
+        on_grid = mu < 1e-12 or mu > 1.0 - 1e-12
+        if on_grid:
+            n0 = round(delay)
+        phasor = tap.gain * np.exp(2j * np.pi * tap.doppler_hz * (t - tap.delay_s))
+        for row, acc in zip(rows, out):
+            if on_grid:
+                delayed = row
+            else:
+                delayed = np.convolve(row, np.sinc(lags - mu) * window)[31:]
+            acc[n0:] += phasor[n0:] * delayed[: n - n0]
+    return out
+
+
+def span_row(n, first, stop, seed):
+    row = np.zeros(n, dtype=complex)
+    row[first:stop] = bandlimited_noise(stop - first, seed)
+    return row
+
+
+TRIM_CASES = {
+    # nonzero span with zero head and zero tail, one near each frame edge
+    "zero_head_and_tail": (
+        [span_row(500, 100, 300, 30), span_row(500, 5, 480, 31)],
+        [ChannelTap(0.7 + 0.2j, 7.3 / FS, 900.0), ChannelTap(0.4, 20.81 / FS, -300.0)],
+    ),
+    "all_zero_row_beside_nonzero": (
+        [np.zeros(400, dtype=complex), bandlimited_noise(400, 32)],
+        [ChannelTap(1.0, 3.6 / FS, 500.0), ChannelTap(0.5j, 11.0 / FS, 0.0)],
+    ),
+    # the delayed span (and the kernel tail) runs past the frame end
+    "span_past_frame_end": (
+        [span_row(500, 300, 500, 33), span_row(500, 420, 470, 34)],
+        [ChannelTap(1.0, 37.6 / FS, 1500.0), ChannelTap(0.3, 40.0 / FS, -700.0),
+         ChannelTap(0.2, 75.2 / FS, 0.0)],
+    ),
+    "on_grid_tap_on_trimmed_row": (
+        [span_row(300, 40, 90, 35)],
+        [ChannelTap(0.9 - 0.1j, 12.0 / FS, 2200.0)],
+    ),
+    "doppler_frame_not_multiple_of_64": (
+        [bandlimited_noise(777, 36), span_row(777, 65, 700, 37)],
+        [ChannelTap(1.0, 0.0, 2500.0), ChannelTap(0.6, 9.45 / FS, -900.0),
+         ChannelTap(0.2j, 130.0 / FS, 3100.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIM_CASES))
+def test_span_trimmed_channel_matches_seed_formula(case):
+    rows, taps = TRIM_CASES[case]
+    rows = np.stack(rows)
+    ch = ChannelRealization(0, 1.0, taps)
+    got = apply_channel(make_waveform(rows), ch).samples
+    expected = seed_formula_channel(rows, ch.taps)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    for row, out in zip(rows, got):
+        if not row.any():
+            assert not out.any()
+
+
 def test_taps_sorted_by_delay():
     ch = ChannelRealization(
         0,
@@ -357,6 +428,17 @@ def test_load_rejects_negative_delay(tmp_path):
     path.write_text(
         "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
         "0,30.0,0.0,0.0,-1e-7,0.0\n"
+    )
+    with pytest.raises(TapFileError, match="line 2"):
+        load_taps(path)
+
+
+@pytest.mark.parametrize("gain_db", ["nan", "inf", "-inf", "-10000"])
+def test_load_rejects_non_finite_and_zero_gains(tmp_path, gain_db):
+    path = tmp_path / "taps.csv"
+    path.write_text(
+        "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
+        f"0,30.0,{gain_db},0.0,1e-7,0.0\n"
     )
     with pytest.raises(TapFileError, match="line 2"):
         load_taps(path)

@@ -12,6 +12,7 @@ from ddprach import (
     parse_config,
     serialize_config,
 )
+from ddprach import cli
 from ddprach.cli import main
 from ddprach.metrics import RESULTS_HEADER
 
@@ -156,6 +157,18 @@ def test_sweep_values_checked_against_axis():
 def test_non_finite_numbers_rejected(value, tree, where):
     with pytest.raises(ConfigError, match=re.escape(where)):
         parse_config(tree(value))
+
+
+@pytest.mark.parametrize(
+    "tree, where",
+    [
+        ({"waveform": {"delta_f_hz": 10**400}}, "waveform.delta_f_hz"),
+        ({"sweep": {"axis": "speed_mps", "values": [5.0, -(10**400)]}}, "sweep.values[1]"),
+    ],
+)
+def test_integer_too_large_for_a_float_rejected(tree, where):
+    with pytest.raises(ConfigError, match=re.escape(where) + ".*too large"):
+        parse_config(tree)
 
 
 def test_target_pfa_range():
@@ -335,6 +348,42 @@ def test_cli_malformed_taps_exit_3(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+TAPS_HEADER_LINE = "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # TOY_CONFIG has points 0..2; point 2 is missing
+        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n", "no rows for point 2"),
+        # the toy frame lasts 144 / 480 kHz = 0.3 ms
+        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-3,0\n2,60.0,0,0,1e-6,0\n",
+         "point 1: tap delay 0.001 s exceeds the frame duration"),
+    ],
+    ids=["missing_point", "delay_past_frame"],
+)
+def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
+    taps = tmp_path / "taps.csv"
+    taps.write_text(TAPS_HEADER_LINE + rows)
+    text = TOY_CONFIG + (
+        "channel:\n  source: taps_file\n  taps_path: " + str(taps) + "\n"
+    )
+    rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert message in err
+
+
+def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
+    def broken_run(cfg, threads=1):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(cli, "run_simulate", broken_run)
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["simulate", "--config", write_toy_config(tmp_path), "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize(
     "command, text, where",
     [
@@ -349,6 +398,16 @@ def test_cli_malformed_taps_exit_3(tmp_path, capsys):
 )
 def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
     rc = main([command, "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert where in err
+
+
+@pytest.mark.parametrize("digits, where", [(401, "waveform.delta_f_hz"), (5000, "invalid YAML")])
+def test_cli_huge_integer_exit_2(tmp_path, capsys, digits, where):
+    text = "waveform:\n  delta_f_hz: " + "1" * digits + "\n"
+    rc = main(["validate-config", "--config", write_toy_config(tmp_path, text=text)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err

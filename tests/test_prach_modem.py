@@ -1,6 +1,7 @@
 """Preamble grid layout, transmit power, detection and ToA conversion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ def test_transmit_frame_length_and_power():
 
 def test_transmit_power_is_23_dbm_by_default():
     assert WaveformParams().p_t_watts == pytest.approx(0.1995262314968880, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [WaveformParams(), toy_params()], ids=["default", "toy"])
+def test_preamble_structure(params):
+    """OTFS energy sits in symbol 0 only; the OFDM symbols repeat exactly.
+
+    Every Doppler row of the grid carries the same ZC sequence, so the
+    ISFFT's transform across Doppler leaves only symbol 0 nonzero; the
+    channel interpolator filters just that span of the OTFS frame.
+    """
+    symbol = params.n_dft + params.cp_len
+    otfs = transmit(replace(params, modulation="otfs")).samples
+    assert otfs[:symbol].any()
+    assert not otfs[symbol:].any()
+    ofdm = transmit(replace(params, modulation="ofdm")).samples.reshape(params.n, symbol)
+    for row in ofdm[1:]:
+        assert np.array_equal(row, ofdm[0])
 
 
 def test_transmit_schemes_differ():
