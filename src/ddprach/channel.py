@@ -47,8 +47,10 @@ _INTERP_BETA = 8.6
 _INTERP_LAGS = np.arange(-(_INTERP_TAPS // 2 - 1), _INTERP_TAPS // 2 + 1)
 _INTERP_WINDOW = np.kaiser(_INTERP_TAPS, _INTERP_BETA)
 _UNIT_KERNEL = np.ones(1)  # on-grid delays: a plain shift
-# separates the halves of [re, gap, im]: as long as the longest kernel's tail
-_INTERP_GAP = np.zeros(_INTERP_TAPS - 1)
+# how far the longest kernel reaches past its output sample; also the length
+# of the zero gap that separates the halves of [re, gap, im]
+_REACH = _INTERP_TAPS - 1
+_INTERP_GAP = np.zeros(_REACH)
 
 # Doppler phasors are the outer product of one exponential per block of this
 # many samples and one per in-block offset
@@ -115,11 +117,14 @@ def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Wavefo
     fractional parts use the Kaiser-windowed sinc interpolator.  Each delayed
     frame keeps the input length (tail truncated, head zero-filled).  Only
     the span between a row's first and last nonzero sample is filtered, so
-    the work per row scales with that span.
+    the work per row scales with that span; a span that repeats bit for bit
+    every ``n_dft + cp_len`` samples is filtered over one period and its
+    edges only, with the same output.
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
+    period = waveform.n_dft + waveform.cp_len
     delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
     rows = x.reshape(-1, n)
     out = np.zeros_like(rows)
@@ -129,13 +134,51 @@ def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Wavefo
             continue
         first = int(nonzero.argmax())
         stop = n - int(nonzero[::-1].argmax())
-        span = row[first:stop]
-        # the kernels are real, so [re, zeros, im] goes through one real
-        # convolution; the zero gap keeps the two halves' outputs apart
-        parts = np.concatenate((span.real, _INTERP_GAP, span.imag))
+        pieces = _span_pieces(row[first:stop], period)
         for tap, n0, kernel in delays:
-            _add_tap(acc, parts, first, stop, tap, n0, kernel, fs)
+            _add_tap(acc, pieces, first, stop, tap, n0, kernel, fs)
     return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
+
+
+def _span_pieces(span: np.ndarray, period: int):
+    """Split a row span into the pieces that :func:`_add_tap` filters.
+
+    ``np.convolve`` computes filtered span sample ``j`` as one dot product
+    of the kernel with span samples ``j - K + 1 .. j`` (``K <= _INTERP_TAPS``
+    kernel taps).  When the span repeats bit for bit with ``period``, every
+    ``j`` from ``period + _REACH`` to the span end is the same dot product as
+    ``j - period``, so a copy of that output is exact.  Only a head of
+    ``period + _REACH`` samples and, for the outputs past the span end, the
+    last ``_REACH`` samples need filtering; otherwise the head is the whole
+    span.  Returns ``(head, head_end, tail, period)``: the pieces as
+    ``[re, _INTERP_GAP, im]``, the first ``j`` the head does not give, and
+    ``tail``/``period`` (``None`` for a span that does not repeat).
+    """
+    if _repeats(span, period):
+        head_end = period + _REACH
+        return _parts(span[:head_end]), head_end, _parts(span[-_REACH:]), period
+    return _parts(span), span.size + _REACH, None, None
+
+
+def _repeats(span: np.ndarray, period: int) -> bool:
+    """True if ``span`` repeats bit for bit with ``period`` and is longer
+    than ``period + _REACH`` samples.
+
+    Bits, not values, are compared, so that a ``-0.0`` against ``+0.0`` or a
+    NaN makes the span count as not repeating.
+    """
+    if not 0 < period < span.size - _REACH:
+        return False
+    return all(
+        np.array_equal(bits[period:], bits[:-period])
+        for bits in (span.real.view(np.uint64), span.imag.view(np.uint64))
+    )
+
+
+def _parts(piece: np.ndarray) -> np.ndarray:
+    # the kernels are real, so [re, zeros, im] goes through one real
+    # convolution; the zero gap keeps the two halves' outputs apart
+    return np.concatenate((piece.real, _INTERP_GAP, piece.imag))
 
 
 def _tap_delay(tap: ChannelTap, fs: float, n: int):
@@ -159,31 +202,51 @@ def _tap_delay(tap: ChannelTap, fs: float, n: int):
     return tap, n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
 
 
-def _add_tap(acc, parts, first, stop, tap, n0, kernel, fs) -> None:
+def _add_tap(acc, pieces, first, stop, tap, n0, kernel, fs) -> None:
     """Add one tap's copy of the row span ``first .. stop - 1`` to ``acc``.
 
-    ``parts`` is the span as ``[re, _INTERP_GAP, im]``.  The copy is
-    filtered by ``kernel``, delayed by ``n0`` samples, cut at the frame end
-    and rotated by the tap's gain and Doppler phasor.
+    ``pieces`` comes from :func:`_span_pieces`.  The copy is filtered by
+    ``kernel``, delayed by ``n0`` samples, cut at the frame end and rotated
+    by the tap's gain and Doppler phasor.
     """
+    head, head_end, tail, period = pieces
     # filtered sample k reads span samples k - (K - 1 - lead) .. k + lead
     lead = (kernel.size - 1) // 2
     start = max(first - lead, 0)
     end = min(stop + kernel.size - 1 - lead, acc.size - n0)
     if end <= start:
         return
-    # the phasor comes before the convolution output exists, so that the
-    # scratch buffer numpy takes for its broadcast product does not add to
-    # the peak memory
+    # the phasor comes before the filtered copy exists, so that the scratch
+    # buffer numpy takes for its broadcast product does not add to the peak
+    # memory
     phasor = _doppler_phasor(tap, fs, n0 + start, n0 + end)
-    filtered = np.convolve(parts, kernel)
+    # filtered span sample j lands in delayed[j - skip]
     skip = start + lead - first
-    imag = skip + parts.size - (stop - first)
     delayed = np.empty(end - start, dtype=complex)
-    delayed.real = filtered[skip : skip + delayed.size]
-    delayed.imag = filtered[imag : imag + delayed.size]
+    hi = skip + delayed.size
+    _filter_into(delayed[: min(hi, head_end) - skip], head, skip, kernel)
+    if tail is not None:
+        size = stop - first
+        copy_end = min(hi, size)
+        for j in range(head_end, copy_end, period):
+            k = min(j + period, copy_end)
+            delayed[j - skip : k - skip] = delayed[j - skip - period : k - skip - period]
+        _filter_into(delayed[size - skip :], tail, _REACH, kernel)
     phasor *= delayed
     acc[n0 + start : n0 + end] += phasor
+
+
+def _filter_into(out, parts, j, kernel) -> None:
+    """Write filtered samples ``j .. j + out.size - 1`` of a piece to ``out``.
+
+    ``parts`` is the piece as ``[re, _INTERP_GAP, im]``.
+    """
+    if out.size == 0:
+        return
+    filtered = np.convolve(parts, kernel)
+    imag = j + (parts.size + _REACH) // 2
+    out.real = filtered[j : j + out.size]
+    out.imag = filtered[imag : imag + out.size]
 
 
 def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int) -> np.ndarray:

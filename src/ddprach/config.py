@@ -96,21 +96,29 @@ def _one_of(choices):
     return (lambda v: v in choices, f"one of {list(choices)}")
 
 
+def _between(low, high):
+    return (lambda v: low <= v <= high, f"in [{low}, {high}]")
+
+
 _ANY = (lambda v: True, "anything")
 _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
 # Allowed values by dotted path (list items and pair bounds share their
 # field's entry).  Numbers not listed must be positive; strings and booleans
-# not listed are free.
+# not listed are free.  The sizes and counts that set a run's work and memory
+# have upper bounds, so that a run that cannot finish fails at parse time.
 _RULES = {
+    "waveform.n_dft": _between(1, 65_536),
+    "waveform.n": _between(1, 1_024),
     "waveform.cp_len": _NON_NEGATIVE,
     "waveform.modulation": _one_of(MODULATIONS),
+    "scenario.trajectory.count": _between(1, 100_000),
     "scenario.trajectory.speed_mps": _NON_NEGATIVE,
     "scenario.antenna.g_rmax_db": _ANY,
     "scenario.tilt_deg": _ANY,
     "channel.source": _one_of(("synthetic", "taps_file")),
-    "channel.nlos.count": _NON_NEGATIVE,
+    "channel.nlos.count": _between(0, 64),
     "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,
     "channel.nlos.relative_power_db_range": _ANY,
     "channel.g_t_db": _ANY,
@@ -118,6 +126,7 @@ _RULES = {
     "noise.noise_power_watts": _NON_NEGATIVE,
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
     "schemes": _one_of(MODULATIONS),
+    "trials": _between(1, 10_000),
     "seed": _NON_NEGATIVE,
     "sweep.axis": _one_of(SWEEP_AXES),
     "sweep.values": _ANY,  # checked against the swept field in parse_config

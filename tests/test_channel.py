@@ -10,6 +10,7 @@ from ddprach import (
     ChannelTap,
     TapFileError,
     Waveform,
+    WaveformParams,
     add_awgn,
     add_noise_power,
     apply_channel,
@@ -17,7 +18,9 @@ from ddprach import (
     received_power,
     save_taps,
     synthesize_scenario_channel,
+    transmit,
 )
+from ddprach import channel
 from ddprach.uav_scenario import AntennaConfig, TrajectoryPoint
 
 FS = 1e6  # test sample rate, Hz
@@ -245,6 +248,125 @@ def test_span_trimmed_channel_matches_seed_formula(case):
     for row, out in zip(rows, got):
         if not row.any():
             assert not out.any()
+
+
+def _reference_apply(waveform, realization):
+    """Oracle: ``apply_channel`` before periodic rows were filtered once.
+
+    Every row's whole nonzero span goes through one convolution per tap.
+    """
+    x = waveform.samples
+    fs = waveform.sample_rate
+    n = x.shape[-1]
+    delays = [channel._tap_delay(tap, fs, n) for tap in realization.taps]
+    rows = x.reshape(-1, n)
+    out = np.zeros_like(rows)
+    for row, acc in zip(rows, out):
+        nonzero = row != 0
+        if not nonzero.any():
+            continue
+        first = int(nonzero.argmax())
+        stop = n - int(nonzero[::-1].argmax())
+        span = row[first:stop]
+        parts = np.concatenate((span.real, channel._INTERP_GAP, span.imag))
+        for tap, n0, kernel in delays:
+            _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs)
+    return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
+
+
+def _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs):
+    lead = (kernel.size - 1) // 2
+    start = max(first - lead, 0)
+    end = min(stop + kernel.size - 1 - lead, acc.size - n0)
+    if end <= start:
+        return
+    phasor = channel._doppler_phasor(tap, fs, n0 + start, n0 + end)
+    filtered = np.convolve(parts, kernel)
+    skip = start + lead - first
+    imag = skip + parts.size - (stop - first)
+    delayed = np.empty(end - start, dtype=complex)
+    delayed.real = filtered[skip : skip + delayed.size]
+    delayed.imag = filtered[imag : imag + delayed.size]
+    phasor *= delayed
+    acc[n0 + start : n0 + end] += phasor
+
+
+def preamble_rows(**framing):
+    """The ``otfs`` and ``ofdm`` preambles of one framing, as a stack."""
+    rows = [transmit(WaveformParams(modulation=m, **framing)).samples for m in ("otfs", "ofdm")]
+    return np.stack(rows)
+
+
+def repeated_row(n_dft, cp_len, n, seed, lead=0, trail=0):
+    """``n`` copies of one random CP-OFDM-like symbol between zero edges."""
+    body = bandlimited_noise(n_dft, seed)
+    symbol = np.concatenate((body[n_dft - cp_len :], body))
+    return np.concatenate((np.zeros(lead, complex), np.tile(symbol, n), np.zeros(trail, complex)))
+
+
+TOY = dict(n_dft=64, m=32, n_zc=31)
+DEFAULT_TAPS = [
+    ChannelTap(0.8 + 0.3j, 100.3 / 30.72e6, 1500.0),
+    ChannelTap(-0.3, 141.71 / 30.72e6, -700.0),
+    ChannelTap(0.2j, 350.0 / 30.72e6, 0.0),
+]
+TOY_FS = 15e3 * 64
+TOY_TAPS = [ChannelTap(0.9, 3.4 / TOY_FS, 900.0), ChannelTap(0.4j, 17.85 / TOY_FS, -2500.0)]
+ROW = repeated_row(64, 8, 4, seed=40)  # period 72, span 288
+CHANGED_ROW = ROW.copy()
+CHANGED_ROW[200] *= 1 + 1e-15  # one bit pattern off, in the third period
+# sample 28 of each period is zero, and -0.0 in the third period only
+SIGNED_ZERO_ROW = ROW.copy()
+SIGNED_ZERO_ROW[28::72] = 0.0
+SIGNED_ZERO_ROW[172] = complex(-0.0, 0.0)
+
+# case -> (rows, n_dft, cp_len, taps); rows with a span that repeats every
+# n_dft + cp_len samples take the head/copy/tail path, the others do not
+PERIODIC_CASES = {
+    "default_preambles": (preamble_rows(), 2048, 256, DEFAULT_TAPS),
+    "toy_preambles_n4": (preamble_rows(n=4, **TOY), 64, 8, TOY_TAPS),
+    "toy_preambles_n2": (preamble_rows(n=2, **TOY), 64, 8, TOY_TAPS),
+    "toy_preambles_n1": (preamble_rows(n=1, **TOY), 64, 8, TOY_TAPS),
+    "zero_edges_and_repeat": (
+        [repeated_row(64, 8, 5, seed=41, lead=30, trail=17)], 64, 8, TOY_TAPS
+    ),
+    "one_sample_changed": ([CHANGED_ROW], 64, 8, TOY_TAPS),
+    "minus_zero_against_plus_zero": ([SIGNED_ZERO_ROW], 64, 8, TOY_TAPS),
+    "on_grid_tap": ([ROW], 64, 8, [ChannelTap(0.7 - 0.2j, 12.0 / TOY_FS, 1800.0)]),
+    # cut at the frame end in the copied stretch, in the head and in the tail
+    "span_past_frame_end": (
+        [ROW],
+        64,
+        8,
+        [ChannelTap(1.0, 130.6 / TOY_FS, 400.0), ChannelTap(0.5, 250.3 / TOY_FS, 0.0),
+         ChannelTap(0.3, 20.5 / TOY_FS, -900.0), ChannelTap(0.2, 287.0 / TOY_FS, 0.0)],
+    ),
+    "doppler_only": ([ROW], 64, 8, [ChannelTap(1.0, 0.0, 3300.0), ChannelTap(0.5, 0.0, -40.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERIODIC_CASES))
+def test_periodic_rows_match_reference_bit_for_bit(case):
+    rows, n_dft, cp_len, taps = PERIODIC_CASES[case]
+    wf = Waveform(np.stack(rows), 15e3 * n_dft, n_dft, cp_len)
+    ch = ChannelRealization(0, 1.0, taps)
+    got = apply_channel(wf, ch).samples
+    expected = _reference_apply(wf, ch).samples
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_repeat_detection_compares_bits():
+    period = 72
+    assert channel._repeats(ROW, period)
+    assert not channel._repeats(ROW, period + 1)
+    assert not channel._repeats(CHANGED_ROW, period)
+    assert np.array_equal(SIGNED_ZERO_ROW[period:], SIGNED_ZERO_ROW[:-period])  # as numbers
+    assert not channel._repeats(SIGNED_ZERO_ROW, period)
+    # the ofdm preamble takes the copying path; two periods are the least
+    assert channel._repeats(PERIODIC_CASES["default_preambles"][0][1], 2048 + 256)
+    assert channel._repeats(PERIODIC_CASES["toy_preambles_n2"][0][1], period)
+    assert channel._repeats(ROW[: 2 * period], period)
+    assert not channel._repeats(ROW[: period + channel._REACH], period)
 
 
 def test_taps_sorted_by_delay():

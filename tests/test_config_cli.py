@@ -171,6 +171,36 @@ def test_integer_too_large_for_a_float_rejected(tree, where):
         parse_config(tree)
 
 
+HUGE = 100000000000000000000000000000
+
+
+@pytest.mark.parametrize(
+    "tree, where, largest",
+    [
+        ({"scenario": {"trajectory": {"count": HUGE}}}, "scenario.trajectory.count", 100_000),
+        ({"trials": HUGE}, "trials", 10_000),
+        ({"waveform": {"n_dft": HUGE}}, "waveform.n_dft", 65_536),
+        ({"waveform": {"n": HUGE}}, "waveform.n", 1_024),
+        ({"channel": {"nlos": {"count": HUGE}}}, "channel.nlos.count", 64),
+    ],
+)
+def test_integer_sizes_have_upper_bounds(tree, where, largest):
+    message = re.escape(where) + r": must be in \[\d+, " + str(largest) + r"\]"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(tree)
+
+
+def test_integer_bounds_are_inclusive():
+    cfg = parse_config({"scenario": {"trajectory": {"count": 100_000}}, "trials": 10_000,
+                        "waveform": {"n": 1_024}, "channel": {"nlos": {"count": 64}}})
+    assert (cfg.scenario.trajectory.count, cfg.trials) == (100_000, 10_000)
+    assert (cfg.waveform.n, cfg.channel.nlos.count) == (1_024, 64)
+    assert parse_config({"waveform": {"n_dft": 65_536}}).waveform.n_dft == 65_536
+    assert parse_config({"channel": {"nlos": {"count": 0}}}).channel.nlos.count == 0
+    with pytest.raises(ConfigError, match="trials"):
+        parse_config({"trials": 0})
+
+
 def test_target_pfa_range():
     with pytest.raises(ConfigError):
         parse_config({"detection": {"target_pfa": 1.0}})
@@ -412,6 +442,16 @@ def test_cli_huge_integer_exit_2(tmp_path, capsys, digits, where):
     err = capsys.readouterr().err
     assert "config error" in err
     assert where in err
+
+
+def test_cli_huge_trajectory_count_exit_2(tmp_path, capsys):
+    text = "scenario:\n  trajectory:\n    count: 100000000000000000000000000000\n"
+    for command in ("validate-config", "simulate"):
+        rc = main([command, "--config", write_toy_config(tmp_path, text=text)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "scenario.trajectory.count" in err
 
 
 def test_cli_sweep_axis_mismatch_exit_2(tmp_path, capsys):
