@@ -42,18 +42,14 @@ from .experiments import (
     summarize,
 )
 from .metrics import (
-    ErrorSample,
     ResultRecord,
-    SplitRmse,
     error_cdf,
     read_results_csv,
     rmse,
     rmse_los_bound,
-    split_rmse,
     write_results_csv,
 )
 from .prach_modem import (
-    RangingResult,
     ToaEstimate,
     WaveformParams,
     build_preamble_grid,
@@ -86,13 +82,10 @@ __all__ = [
     "ConfigError",
     "CorrelationProfile",
     "DelayDopplerGrid",
-    "ErrorSample",
     "ExperimentConfig",
     "NlosSpec",
-    "RangingResult",
     "ResultRecord",
     "SPEED_OF_LIGHT",
-    "SplitRmse",
     "TapFileError",
     "TimeFrequencyGrid",
     "ToaEstimate",
@@ -132,7 +125,6 @@ __all__ = [
     "save_taps",
     "serialize_config",
     "sfft",
-    "split_rmse",
     "summarize",
     "synthesize_scenario_channel",
     "transmit",

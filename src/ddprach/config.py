@@ -132,6 +132,9 @@ _RULES = {
     "sweep.values": _ANY,  # checked against the swept field in parse_config
 }
 
+# samples per frame, n * (n_dft + cp_len): 64 MiB per complex row
+_MAX_FRAME_LEN = 1 << 22
+
 # accepted YAML types and their name in error messages, per field type
 _SCALARS = {
     bool: ((bool,), "a boolean"),
@@ -216,6 +219,10 @@ def parse_config(tree) -> ExperimentConfig:
         raise ConfigError("channel.taps_path: required when source is 'taps_file'")
     if noise.snr_db is not None and noise.noise_power_watts is not None:
         raise ConfigError("noise: snr_db and noise_power_watts are mutually exclusive")
+    if cfg.waveform.frame_len > _MAX_FRAME_LEN:
+        raise ConfigError(
+            f"waveform: frame_len {cfg.waveform.frame_len} must be ≤ {_MAX_FRAME_LEN}"
+        )
     if len(set(cfg.schemes)) != len(cfg.schemes):
         raise ConfigError("schemes: duplicate entries")
     check, allowed = _rule(SWEEP_AXES[sweep.axis], float)

@@ -20,15 +20,10 @@ from .channel import (
     load_taps,
     synthesize_scenario_channel,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig
 from .dd_transform import Waveform
-from .metrics import ErrorSample, ResultRecord, error_cdf, rmse
-from .prach_modem import (
-    WaveformParams,
-    receive_and_estimate_toa,
-    resolve_range,
-    transmit,
-)
+from .metrics import ResultRecord, error_cdf, rmse
+from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
 from .uav_scenario import (
     build_trajectory,
     los_point_count,
@@ -53,35 +48,26 @@ def _stream_seed(master: int, stream: int, point: int, trial: int):
     return np.random.SeedSequence([master, stream, point, trial])
 
 
-def _resolve_tilt(cfg: ExperimentConfig, speed: float) -> float:
+def _resolve_tilt(cfg: ExperimentConfig) -> float:
     if cfg.scenario.tilt_deg is not None:
         return cfg.scenario.tilt_deg
-    return pitch_angle(speed, cfg.scenario.airframe)[1]
+    return pitch_angle(cfg.scenario.trajectory.speed_mps, cfg.scenario.airframe)[1]
 
 
-def _make_params(cfg: ExperimentConfig, scheme: str, delta_f: float) -> WaveformParams:
-    return replace(cfg.waveform, modulation=scheme, delta_f_hz=delta_f)
+def _with_field(obj, path: str, value):
+    """Copy of dataclass ``obj`` with the field at dotted ``path`` set to ``value``."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _with_field(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
 
 
-def _run_grid(
-    cfg: ExperimentConfig,
-    *,
-    delta_f: float | None = None,
-    speed: float | None = None,
-    tilt_deg: float | None = None,
-    threads: int = 1,
-) -> list[ResultRecord]:
+def _run_grid(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Run points x trials x schemes and return records in canonical order."""
-    delta_f = cfg.waveform.delta_f_hz if delta_f is None else delta_f
-    speed = cfg.scenario.trajectory.speed_mps if speed is None else speed
-    tilt = _resolve_tilt(cfg, speed) if tilt_deg is None else tilt_deg
-    trajectory = build_trajectory(
-        cfg.scenario.trajectory.height_m,
-        cfg.scenario.trajectory.dp_m,
-        cfg.scenario.trajectory.count,
-        speed,
-    )
-    params = {s: _make_params(cfg, s, delta_f) for s in cfg.schemes}
+    spec = cfg.scenario.trajectory
+    tilt = _resolve_tilt(cfg)
+    trajectory = build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps)
+    params = {s: replace(cfg.waveform, modulation=s) for s in cfg.schemes}
     tx = [transmit(params[s]) for s in cfg.schemes]
     # one (schemes, L) stack: each item runs one channel pass and one noise
     # draw for all schemes, which keeps the comparison paired
@@ -132,23 +118,19 @@ def _run_grid(
                 target_pfa=cfg.detection.target_pfa,
                 interpolate_peak=cfg.detection.interpolate_peak,
             )
-            result = resolve_range(
-                estimate,
-                realization.true_distance_m,
-                params[scheme],
-                realization.los_tag,
-            )
+            est_d = resolve_range(estimate, params[scheme])
+            true_d = realization.true_distance_m
             records.append(
                 ResultRecord(
                     scheme=scheme,
-                    delta_f_hz=delta_f,
-                    speed_mps=speed,
+                    delta_f_hz=cfg.waveform.delta_f_hz,
+                    speed_mps=spec.speed_mps,
                     point_index=point_idx,
-                    los_tag=result.los_tag,
-                    true_d_m=result.true_distance_m,
-                    est_d_m=result.estimated_distance_m,
-                    error_m=result.error_m,
-                    detected=result.detected,
+                    los_tag=realization.los_tag,
+                    true_d_m=true_d,
+                    est_d_m=est_d,
+                    error_m=None if est_d is None else true_d - est_d,
+                    detected=estimate.detected,
                 )
             )
         return records
@@ -166,116 +148,99 @@ def _run_grid(
     return [record for batch in batches for record in batch]
 
 
+def _sweep(cfg: ExperimentConfig, axis: str, threads: int):
+    """Yield ``(swept_cfg, records)`` for each value of ``cfg.sweep``.
+
+    The channel and noise seeds do not depend on the swept value, so every
+    value sees the same physical channels and the comparison is paired.
+    """
+    if cfg.sweep.axis != axis:
+        raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
+    for value in cfg.sweep.values:
+        swept = _with_field(cfg, SWEEP_AXES[axis], value)
+        yield swept, _run_grid(swept, threads)
+
+
 def summarize(records: list[ResultRecord]) -> dict[str, dict[str, float]]:
     """Per-scheme RMSE (detected rows) and detection rate."""
     summary: dict[str, dict[str, float]] = {}
     for scheme in sorted({r.scheme for r in records}):
         rows = [r for r in records if r.scheme == scheme]
-        detected = [r for r in rows if r.detected]
-        entry = {"detection_rate": len(detected) / len(rows)}
-        if detected:
-            samples = [ErrorSample(r.error_m, r.los_tag, scheme) for r in detected]
-            entry["rmse_m"] = rmse(samples)
-            entry["mean_abs_error_m"] = float(
-                np.mean([abs(r.error_m) for r in detected])
-            )
+        errors = [r.error_m for r in rows if r.detected]
+        entry = {"detection_rate": len(errors) / len(rows)}
+        if errors:
+            entry["rmse_m"] = rmse(errors)
+            entry["mean_abs_error_m"] = float(np.mean(np.abs(errors)))
         summary[scheme] = entry
     return summary
 
 
+def _rmse_columns(cfg: ExperimentConfig, records: list[ResultRecord]) -> dict:
+    summary = summarize(records)
+    return {f"rmse_{s}_m": summary.get(s, {}).get("rmse_m") for s in cfg.schemes}
+
+
 def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Single grid run at the configured operating point."""
-    return _run_grid(cfg, threads=threads)
+    return _run_grid(cfg, threads)
 
 
 def run_cdf_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    """Error-CDF rows per (scheme, subcarrier spacing).
-
-    The channel and noise seeds do not depend on the swept spacing, so every
-    spacing sees the same physical channels and the comparison isolates the
-    delay-resolution effect.
-    """
-    if cfg.sweep.axis != "delta_f_hz":
-        raise ConfigError("cdf sweep requires sweep.axis = delta_f_hz")
+    """Error-CDF rows per (scheme, subcarrier spacing)."""
     rows = []
-    for delta_f in cfg.sweep.values:
-        records = _run_grid(cfg, delta_f=delta_f, threads=threads)
+    for swept, records in _sweep(cfg, "delta_f_hz", threads):
         for scheme in cfg.schemes:
-            detected = [
-                r for r in records if r.scheme == scheme and r.detected
-            ]
-            if not detected:
-                continue
-            samples = [ErrorSample(r.error_m, r.los_tag, scheme) for r in detected]
-            for abscissa, probability in error_cdf(samples):
-                rows.append(
+            errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
+            if errors:
+                rows += [
                     {
                         "scheme": scheme,
-                        "delta_f_hz": delta_f,
+                        "delta_f_hz": swept.waveform.delta_f_hz,
                         "abs_error_m": abscissa,
                         "cdf": probability,
                     }
-                )
+                    for abscissa, probability in error_cdf(errors)
+                ]
     return rows
 
 
 def run_speed_tradeoff(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Ranging RMSE versus speed next to tilt and propulsion power."""
-    if cfg.sweep.axis != "speed_mps":
-        raise ConfigError("speed tradeoff requires sweep.axis = speed_mps")
-    rows = []
-    for speed in cfg.sweep.values:
-        records = _run_grid(cfg, speed=speed, threads=threads)
-        summary = summarize(records)
-        row = {
-            "speed_mps": speed,
-            "tilt_deg": _resolve_tilt(cfg, speed),
-            "power_w": propulsion_power(speed, cfg.scenario.airframe),
+    return [
+        {
+            "speed_mps": swept.scenario.trajectory.speed_mps,
+            "tilt_deg": _resolve_tilt(swept),
+            "power_w": propulsion_power(
+                swept.scenario.trajectory.speed_mps, cfg.scenario.airframe
+            ),
+            **_rmse_columns(cfg, records),
         }
-        for scheme in cfg.schemes:
-            row[f"rmse_{scheme}_m"] = summary.get(scheme, {}).get("rmse_m")
-        rows.append(row)
-    return rows
+        for swept, records in _sweep(cfg, "speed_mps", threads)
+    ]
 
 
 def run_tilt_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Ranging RMSE and LoS point counts versus forced antenna tilt."""
-    if cfg.sweep.axis != "tilt_deg":
-        raise ConfigError("tilt sweep requires sweep.axis = tilt_deg")
-    trajectory = build_trajectory(
-        cfg.scenario.trajectory.height_m,
-        cfg.scenario.trajectory.dp_m,
-        cfg.scenario.trajectory.count,
-        cfg.scenario.trajectory.speed_mps,
-    )
+    spec = cfg.scenario.trajectory
+    trajectory = build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps)
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = (len(trajectory) - 1) // 2
     rows = []
-    for tilt in cfg.sweep.values:
-        records = _run_grid(cfg, tilt_deg=tilt, threads=threads)
-        summary = summarize(records)
+    for swept, records in _sweep(cfg, "tilt_deg", threads):
+        tilt = swept.scenario.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
-        geometric = sum(
-            1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb
-        )
+        geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
         try:
-            last_los = los_point_count(
-                cfg.scenario.trajectory.height_m,
-                cfg.scenario.trajectory.dp_m,
-                fnb,
-                tilt,
-                p0,
-            )
+            last_los = los_point_count(spec.height_m, spec.dp_m, fnb, tilt, p0)
         except ValueError:
             last_los = None
-        tagged = {r.point_index for r in records if r.los_tag}
-        row = {
-            "tilt_deg": tilt,
-            "n_los_geometric": geometric,
-            "last_los_index": last_los,
-            "n_los_tagged": len(tagged),
-        }
-        for scheme in cfg.schemes:
-            row[f"rmse_{scheme}_m"] = summary.get(scheme, {}).get("rmse_m")
-        rows.append(row)
+        rows.append(
+            {
+                "tilt_deg": tilt,
+                "n_los_geometric": geometric,
+                "last_los_index": last_los,
+                "n_los_tagged": len({r.point_index for r in records if r.los_tag}),
+                **_rmse_columns(cfg, records),
+            }
+        )
     return rows

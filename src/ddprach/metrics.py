@@ -7,12 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ErrorSample",
-    "SplitRmse",
     "ResultRecord",
     "RESULTS_HEADER",
     "rmse",
-    "split_rmse",
     "error_cdf",
     "rmse_los_bound",
     "write_results_csv",
@@ -20,57 +17,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class ErrorSample:
-    """One ranging error with its context."""
-
-    error_m: float
-    los: bool
-    scheme: str = ""
+def rmse(errors) -> float:
+    """Root mean square of the errors."""
+    if len(errors) == 0:
+        raise ValueError("rmse needs at least one error")
+    return float(np.sqrt(np.mean(np.square(np.asarray(errors, dtype=float)))))
 
 
-@dataclass
-class SplitRmse:
-    """RMSE split by LoS condition; a subset with no samples is None."""
-
-    los_m: float | None
-    nlos_m: float | None
-    total_m: float
-
-
-def _rmse_values(errors: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(errors))))
-
-
-def rmse(samples) -> float:
-    """Root mean square of the sample errors."""
-    if len(samples) == 0:
-        raise ValueError("rmse needs at least one sample")
-    return _rmse_values(np.array([s.error_m for s in samples], dtype=float))
-
-
-def split_rmse(samples) -> SplitRmse:
-    """RMSE over the LoS subset, the NLoS subset and all samples."""
-    if len(samples) == 0:
-        raise ValueError("split_rmse needs at least one sample")
-    los = [s.error_m for s in samples if s.los]
-    nlos = [s.error_m for s in samples if not s.los]
-    return SplitRmse(
-        los_m=_rmse_values(np.asarray(los)) if los else None,
-        nlos_m=_rmse_values(np.asarray(nlos)) if nlos else None,
-        total_m=rmse(samples),
-    )
-
-
-def error_cdf(samples) -> list[tuple[float, float]]:
+def error_cdf(errors) -> list[tuple[float, float]]:
     """Empirical CDF of the absolute errors.
 
     Returns ``(abscissa, probability)`` step points at each distinct
     absolute error, right-continuous and reaching probability 1.0.
     """
-    if len(samples) == 0:
-        raise ValueError("error_cdf needs at least one sample")
-    magnitudes = np.sort(np.abs(np.array([s.error_m for s in samples], dtype=float)))
+    if len(errors) == 0:
+        raise ValueError("error_cdf needs at least one error")
+    magnitudes = np.sort(np.abs(np.asarray(errors, dtype=float)))
     n = magnitudes.size
     points = []
     for i, value in enumerate(magnitudes):

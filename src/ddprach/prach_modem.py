@@ -40,7 +40,6 @@ from .zc import CorrelationProfile, ZcSequence, circular_correlation, generate_z
 __all__ = [
     "WaveformParams",
     "ToaEstimate",
-    "RangingResult",
     "build_preamble_grid",
     "transmit",
     "detection_threshold",
@@ -104,17 +103,6 @@ class ToaEstimate:
     threshold: float                  # detection threshold on the profile
     profile: CorrelationProfile       # combined profile over delay bins
     refined_sample_delay: float | None = None  # sub-bin peak, if requested
-
-
-@dataclass
-class RangingResult:
-    """One ranging measurement against the ground truth."""
-
-    true_distance_m: float
-    estimated_distance_m: float | None
-    error_m: float | None             # true - estimated
-    detected: bool
-    los_tag: bool
 
 
 def build_preamble_grid(zc_seq: ZcSequence, params: WaveformParams) -> DelayDopplerGrid:
@@ -258,25 +246,17 @@ def range_from_toa(sample_delay: float, delta_f_hz: float, n_dft: int) -> float:
     return SPEED_OF_LIGHT * sample_delay / (delta_f_hz * n_dft)
 
 
-def resolve_range(
-    estimate: ToaEstimate,
-    true_distance_m: float,
-    params: WaveformParams,
-    los_tag: bool,
-) -> RangingResult:
-    """Turn a detector output into a ranging measurement.
+def resolve_range(estimate: ToaEstimate, params: WaveformParams) -> float | None:
+    """Estimated distance in metres of a detector output; ``None`` for a miss.
 
     Uses the refined sub-bin delay when present, the integer sample delay
-    otherwise; a miss yields ``None`` distance and error.
+    otherwise.
     """
     if not estimate.detected:
-        return RangingResult(true_distance_m, None, None, False, los_tag)
+        return None
     delay = (
         estimate.refined_sample_delay
         if estimate.refined_sample_delay is not None
         else estimate.sample_delay
     )
-    estimated = range_from_toa(delay, params.delta_f_hz, params.n_dft)
-    return RangingResult(
-        true_distance_m, estimated, true_distance_m - estimated, True, los_tag
-    )
+    return range_from_toa(delay, params.delta_f_hz, params.n_dft)

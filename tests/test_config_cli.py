@@ -201,6 +201,23 @@ def test_integer_bounds_are_inclusive():
         parse_config({"trials": 0})
 
 
+def test_frame_len_has_upper_bound():
+    with pytest.raises(ConfigError, match=r"waveform: frame_len 75497472 must be ≤ 4194304"):
+        parse_config({"waveform": {"n_dft": 65_536, "n": 1_024}})
+    # either size at its largest with the other at its default still fits
+    assert parse_config({"waveform": {"n": 1_024}}).waveform.frame_len == 2_359_296
+    assert parse_config({"waveform": {"n_dft": 65_536}}).waveform.frame_len == 294_912
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate"])
+def test_cli_frame_len_over_bound_exit_2(tmp_path, capsys, monkeypatch, command):
+    # a frame this long needs gigabytes: never run it if the check is missing
+    monkeypatch.setattr(cli, "run_simulate", lambda *args, **kwargs: pytest.fail("ran"))
+    path = write_toy_config(tmp_path, text="waveform: {n_dft: 65536, n: 1024}\n")
+    assert main([command, "--config", path]) == 2
+    assert "waveform: frame_len" in capsys.readouterr().err
+
+
 def test_target_pfa_range():
     with pytest.raises(ConfigError):
         parse_config({"detection": {"target_pfa": 1.0}})

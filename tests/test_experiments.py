@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from ddprach import (
     ConfigError,
@@ -18,7 +19,7 @@ from ddprach import (
     summarize,
     write_results_csv,
 )
-from ddprach import experiments
+from ddprach import cli, experiments
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
 
@@ -80,6 +81,8 @@ def test_record_order_is_canonical():
         for scheme in ("otfs", "ofdm")
     ]
     assert [(r.point_index, r.scheme) for r in records] == expected
+    for r in records:
+        assert r.error_m == (r.true_d_m - r.est_d_m if r.detected else None)
 
 
 def test_single_scheme_runs():
@@ -131,6 +134,44 @@ def test_results_match_golden_digest(tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv(path, run_simulate(cfg))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NLOS_RESULTS_SHA256
+
+
+# each sweep CSV written through the command line on the toy waveform (with
+# sub-bin refinement, so that every noise draw shows): command, file name,
+# config overrides and SHA-256, recorded before the sweeps shared one driver
+GOLDEN_SWEEPS = {
+    "cdf": (
+        "cdf-sweep", "cdf.csv",
+        {"sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}},
+        "e172a52432d9550d820b763f5beb78cea9368249bebd077bac7aafd46246972a",
+    ),
+    "speed_derived_tilt": (
+        "speed-tradeoff", "speed_tradeoff.csv",
+        {"sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
+        "56dfe353b4058f072159e3fa07c2a46694df95dd342fcc0cb5d6f9ccb89a6045",
+    ),
+    "speed_fixed_tilt": (
+        "speed-tradeoff", "speed_tradeoff.csv",
+        {"scenario": dict(toy_tree()["scenario"], tilt_deg=15.0),
+         "sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
+        "20671dde169eedb671a5c02243453a1ace713024a43120f5f25f8f051b2cc5e7",
+    ),
+    "tilt": (
+        "tilt-sweep", "tilt_sweep.csv",
+        {"sweep": {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}},
+        "ede161d3501e8051aff89e7dc50300a74bafaf1f9a5adf441a9d1fea144c95ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden_digest(tmp_path, capsys, name):
+    command, filename, overrides, digest = GOLDEN_SWEEPS[name]
+    tree = toy_tree(detection={"interpolate_peak": True}, **overrides)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
 
 
 def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
@@ -215,6 +256,16 @@ def test_summarize_statistics():
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+def test_with_field_copies_along_the_dotted_path():
+    cfg = parse_config(toy_tree())
+    swept = experiments._with_field(cfg, "scenario.trajectory.speed_mps", 12.5)
+    assert swept.scenario.trajectory.speed_mps == 12.5
+    assert cfg.scenario.trajectory.speed_mps == 10.0
+    assert swept.scenario.trajectory.count == cfg.scenario.trajectory.count
+    assert swept.scenario.antenna is cfg.scenario.antenna
+    assert swept.waveform is cfg.waveform
+
 
 def test_cdf_sweep_rows(tmp_path):
     fs15 = 15e3 * 32

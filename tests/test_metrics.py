@@ -5,19 +5,13 @@ import math
 import pytest
 
 from ddprach import (
-    ErrorSample,
     ResultRecord,
     error_cdf,
     read_results_csv,
     rmse,
     rmse_los_bound,
-    split_rmse,
     write_results_csv,
 )
-
-
-def samples_of(*errors, los=True):
-    return [ErrorSample(error_m=e, los=los) for e in errors]
 
 
 # ---------------------------------------------------------------------------
@@ -25,22 +19,22 @@ def samples_of(*errors, los=True):
 # ---------------------------------------------------------------------------
 
 def test_rmse_small_set():
-    assert rmse(samples_of(1.0, 2.0, 2.0)) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert rmse([1.0, 2.0, 2.0]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
 def test_rmse_single_sample_is_magnitude():
-    assert rmse(samples_of(-4.2)) == pytest.approx(4.2, rel=1e-12)
+    assert rmse([-4.2]) == pytest.approx(4.2, rel=1e-12)
 
 
 def test_rmse_sign_and_order_invariance():
-    a = rmse(samples_of(3.0, -1.0, 2.5))
-    b = rmse(samples_of(-2.5, 1.0, 3.0))
+    a = rmse([3.0, -1.0, 2.5])
+    b = rmse([-2.5, 1.0, 3.0])
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_rmse_scaling():
-    base = samples_of(1.0, 2.0, 3.0)
-    scaled = samples_of(5.0, 10.0, 15.0)
+    base = [1.0, 2.0, 3.0]
+    scaled = [5.0, 10.0, 15.0]
     assert rmse(scaled) == pytest.approx(5.0 * rmse(base), rel=1e-12)
 
 
@@ -50,59 +44,24 @@ def test_rmse_empty_raises():
 
 
 # ---------------------------------------------------------------------------
-# split rmse
-# ---------------------------------------------------------------------------
-
-def test_split_rmse_partitions():
-    samples = [
-        ErrorSample(0.0, los=True),
-        ErrorSample(0.0, los=True),
-        ErrorSample(3.0, los=False),
-        ErrorSample(-3.0, los=False),
-    ]
-    split = split_rmse(samples)
-    assert split.los_m == pytest.approx(0.0, abs=1e-12)
-    assert split.nlos_m == pytest.approx(3.0, rel=1e-12)
-    assert split.total_m == pytest.approx(math.sqrt(4.5), rel=1e-12)
-
-
-def test_split_rmse_all_los():
-    split = split_rmse(samples_of(1.0, 1.0, los=True))
-    assert split.nlos_m is None
-    assert split.los_m == pytest.approx(1.0, rel=1e-12)
-    assert split.total_m == pytest.approx(1.0, rel=1e-12)
-
-
-def test_split_rmse_all_nlos():
-    split = split_rmse(samples_of(2.0, los=False))
-    assert split.los_m is None
-    assert split.nlos_m == pytest.approx(2.0, rel=1e-12)
-
-
-def test_split_rmse_empty_raises():
-    with pytest.raises(ValueError):
-        split_rmse([])
-
-
-# ---------------------------------------------------------------------------
 # error cdf
 # ---------------------------------------------------------------------------
 
 def test_cdf_identical_samples_collapse():
-    assert error_cdf(samples_of(1.0, 1.0, 1.0)) == [(1.0, 1.0)]
+    assert error_cdf([1.0, 1.0, 1.0]) == [(1.0, 1.0)]
 
 
 def test_cdf_step_points():
-    points = error_cdf(samples_of(1.0, -2.0, 3.0, 4.0))
+    points = error_cdf([1.0, -2.0, 3.0, 4.0])
     assert points == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
 
 
 def test_cdf_uses_magnitudes():
-    assert error_cdf(samples_of(-5.0, 5.0)) == [(5.0, 1.0)]
+    assert error_cdf([-5.0, 5.0]) == [(5.0, 1.0)]
 
 
 def test_cdf_reaches_one():
-    points = error_cdf(samples_of(*range(17)))
+    points = error_cdf(list(range(17)))
     assert points[-1][1] == 1.0
     probs = [p for _, p in points]
     assert all(b > a for a, b in zip(probs, probs[1:]))

@@ -354,30 +354,21 @@ def _dummy_profile():
 def test_resolve_range_miss():
     params = WaveformParams()
     est = ToaEstimate(False, 0, math.inf, _dummy_profile())
-    result = resolve_range(est, 123.4, params, los_tag=True)
-    assert result.true_distance_m == 123.4
-    assert result.estimated_distance_m is None
-    assert result.error_m is None
-    assert not result.detected
-    assert result.los_tag
+    assert resolve_range(est, params) is None
 
 
 def test_resolve_range_integer_delay():
     params = WaveformParams()
     est = ToaEstimate(True, 6, 1.0, _dummy_profile())
-    result = resolve_range(est, 60.0, params, los_tag=False)
     expected = range_from_toa(6, params.delta_f_hz, params.n_dft)
-    assert result.estimated_distance_m == pytest.approx(expected, rel=1e-12)
-    assert result.error_m == pytest.approx(60.0 - expected, rel=1e-9)
-    assert result.detected and not result.los_tag
+    assert resolve_range(est, params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_resolve_range_prefers_refined_delay():
     params = WaveformParams()
     est = ToaEstimate(True, 6, 1.0, _dummy_profile(), refined_sample_delay=5.5)
-    result = resolve_range(est, 60.0, params, los_tag=True)
     expected = range_from_toa(5.5, params.delta_f_hz, params.n_dft)
-    assert result.estimated_distance_m == pytest.approx(expected, rel=1e-12)
+    assert resolve_range(est, params) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
