@@ -8,6 +8,7 @@ models, and Monte Carlo experiment drivers.
 from .channel import (
     ChannelRealization,
     ChannelTap,
+    FrameBuffers,
     NlosSpec,
     TapFileError,
     add_awgn,
@@ -83,6 +84,7 @@ __all__ = [
     "CorrelationProfile",
     "DelayDopplerGrid",
     "ExperimentConfig",
+    "FrameBuffers",
     "NlosSpec",
     "ResultRecord",
     "SPEED_OF_LIGHT",

@@ -26,6 +26,7 @@ from .units import SPEED_OF_LIGHT
 __all__ = [
     "ChannelTap",
     "ChannelRealization",
+    "FrameBuffers",
     "NlosSpec",
     "TapFileError",
     "apply_channel",
@@ -108,7 +109,43 @@ def _classify_los(taps: list[ChannelTap]) -> bool:
     return strongest_late < first * 10.0 ** (-LOS_TAG_MARGIN_DB / 10.0)
 
 
-def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Waveform:
+class FrameBuffers:
+    """The row-length arrays of one channel and noise pass over an ``(S, L)``
+    stack (or one ``(L,)`` frame), for reuse from one pass to the next.
+
+    ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write into these
+    arrays when given ``buffers=``; the ``Waveform`` they return views
+    ``frames``, so it holds only until the next call on the same buffers.
+    One object serves one thread at a time.
+    """
+
+    def __init__(self, shape):
+        shape = tuple(shape)
+        n = shape[-1]
+        self.frames = np.empty(shape, dtype=complex)  # the output stack
+        self.delayed = np.empty(n, dtype=complex)      # one filtered tap copy
+        # a Doppler phasor over any span of an n-sample frame
+        self.phasors = np.empty((-(-n // _PHASOR_BLOCK), _PHASOR_BLOCK), dtype=complex)
+        self.draws = np.empty(2 * n)                   # real draws, then imaginary
+        self.unit = np.empty(n, dtype=complex)         # the unit noise row
+        self.scaled = np.empty(n, dtype=complex)       # a row's scaled noise
+        self.power = np.empty(shape)                   # |x|^2 of the stack
+
+
+def _buffers_for(buffers: FrameBuffers | None, samples: np.ndarray) -> FrameBuffers:
+    """Fresh buffers for ``samples``, or ``buffers`` checked against them."""
+    if buffers is None:
+        buffers = FrameBuffers(samples.shape)
+    elif buffers.frames.shape != samples.shape:
+        raise ValueError(
+            f"buffers hold frames of shape {buffers.frames.shape}, got {samples.shape}"
+        )
+    return buffers
+
+
+def apply_channel(
+    waveform: Waveform, realization: ChannelRealization, buffers: FrameBuffers | None = None
+) -> Waveform:
     """Run a waveform through the tapped delay-line channel (no noise).
 
     ``waveform.samples`` is one frame ``(L,)`` or a stack ``(S, L)`` of frames
@@ -119,25 +156,29 @@ def apply_channel(waveform: Waveform, realization: ChannelRealization) -> Wavefo
     the span between a row's first and last nonzero sample is filtered, so
     the work per row scales with that span; a span that repeats bit for bit
     every ``n_dft + cp_len`` samples is filtered over one period and its
-    edges only, with the same output.
+    edges only, with the same output.  With ``buffers`` the result is
+    written into ``buffers.frames`` (see :class:`FrameBuffers`).
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
     period = waveform.n_dft + waveform.cp_len
     delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
-    rows = x.reshape(-1, n)
-    out = np.zeros_like(rows)
-    for row, acc in zip(rows, out):
+    buffers = _buffers_for(buffers, x)
+    if np.may_share_memory(x, buffers.frames):
+        raise ValueError("apply_channel cannot write its output over its input")
+    buffers.frames.fill(0)
+    spans = []
+    for row, acc in zip(x.reshape(-1, n), buffers.frames.reshape(-1, n)):
         nonzero = row != 0
         if not nonzero.any():
             continue
         first = int(nonzero.argmax())
         stop = n - int(nonzero[::-1].argmax())
-        pieces = _span_pieces(row[first:stop], period)
-        for tap, n0, kernel in delays:
-            _add_tap(acc, pieces, first, stop, tap, n0, kernel, fs)
-    return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
+        spans.append((acc, first, stop, _span_pieces(row[first:stop], period)))
+    for tap, n0, kernel in delays:
+        _add_tap(spans, tap, n0, kernel, fs, buffers)
+    return _wrap(buffers.frames, waveform)
 
 
 def _span_pieces(span: np.ndarray, period: int):
@@ -202,38 +243,46 @@ def _tap_delay(tap: ChannelTap, fs: float, n: int):
     return tap, n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
 
 
-def _add_tap(acc, pieces, first, stop, tap, n0, kernel, fs) -> None:
-    """Add one tap's copy of the row span ``first .. stop - 1`` to ``acc``.
+def _add_tap(spans, tap, n0, kernel, fs, buffers) -> None:
+    """Add one tap's copy of each row span to its output row.
 
-    ``pieces`` comes from :func:`_span_pieces`.  The copy is filtered by
-    ``kernel``, delayed by ``n0`` samples, cut at the frame end and rotated
-    by the tap's gain and Doppler phasor.
+    ``spans`` holds ``(acc, first, stop, pieces)`` per nonzero row, with
+    ``pieces`` from :func:`_span_pieces`.  Each span ``first .. stop - 1`` is
+    filtered by ``kernel``, delayed by ``n0`` samples, cut at the frame end
+    and rotated by the tap's gain and Doppler phasor.  The phasor is built
+    once, over the union of the rows' output extents.
     """
-    head, head_end, tail, period = pieces
     # filtered sample k reads span samples k - (K - 1 - lead) .. k + lead
     lead = (kernel.size - 1) // 2
-    start = max(first - lead, 0)
-    end = min(stop + kernel.size - 1 - lead, acc.size - n0)
-    if end <= start:
+    # each span's output extent start .. end - 1, where it reaches the frame
+    extents = []
+    for acc, first, stop, pieces in spans:
+        start = max(first - lead, 0)
+        end = min(stop + kernel.size - 1 - lead, acc.size - n0)
+        if end > start:
+            extents.append((acc, first, stop, pieces, start, end))
+    if not extents:
         return
-    # the phasor comes before the filtered copy exists, so that the scratch
-    # buffer numpy takes for its broadcast product does not add to the peak
-    # memory
-    phasor = _doppler_phasor(tap, fs, n0 + start, n0 + end)
-    # filtered span sample j lands in delayed[j - skip]
-    skip = start + lead - first
-    delayed = np.empty(end - start, dtype=complex)
-    hi = skip + delayed.size
-    _filter_into(delayed[: min(hi, head_end) - skip], head, skip, kernel)
-    if tail is not None:
-        size = stop - first
-        copy_end = min(hi, size)
-        for j in range(head_end, copy_end, period):
-            k = min(j + period, copy_end)
-            delayed[j - skip : k - skip] = delayed[j - skip - period : k - skip - period]
-        _filter_into(delayed[size - skip :], tail, _REACH, kernel)
-    phasor *= delayed
-    acc[n0 + start : n0 + end] += phasor
+    lo = n0 + min(extent[4] for extent in extents)
+    hi = n0 + max(extent[5] for extent in extents)
+    phasor = _doppler_phasor(tap, fs, lo, hi, buffers.phasors)
+    for acc, first, stop, (head, head_end, tail, period), start, end in extents:
+        # filtered span sample j lands in delayed[j - skip]
+        skip = start + lead - first
+        delayed = buffers.delayed[: end - start]
+        j_stop = skip + delayed.size
+        _filter_into(delayed[: min(j_stop, head_end) - skip], head, skip, kernel)
+        if tail is not None:
+            size = stop - first
+            copy_end = min(j_stop, size)
+            for j in range(head_end, copy_end, period):
+                k = min(j + period, copy_end)
+                delayed[j - skip : k - skip] = delayed[j - skip - period : k - skip - period]
+            _filter_into(delayed[size - skip :], tail, _REACH, kernel)
+        # keep the operand order phasor * delayed: a complex product can
+        # differ in the last bit when its operands are swapped
+        np.multiply(phasor[n0 + start - lo : n0 + end - lo], delayed, out=delayed)
+        acc[n0 + start : n0 + end] += delayed
 
 
 def _filter_into(out, parts, j, kernel) -> None:
@@ -249,12 +298,13 @@ def _filter_into(out, parts, j, kernel) -> None:
     out.imag = filtered[imag : imag + out.size]
 
 
-def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int) -> np.ndarray:
+def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int, grid=None) -> np.ndarray:
     """``g exp(j 2 pi nu (t - tau))`` at samples ``lo .. hi - 1``.
 
     Sample ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
     exponential at ``t = B b / fs`` and an offset exponential at ``o / fs``,
-    so its value does not depend on ``lo`` and ``hi``.
+    so its value does not depend on ``lo`` and ``hi``.  The products go into
+    the leading blocks of ``grid`` when given, else into a new array.
     """
     first = lo // _PHASOR_BLOCK
     block_starts = np.arange(first, (hi - 1) // _PHASOR_BLOCK + 1) * _PHASOR_BLOCK
@@ -262,53 +312,78 @@ def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int) -> np.ndarray:
         2j * np.pi * tap.doppler_hz * (block_starts / fs - tap.delay_s)
     )
     offsets = np.exp(2j * np.pi * tap.doppler_hz * (_PHASOR_OFFSETS / fs))
+    out = None if grid is None else grid[: blocks.size]
+    products = np.multiply(blocks[:, None], offsets, out=out)
     skip = lo - first * _PHASOR_BLOCK
-    return (blocks[:, None] * offsets).reshape(-1)[skip : skip + hi - lo]
+    return products.reshape(-1)[skip : skip + hi - lo]
 
 
-def add_awgn(waveform: Waveform, snr_db: float | None, seed=None) -> Waveform:
+def add_awgn(
+    waveform: Waveform, snr_db: float | None, seed=None, buffers: FrameBuffers | None = None
+) -> Waveform:
     """Add circular complex white Gaussian noise at a target SNR.
 
     The noise variance is scaled to the measured mean power of the input,
     row by row for a ``(S, L)`` stack; the rows share one unit noise draw
     (see :func:`add_noise_power`).  ``snr_db=None`` or ``+inf`` returns the
     waveform unchanged (noiseless); NaN and ``-inf`` raise ``ValueError``.
+    With ``buffers`` the noise is added in place onto ``buffers.frames``,
+    after copying the input there unless it already is that array.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    buffers = _load(buffers, waveform)
     if snr_db is None or snr_db == math.inf:
-        return Waveform(
-            waveform.samples.copy(), waveform.sample_rate, waveform.n_dft,
-            waveform.cp_len,
-        )
-    signal_power = np.mean(np.abs(waveform.samples) ** 2, axis=-1)
+        return _wrap(buffers.frames, waveform)
+    power = np.abs(buffers.frames, out=buffers.power)
+    signal_power = np.mean(np.square(power, out=power), axis=-1)
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
-    return _add_noise(waveform, signal_power * 10.0 ** (-snr_db / 10.0), seed)
+    return _add_noise(waveform, buffers, signal_power * 10.0 ** (-snr_db / 10.0), seed)
 
 
-def add_noise_power(waveform: Waveform, noise_power_watts: float, seed=None) -> Waveform:
+def add_noise_power(
+    waveform: Waveform, noise_power_watts: float, seed=None, buffers: FrameBuffers | None = None
+) -> Waveform:
     """Add circular complex white Gaussian noise of absolute mean power.
 
     A ``(S, L)`` stack gets one ``(L,)`` noise vector added to every row, so
-    each row equals a single-frame call with the same seed.
+    each row equals a single-frame call with the same seed.  ``buffers`` is
+    used as in :func:`add_awgn`.
     """
     if noise_power_watts < 0:
         raise ValueError("noise power must be >= 0")
-    return _add_noise(waveform, noise_power_watts, seed)
+    return _add_noise(waveform, _load(buffers, waveform), noise_power_watts, seed)
 
 
-def _add_noise(waveform: Waveform, noise_power, seed) -> Waveform:
-    """Add one unit noise draw scaled by a scalar or per-row noise power."""
+def _load(buffers: FrameBuffers | None, waveform: Waveform) -> FrameBuffers:
+    """Buffers whose ``frames`` hold a copy of ``waveform.samples``."""
+    buffers = _buffers_for(buffers, waveform.samples)
+    if waveform.samples is not buffers.frames:
+        np.copyto(buffers.frames, waveform.samples)
+    return buffers
+
+
+def _wrap(samples: np.ndarray, waveform: Waveform) -> Waveform:
+    return Waveform(samples, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
+
+
+def _add_noise(waveform: Waveform, buffers: FrameBuffers, noise_power, seed) -> Waveform:
+    """Add one unit noise draw, scaled by a scalar or per-row noise power,
+    onto ``buffers.frames``."""
     rng = np.random.default_rng(seed)
-    n = waveform.samples.shape[-1]
-    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    n = buffers.unit.size
+    # one draw of 2n equals a draw of n real parts, then n imaginary parts
+    draws = rng.standard_normal(out=buffers.draws)
+    unit = buffers.unit
+    unit.real = draws[:n]
+    unit.imag = draws[n:]
     scale = np.sqrt(np.asarray(noise_power) / 2.0)
-    noisy = waveform.samples.copy()
-    rows = noisy.reshape(-1, n)
+    rows = buffers.frames.reshape(-1, n)
     for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
-        row += row_scale * unit
-    return Waveform(noisy, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
+        # keep the operand order row_scale * unit, as for the phasor above
+        row += np.multiply(row_scale, unit, out=buffers.scaled)
+    return _wrap(buffers.frames, waveform)
 
 
 def received_power(

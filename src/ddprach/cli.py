@@ -108,29 +108,29 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def out_path(name: str) -> Path:
+        # made only once a run has succeeded, so a failed run leaves no directory
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
 
     try:
         if args.command == "simulate":
             records = run_simulate(cfg, threads=args.threads)
-            write_results_csv(out_dir / "results.csv", records)
+            path = out_path("results.csv")
+            write_results_csv(path, records)
             _print_summary(summarize(records))
-            print(f"wrote {out_dir / 'results.csv'}")
         elif args.command == "cdf-sweep":
             rows = run_cdf_sweep(cfg, threads=args.threads)
-            _write_rows(
-                out_dir / "cdf.csv",
-                ["scheme", "delta_f_hz", "abs_error_m", "cdf"],
-                rows,
-            )
-            print(f"wrote {out_dir / 'cdf.csv'}")
+            path = out_path("cdf.csv")
+            _write_rows(path, ["scheme", "delta_f_hz", "abs_error_m", "cdf"], rows)
         elif args.command == "speed-tradeoff":
             rows = run_speed_tradeoff(cfg, threads=args.threads)
             header = ["speed_mps", "tilt_deg", "power_w"]
             header += [f"rmse_{s}_m" for s in cfg.schemes]
-            _write_rows(out_dir / "speed_tradeoff.csv", header, rows)
-            print(f"wrote {out_dir / 'speed_tradeoff.csv'}")
+            path = out_path("speed_tradeoff.csv")
+            _write_rows(path, header, rows)
         elif args.command == "tilt-sweep":
             rows = run_tilt_sweep(cfg, threads=args.threads)
             header = [
@@ -140,8 +140,9 @@ def main(argv=None) -> int:
                 "n_los_tagged",
             ]
             header += [f"rmse_{s}_m" for s in cfg.schemes]
-            _write_rows(out_dir / "tilt_sweep.csv", header, rows)
-            print(f"wrote {out_dir / 'tilt_sweep.csv'}")
+            path = out_path("tilt_sweep.csv")
+            _write_rows(path, header, rows)
+        print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -229,6 +229,8 @@ def parse_config(tree) -> ExperimentConfig:
     for i, value in enumerate(sweep.values):
         if not check(value):
             raise ConfigError(f"sweep.values[{i}]: {sweep.axis} must be {allowed}, got {value}")
+        if value in sweep.values[:i]:
+            raise ConfigError(f"sweep.values[{i}]: duplicate value")
     for name in ("excess_delay_range_s", "relative_power_db_range"):
         low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
         if low > high:

@@ -7,12 +7,14 @@ execution order and of the worker-thread count; both schemes of an item
 share the channel and noise seeds, making comparisons paired.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from .channel import (
+    FrameBuffers,
     TapFileError,
     add_awgn,
     add_noise_power,
@@ -79,6 +81,8 @@ def _run_grid(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     )
 
     duration = stacked.samples.shape[-1] / stacked.sample_rate
+    # each worker thread reuses one set of row buffers for all its items
+    local = threading.local()
 
     def run_item(item):
         point_idx, trial = item
@@ -104,12 +108,15 @@ def _run_grid(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
                 g_t_db=cfg.channel.g_t_db,
                 doppler_scale=cfg.channel.doppler_scale,
             )
-        rx = apply_channel(stacked, realization)
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = FrameBuffers(stacked.samples.shape)
+        rx = apply_channel(stacked, realization, buffers=buffers)
         noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
         if cfg.noise.noise_power_watts is not None:
-            rx = add_noise_power(rx, cfg.noise.noise_power_watts, noise_seed)
+            rx = add_noise_power(rx, cfg.noise.noise_power_watts, noise_seed, buffers=buffers)
         else:
-            rx = add_awgn(rx, cfg.noise.snr_db, noise_seed)
+            rx = add_awgn(rx, cfg.noise.snr_db, noise_seed, buffers=buffers)
         records = []
         for scheme, samples in zip(cfg.schemes, rx.samples):
             estimate = receive_and_estimate_toa(

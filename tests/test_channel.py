@@ -369,6 +369,101 @@ def test_repeat_detection_compares_bits():
     assert not channel._repeats(ROW[: period + channel._REACH], period)
 
 
+def dirty_buffers(shape):
+    """Buffers whose every array holds NaN, so stale contents would show."""
+    buffers = channel.FrameBuffers(shape)
+    for array in vars(buffers).values():
+        array.fill(np.nan)
+    return buffers
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+STACK_ROWS = np.stack([bandlimited_noise(256, seed=s) for s in (20, 21, 22)])
+# case -> (waveform, taps): the oracle cases above, on one row and on stacks
+BUFFER_CASES = {
+    **{f"single_{kind}": (make_waveform(STACK_ROWS[0]), taps) for kind, taps in STACK_TAPS.items()},
+    **{f"stack_{kind}": (make_waveform(STACK_ROWS), taps) for kind, taps in STACK_TAPS.items()},
+    **{f"trim_{case}": (make_waveform(np.stack(rows)), taps) for case, (rows, taps) in TRIM_CASES.items()},
+    **{
+        f"periodic_{case}": (Waveform(np.stack(rows), 15e3 * n_dft, n_dft, cp_len), taps)
+        for case, (rows, n_dft, cp_len, taps) in PERIODIC_CASES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+def test_buffered_channel_matches_fresh_call(case):
+    wf, taps = BUFFER_CASES[case]
+    ch = ChannelRealization(0, 1.0, taps)
+    buffers = dirty_buffers(wf.samples.shape)
+    got = apply_channel(wf, ch, buffers=buffers)
+    assert got.samples is buffers.frames
+    assert same_bits(got.samples, apply_channel(wf, ch).samples)
+
+
+def test_buffered_channel_calls_do_not_leak_state():
+    wf = BUFFER_CASES["periodic_default_preambles"][0]
+    # the second channel reaches fewer samples than the first: a stale tail
+    # of the first output would show
+    first = ChannelRealization(0, 1.0, DEFAULT_TAPS)
+    second = ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 7.25 / wf.sample_rate, 640.0)])
+    buffers = dirty_buffers(wf.samples.shape)
+    for ch in (first, second, first):
+        got = apply_channel(wf, ch, buffers=buffers)
+        assert same_bits(got.samples, apply_channel(wf, ch).samples)
+
+
+def test_buffered_channel_checks_shape_and_aliasing():
+    wf = make_waveform(STACK_ROWS)
+    ch = ChannelRealization(0, 1.0, STACK_TAPS["doppler"])
+    with pytest.raises(ValueError, match="shape"):
+        apply_channel(wf, ch, buffers=channel.FrameBuffers((2, 256)))
+    buffers = channel.FrameBuffers(STACK_ROWS.shape)
+    buffers.frames[...] = STACK_ROWS
+    with pytest.raises(ValueError, match="over its input"):
+        apply_channel(make_waveform(buffers.frames), ch, buffers=buffers)
+
+
+NOISE_CALLS = {
+    "awgn": lambda wf, **kw: add_awgn(wf, 5.0, seed=np.random.SeedSequence([1, 2]), **kw),
+    "awgn_noiseless": lambda wf, **kw: add_awgn(wf, None, seed=1, **kw),
+    "noise_power": lambda wf, **kw: add_noise_power(wf, 0.3, seed=np.random.SeedSequence([3]), **kw),
+}
+NOISE_ROWS = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
+
+
+@pytest.mark.parametrize("call", sorted(NOISE_CALLS))
+@pytest.mark.parametrize("rows", [NOISE_ROWS, NOISE_ROWS[1]], ids=["stack", "single"])
+@pytest.mark.parametrize("in_place", [False, True], ids=["copied", "in_place"])
+def test_buffered_noise_matches_fresh_call(call, rows, in_place):
+    add = NOISE_CALLS[call]
+    expected = add(make_waveform(rows)).samples
+    buffers = dirty_buffers(rows.shape)
+    if in_place:
+        # the input is the buffers' own frame stack, as after apply_channel
+        buffers.frames[...] = rows
+        wf = make_waveform(buffers.frames)
+    else:
+        wf = make_waveform(rows.copy())
+    got = add(wf, buffers=buffers)
+    assert got.samples is buffers.frames
+    assert same_bits(got.samples, expected)
+    if not in_place:
+        assert np.array_equal(wf.samples, rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_noise_draw_is_real_then_imaginary_draw(seed):
+    # one 2L draw split in halves is the a + 1j*b of two L draws, bit for bit
+    rng = np.random.default_rng(seed)
+    expected = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    got = add_noise_power(make_waveform(np.zeros(300)), 2.0, seed=seed).samples
+    assert same_bits(got, expected)
+
+
 def test_taps_sorted_by_delay():
     ch = ChannelRealization(
         0,

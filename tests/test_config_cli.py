@@ -144,6 +144,20 @@ def test_sweep_values_checked_against_axis():
     assert cfg.sweep.values == [-10.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "sweep, where",
+    [
+        ({"values": [15000, 15000.0]}, 1),
+        ({"axis": "speed_mps", "values": [5.0, 10.0, 5.0]}, 2),
+        ({"axis": "tilt_deg", "values": [0.0, -0.0]}, 1),
+    ],
+)
+def test_sweep_values_must_differ(sweep, where):
+    # a repeated value would run its grid twice and repeat its CSV rows
+    with pytest.raises(ConfigError, match=rf"^sweep\.values\[{where}\]: duplicate value$"):
+        parse_config({"sweep": sweep})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "tree, where",
@@ -476,3 +490,21 @@ def test_cli_sweep_axis_mismatch_exit_2(tmp_path, capsys):
     rc = main(["cdf-sweep", "--config", write_toy_config(tmp_path, text=text)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate-config", "cdf-sweep"])
+def test_cli_duplicate_sweep_value_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "run_cdf_sweep", lambda *args, **kwargs: pytest.fail("ran"))
+    text = TOY_CONFIG + "sweep:\n  values: [15000, 15000.0]\n"
+    rc = main([command, "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    assert "config error: sweep.values[1]: duplicate value" in capsys.readouterr().err
+
+
+def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys):
+    # the axis is checked by the runner, after the config has parsed
+    out = tmp_path / "out"
+    rc = main(["tilt-sweep", "--config", write_toy_config(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert "sweep.axis" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Experiment runners: seeding, pairing, sweeps and summaries."""
 
 import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -93,9 +94,17 @@ def test_single_scheme_runs():
 
 
 def test_thread_count_does_not_change_records():
-    cfg = parse_config(toy_tree())
+    # enough items that workers sharing one set of row buffers would collide
+    cfg = parse_config(toy_tree(trials=50))
     serial = run_simulate(cfg, threads=1)
-    threaded = run_simulate(cfg, threads=4)
+    # more workers than cores, switching threads as often as possible: a
+    # worker that wrote into another worker's row buffers would show here
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_simulate(cfg, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial == threaded
 
 
@@ -178,9 +187,9 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
     calls = {"apply": [], "awgn": 0}
     real_apply, real_awgn = experiments.apply_channel, experiments.add_awgn
 
-    def apply(waveform, realization):
+    def apply(waveform, realization, **kwargs):
         calls["apply"].append(waveform.samples.shape)
-        return real_apply(waveform, realization)
+        return real_apply(waveform, realization, **kwargs)
 
     def awgn(*args, **kwargs):
         calls["awgn"] += 1
