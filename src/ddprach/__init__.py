@@ -10,11 +10,14 @@ from .channel import (
     ChannelTap,
     FrameBuffers,
     NlosSpec,
+    RowPlan,
     TapFileError,
     add_awgn,
     add_noise_power,
     apply_channel,
+    draw_unit_noise,
     load_taps,
+    plan_rows,
     received_power,
     save_taps,
     synthesize_scenario_channel,
@@ -87,6 +90,7 @@ __all__ = [
     "FrameBuffers",
     "NlosSpec",
     "ResultRecord",
+    "RowPlan",
     "SPEED_OF_LIGHT",
     "TapFileError",
     "TimeFrequencyGrid",
@@ -103,6 +107,7 @@ __all__ = [
     "build_trajectory",
     "circular_correlation",
     "detection_threshold",
+    "draw_unit_noise",
     "error_cdf",
     "generate_zc",
     "heisenberg_modulate",
@@ -112,6 +117,7 @@ __all__ = [
     "los_point_count",
     "parse_config",
     "pitch_angle",
+    "plan_rows",
     "propulsion_power",
     "range_from_toa",
     "read_results_csv",

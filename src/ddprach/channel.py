@@ -16,6 +16,7 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +29,13 @@ __all__ = [
     "ChannelRealization",
     "FrameBuffers",
     "NlosSpec",
+    "RowPlan",
     "TapFileError",
     "apply_channel",
     "add_awgn",
     "add_noise_power",
+    "draw_unit_noise",
+    "plan_rows",
     "received_power",
     "load_taps",
     "save_taps",
@@ -143,8 +147,46 @@ def _buffers_for(buffers: FrameBuffers | None, samples: np.ndarray) -> FrameBuff
     return buffers
 
 
+class RowPlan(NamedTuple):
+    """What :func:`apply_channel` filters of each row of one sample array.
+
+    ``rows`` holds ``(row, first, stop, pieces)`` per row with a nonzero
+    sample: the row index, the nonzero span ``first .. stop - 1`` and its
+    pieces from :func:`_span_pieces`.  ``samples`` is the array the plan was
+    made from and ``period`` the framing's ``n_dft + cp_len``.
+    """
+
+    samples: np.ndarray
+    period: int
+    rows: list
+
+
+def plan_rows(waveform: Waveform) -> RowPlan:
+    """Find each row's nonzero span and split it for :func:`apply_channel`.
+
+    The plan depends only on ``waveform.samples`` and the framing, so one
+    plan serves every channel pass over that array, from any thread, as long
+    as the array is not changed.
+    """
+    x = waveform.samples
+    n = x.shape[-1]
+    period = waveform.n_dft + waveform.cp_len
+    rows = []
+    for index, row in enumerate(x.reshape(-1, n)):
+        nonzero = row != 0
+        if not nonzero.any():
+            continue
+        first = int(nonzero.argmax())
+        stop = n - int(nonzero[::-1].argmax())
+        rows.append((index, first, stop, _span_pieces(row[first:stop], period)))
+    return RowPlan(x, period, rows)
+
+
 def apply_channel(
-    waveform: Waveform, realization: ChannelRealization, buffers: FrameBuffers | None = None
+    waveform: Waveform,
+    realization: ChannelRealization,
+    buffers: FrameBuffers | None = None,
+    plan: RowPlan | None = None,
 ) -> Waveform:
     """Run a waveform through the tapped delay-line channel (no noise).
 
@@ -157,25 +199,25 @@ def apply_channel(
     the work per row scales with that span; a span that repeats bit for bit
     every ``n_dft + cp_len`` samples is filtered over one period and its
     edges only, with the same output.  With ``buffers`` the result is
-    written into ``buffers.frames`` (see :class:`FrameBuffers`).
+    written into ``buffers.frames`` (see :class:`FrameBuffers`).  ``plan``
+    is :func:`plan_rows` of this waveform, made once for many passes; without
+    one the call makes its own, and one made from another array or framing
+    raises ``ValueError``.
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
-    period = waveform.n_dft + waveform.cp_len
     delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
+    if plan is None:
+        plan = plan_rows(waveform)
+    elif plan.samples is not x or plan.period != waveform.n_dft + waveform.cp_len:
+        raise ValueError("the row plan was made from another array or framing")
     buffers = _buffers_for(buffers, x)
     if np.may_share_memory(x, buffers.frames):
         raise ValueError("apply_channel cannot write its output over its input")
     buffers.frames.fill(0)
-    spans = []
-    for row, acc in zip(x.reshape(-1, n), buffers.frames.reshape(-1, n)):
-        nonzero = row != 0
-        if not nonzero.any():
-            continue
-        first = int(nonzero.argmax())
-        stop = n - int(nonzero[::-1].argmax())
-        spans.append((acc, first, stop, _span_pieces(row[first:stop], period)))
+    out = buffers.frames.reshape(-1, n)
+    spans = [(out[row], first, stop, pieces) for row, first, stop, pieces in plan.rows]
     for tap, n0, kernel in delays:
         _add_tap(spans, tap, n0, kernel, fs, buffers)
     return _wrap(buffers.frames, waveform)
@@ -319,7 +361,11 @@ def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int, grid=None) -> 
 
 
 def add_awgn(
-    waveform: Waveform, snr_db: float | None, seed=None, buffers: FrameBuffers | None = None
+    waveform: Waveform,
+    snr_db: float | None,
+    seed=None,
+    buffers: FrameBuffers | None = None,
+    noise: np.ndarray | None = None,
 ) -> Waveform:
     """Add circular complex white Gaussian noise at a target SNR.
 
@@ -329,6 +375,8 @@ def add_awgn(
     waveform unchanged (noiseless); NaN and ``-inf`` raise ``ValueError``.
     With ``buffers`` the noise is added in place onto ``buffers.frames``,
     after copying the input there unless it already is that array.
+    ``noise``, an ``(L,)`` row from :func:`draw_unit_noise`, takes the place
+    of a draw from ``seed``.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
@@ -339,21 +387,41 @@ def add_awgn(
     signal_power = np.mean(np.square(power, out=power), axis=-1)
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
-    return _add_noise(waveform, buffers, signal_power * 10.0 ** (-snr_db / 10.0), seed)
+    noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
+    return _add_noise(waveform, buffers, noise_power, seed, noise)
 
 
 def add_noise_power(
-    waveform: Waveform, noise_power_watts: float, seed=None, buffers: FrameBuffers | None = None
+    waveform: Waveform,
+    noise_power_watts: float,
+    seed=None,
+    buffers: FrameBuffers | None = None,
+    noise: np.ndarray | None = None,
 ) -> Waveform:
     """Add circular complex white Gaussian noise of absolute mean power.
 
     A ``(S, L)`` stack gets one ``(L,)`` noise vector added to every row, so
-    each row equals a single-frame call with the same seed.  ``buffers`` is
-    used as in :func:`add_awgn`.
+    each row equals a single-frame call with the same seed.  ``buffers`` and
+    ``noise`` are used as in :func:`add_awgn`.
     """
     if noise_power_watts < 0:
         raise ValueError("noise power must be >= 0")
-    return _add_noise(waveform, _load(buffers, waveform), noise_power_watts, seed)
+    return _add_noise(waveform, _load(buffers, waveform), noise_power_watts, seed, noise)
+
+
+def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
+    """Draw the unit noise row of ``seed`` into ``buffers.unit`` and return it.
+
+    Real and imaginary parts are standard normal: one ``standard_normal``
+    draw of ``2L`` values gives the ``L`` real parts, then the ``L``
+    imaginary parts.  :func:`add_awgn` and :func:`add_noise_power` scale this
+    row, so a row drawn once serves any number of them (``noise=``).
+    """
+    n = buffers.unit.size
+    draws = np.random.default_rng(seed).standard_normal(out=buffers.draws)
+    buffers.unit.real = draws[:n]
+    buffers.unit.imag = draws[n:]
+    return buffers.unit
 
 
 def _load(buffers: FrameBuffers | None, waveform: Waveform) -> FrameBuffers:
@@ -368,21 +436,21 @@ def _wrap(samples: np.ndarray, waveform: Waveform) -> Waveform:
     return Waveform(samples, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
 
 
-def _add_noise(waveform: Waveform, buffers: FrameBuffers, noise_power, seed) -> Waveform:
-    """Add one unit noise draw, scaled by a scalar or per-row noise power,
-    onto ``buffers.frames``."""
-    rng = np.random.default_rng(seed)
+def _add_noise(waveform: Waveform, buffers: FrameBuffers, noise_power, seed, noise) -> Waveform:
+    """Add one unit noise row, drawn from ``seed`` unless given as ``noise``
+    and scaled by a scalar or per-row noise power, onto ``buffers.frames``."""
     n = buffers.unit.size
-    # one draw of 2n equals a draw of n real parts, then n imaginary parts
-    draws = rng.standard_normal(out=buffers.draws)
-    unit = buffers.unit
-    unit.real = draws[:n]
-    unit.imag = draws[n:]
+    if noise is None:
+        noise = draw_unit_noise(seed, buffers)
+    elif seed is not None:
+        raise ValueError("give the noise as a seed or as a drawn row, not both")
+    elif noise.shape != (n,):
+        raise ValueError(f"the noise row must have shape {(n,)}, got {noise.shape}")
     scale = np.sqrt(np.asarray(noise_power) / 2.0)
     rows = buffers.frames.reshape(-1, n)
     for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
-        # keep the operand order row_scale * unit, as for the phasor above
-        row += np.multiply(row_scale, unit, out=buffers.scaled)
+        # keep the operand order row_scale * noise, as for the phasor above
+        row += np.multiply(row_scale, noise, out=buffers.scaled)
     return _wrap(buffers.frames, waveform)
 
 

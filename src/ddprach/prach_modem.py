@@ -76,6 +76,14 @@ class WaveformParams:
             raise ValueError("n must be >= 1")
         if not 3 <= self.n_zc <= self.m:
             raise ValueError(f"need 3 <= n_zc <= m, got n_zc={self.n_zc}, m={self.m}")
+        # the checks of generate_zc, made here so that a config fails at parse time
+        if not 1 <= self.root < self.n_zc:
+            raise ValueError(f"need 1 <= root < n_zc, got root={self.root}, n_zc={self.n_zc}")
+        if math.gcd(self.root, self.n_zc) != 1:
+            raise ValueError(
+                f"root and n_zc must be coprime, got gcd({self.root}, {self.n_zc}) = "
+                f"{math.gcd(self.root, self.n_zc)}"
+            )
         if not 0 <= self.cp_len <= self.n_dft:
             raise ValueError("cp_len must be in [0, n_dft]")
         if self.modulation not in MODULATIONS:

@@ -14,7 +14,9 @@ from ddprach import (
     add_awgn,
     add_noise_power,
     apply_channel,
+    draw_unit_noise,
     load_taps,
+    plan_rows,
     received_power,
     save_taps,
     synthesize_scenario_channel,
@@ -427,6 +429,45 @@ def test_buffered_channel_checks_shape_and_aliasing():
         apply_channel(make_waveform(buffers.frames), ch, buffers=buffers)
 
 
+PLAN_CASES = sorted(c for c in BUFFER_CASES if c.startswith(("trim_", "periodic_")))
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_planned_channel_matches_unplanned_call(case):
+    wf, taps = BUFFER_CASES[case]
+    plan = plan_rows(wf)
+    assert plan.samples is wf.samples
+    # one plan serves many passes: other taps, and another sample rate over
+    # the same array
+    other_rate = Waveform(wf.samples, 0.5 * wf.sample_rate, wf.n_dft, wf.cp_len)
+    for ch, w in [
+        (ChannelRealization(0, 1.0, taps), wf),
+        (ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 2.25 / wf.sample_rate, 640.0)]), wf),
+        (ChannelRealization(0, 1.0, taps), other_rate),
+    ]:
+        expected = apply_channel(w, ch).samples
+        assert same_bits(apply_channel(w, ch, plan=plan).samples, expected)
+        got = apply_channel(w, ch, buffers=dirty_buffers(w.samples.shape), plan=plan)
+        assert same_bits(got.samples, expected)
+
+
+def test_plan_from_another_array_or_framing_raises():
+    wf = BUFFER_CASES["periodic_toy_preambles_n4"][0]
+    ch = ChannelRealization(0, 1.0, TOY_TAPS)
+    plan = plan_rows(wf)
+    copy = Waveform(wf.samples.copy(), wf.sample_rate, wf.n_dft, wf.cp_len)
+    reframed = Waveform(wf.samples, wf.sample_rate, wf.n_dft, wf.cp_len + 1)
+    for other in (copy, reframed):
+        with pytest.raises(ValueError, match="another array or framing"):
+            apply_channel(other, ch, plan=plan)
+
+
+def test_plan_skips_all_zero_rows():
+    rows, _ = TRIM_CASES["all_zero_row_beside_nonzero"]
+    plan = plan_rows(make_waveform(np.stack(rows)))
+    assert [(row, first, stop) for row, first, stop, _ in plan.rows] == [(1, 0, 400)]
+
+
 NOISE_CALLS = {
     "awgn": lambda wf, **kw: add_awgn(wf, 5.0, seed=np.random.SeedSequence([1, 2]), **kw),
     "awgn_noiseless": lambda wf, **kw: add_awgn(wf, None, seed=1, **kw),
@@ -462,6 +503,36 @@ def test_noise_draw_is_real_then_imaginary_draw(seed):
     expected = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     got = add_noise_power(make_waveform(np.zeros(300)), 2.0, seed=seed).samples
     assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("rows", [NOISE_ROWS, NOISE_ROWS[1]], ids=["stack", "single"])
+def test_drawn_noise_row_matches_seeded_call(rows):
+    def seed():
+        return np.random.SeedSequence([5, 2, 1, 0])
+
+    buffers = dirty_buffers(rows.shape)
+    unit = draw_unit_noise(seed(), buffers)
+    assert unit is buffers.unit
+    expected = add_noise_power(make_waveform(np.zeros(rows.shape[-1])), 2.0, seed=seed())
+    assert same_bits(unit, expected.samples)
+    # the drawn row serves several calls on the same buffers; none redraws it
+    for _ in range(2):
+        for add in (
+            lambda **kw: add_awgn(make_waveform(rows), 5.0, **kw),
+            lambda **kw: add_noise_power(make_waveform(rows), 0.3, **kw),
+        ):
+            expected = add(seed=seed()).samples
+            assert same_bits(add(noise=unit).samples, expected)
+            assert same_bits(add(noise=unit, buffers=buffers).samples, expected)
+
+
+def test_noise_row_checked():
+    wf = make_waveform(NOISE_ROWS)
+    unit = draw_unit_noise(1, channel.FrameBuffers(NOISE_ROWS.shape))
+    with pytest.raises(ValueError, match="not both"):
+        add_awgn(wf, 5.0, seed=1, noise=unit)
+    with pytest.raises(ValueError, match="shape"):
+        add_noise_power(wf, 0.3, noise=unit[:-1])
 
 
 def test_taps_sorted_by_delay():

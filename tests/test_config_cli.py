@@ -109,6 +109,27 @@ def test_waveform_inconsistency_is_config_error():
         parse_config({"waveform": {"n_dft": 16, "m": 64}})
 
 
+ZC_ROOT_ERRORS = [
+    ("waveform:\n  n_zc: 140\n  root: 2\n", "root and n_zc must be coprime, got gcd(2, 140) = 2"),
+    ("waveform:\n  n_zc: 139\n  root: 139\n", "need 1 <= root < n_zc, got root=139, n_zc=139"),
+]
+
+
+@pytest.mark.parametrize("text, message", ZC_ROOT_ERRORS)
+def test_zc_root_checked_at_parse_time(text, message):
+    with pytest.raises(ConfigError, match=re.escape(f"waveform: {message}")):
+        parse_config(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate"])
+@pytest.mark.parametrize("text, message", ZC_ROOT_ERRORS)
+def test_cli_bad_zc_root_exit_2(tmp_path, capsys, monkeypatch, command, text, message):
+    monkeypatch.setattr(cli, "run_simulate", lambda *args, **kwargs: pytest.fail("ran"))
+    rc = main([command, "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    assert f"config error: waveform: {message}" in capsys.readouterr().err
+
+
 def test_nlos_null_disables_multipath():
     cfg = parse_config({"channel": {"nlos": None}})
     assert cfg.channel.nlos is None

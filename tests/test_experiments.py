@@ -93,19 +93,38 @@ def test_single_scheme_runs():
     assert len(records) == 3 * 2
 
 
+def run_switching_threads(runner, cfg, threads):
+    """``runner(cfg, threads)`` with threads switching as often as possible."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return runner(cfg, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_thread_count_does_not_change_records():
     # enough items that workers sharing one set of row buffers would collide
     cfg = parse_config(toy_tree(trials=50))
     serial = run_simulate(cfg, threads=1)
-    # more workers than cores, switching threads as often as possible: a
-    # worker that wrote into another worker's row buffers would show here
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_simulate(cfg, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert serial == threaded
+    # more workers than cores: a worker that wrote into another worker's row
+    # buffers would show here
+    assert run_switching_threads(run_simulate, cfg, 4) == serial
+
+
+@pytest.mark.parametrize(
+    "runner, sweep",
+    [
+        (run_cdf_sweep, {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}),
+        (run_speed_tradeoff, {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}),
+    ],
+)
+def test_thread_count_does_not_change_sweeps(runner, sweep):
+    # every sweep value of an item reads the item's noise row from its
+    # worker's buffers: another worker's draw landing there would show
+    cfg = parse_config(toy_tree(trials=20, detection={"interpolate_peak": True}, sweep=sweep))
+    serial = runner(cfg, threads=1)
+    assert run_switching_threads(runner, cfg, 4) == serial
 
 
 def test_seed_changes_channel_draws():
@@ -170,6 +189,15 @@ GOLDEN_SWEEPS = {
         {"sweep": {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}},
         "ede161d3501e8051aff89e7dc50300a74bafaf1f9a5adf441a9d1fea144c95ae",
     ),
+    # absolute noise power (SNR about 3 to 16 dB, so some points are missed):
+    # every sweep value adds the same unit noise row through add_noise_power;
+    # recorded before the sweep values of a work item shared one noise draw
+    "cdf_noise_power": (
+        "cdf-sweep", "cdf.csv",
+        {"noise": {"snr_db": None, "noise_power_watts": 5e-7},
+         "sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}},
+        "e3a77f3933699ecc6c9091deb884bf767850e04b27915b1a95750605a8eba028",
+    ),
 }
 
 
@@ -203,6 +231,58 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
     assert len(records) == items * 2
     assert calls["awgn"] == items
     assert calls["apply"] == [(2, cfg.waveform.frame_len)] * items
+
+
+def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
+    calls = {"draw": [], "apply": [], "plan": 0}
+    real_draw, real_apply, real_plan = (
+        experiments.draw_unit_noise, experiments.apply_channel, experiments.plan_rows
+    )
+
+    def draw(seed, buffers):
+        calls["draw"].append(tuple(seed.entropy))
+        return real_draw(seed, buffers)
+
+    def apply(waveform, realization, **kwargs):
+        calls["apply"].append((waveform.sample_rate, id(waveform.samples)))
+        return real_apply(waveform, realization, **kwargs)
+
+    def plan(waveform):
+        calls["plan"] += 1
+        return real_plan(waveform)
+
+    monkeypatch.setattr(experiments, "draw_unit_noise", draw)
+    monkeypatch.setattr(experiments, "apply_channel", apply)
+    monkeypatch.setattr(experiments, "plan_rows", plan)
+    values = [15e3, 30e3, 60e3]
+    cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
+    run_cdf_sweep(cfg)
+    items = [(point, trial) for point in range(3) for trial in range(2)]
+    stream = experiments._NOISE_STREAM
+    assert calls["draw"] == [(cfg.seed, stream, point, trial) for point, trial in items]
+    # every value of an item in turn, all on one shared stack
+    rates = [value * cfg.waveform.n_dft for value in values]
+    assert [rate for rate, _ in calls["apply"]] == rates * len(items)
+    assert len({stack for _, stack in calls["apply"]}) == 1
+    assert calls["plan"] == 1
+
+
+def test_grid_plans_each_distinct_stack_once(monkeypatch):
+    # a different ZC root gives a different stack of the same frame length
+    one, two = (parse_config(toy_tree(waveform=dict(TOY_WAVEFORM, root=r))) for r in (1, 2))
+    alone = [run_simulate(c) for c in (one, two, one)]
+    plans = []
+    real_plan = experiments.plan_rows
+    monkeypatch.setattr(experiments, "plan_rows", lambda wf: plans.append(wf) or real_plan(wf))
+    assert experiments._run_grid([one, two, one]) == alone
+    assert len(plans) == 2
+
+
+def test_grid_rejects_configs_of_another_frame_length():
+    cfg = parse_config(toy_tree())
+    longer = parse_config(toy_tree(waveform=dict(TOY_WAVEFORM, n=5)))
+    with pytest.raises(ValueError, match="frame_len"):
+        experiments._run_grid([cfg, longer])
 
 
 def test_taps_file_must_cover_all_points(tmp_path):
