@@ -27,7 +27,7 @@ from .experiments import (
     run_tilt_sweep,
     summarize,
 )
-from .metrics import write_results_csv
+from .metrics import format_cell, write_results_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -66,22 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
-
-
 def _write_rows(path: Path, header: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_cell(row[key]) for key in header])
+            writer.writerow([format_cell(row[key]) for key in header])
 
 
 def _print_summary(summary: dict) -> None:

@@ -16,6 +16,7 @@ import yaml
 from .channel import NlosSpec
 from .prach_modem import MODULATIONS, WaveformParams
 from .uav_scenario import AirframeConfig, AntennaConfig
+from .units import SPEED_OF_LIGHT
 
 __all__ = [
     "ConfigError", "TrajectorySpec", "ScenarioConfig", "ChannelConfig",
@@ -235,7 +236,34 @@ def parse_config(tree) -> ExperimentConfig:
         low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
         if low > high:
             raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
+    if channel.source == "synthetic":
+        _check_tap_delays(cfg)
     return cfg
+
+
+def _check_tap_delays(cfg: ExperimentConfig) -> None:
+    """Reject a synthetic channel whose latest tap can fall past the frame.
+
+    The latest tap is the line of sight from the trajectory's far end (the
+    distance and delay as ``synthesize_scenario_channel`` computes them)
+    plus the largest NLoS excess delay; the frame lasts ``frame_len`` samples
+    at ``delta_f_hz * n_dft``, checked at every spacing a command may run.
+    """
+    spec, nlos, waveform = cfg.scenario.trajectory, cfg.channel.nlos, cfg.waveform
+    far_offset = (spec.count - 1 - (spec.count - 1) // 2) * spec.dp_m
+    delay = math.hypot(far_offset, spec.height_m) / SPEED_OF_LIGHT
+    if nlos is not None and nlos.count:
+        delay += nlos.excess_delay_range_s[1]
+    spacings = [("waveform.delta_f_hz", waveform.delta_f_hz)]
+    if cfg.sweep.axis == "delta_f_hz":
+        spacings += [(f"sweep.values[{i}]", v) for i, v in enumerate(cfg.sweep.values)]
+    for path, delta_f in spacings:
+        duration = waveform.frame_len / (delta_f * waveform.n_dft)
+        if delay >= duration:
+            raise ConfigError(
+                f"{path}: the frame lasts {duration} s at {delta_f} Hz, but a tap from "
+                f"the trajectory's far end can arrive at {delay} s"
+            )
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,11 +1,14 @@
 """Monte Carlo experiment runners behind the command-line interface.
 
-Every run fans out over (trajectory point, trial) work items; each item runs
-every config of the run (one per sweep value) and every scheme.  Seeds for
-the channel draw and the noise draw are derived by hashing the master seed
-together with the item indices, so results are independent of the execution
-order and of the worker-thread count; all schemes and sweep values of an
-item share the channel and noise seeds, making comparisons paired.
+A run is one config, or one config per value of its sweep.  No sweep axis
+changes the preamble samples or the framing, so a run transmits each scheme
+once, plans the rows of the one preamble stack and reads a taps file once,
+before any work item runs.  Every run fans out over (trajectory point,
+trial) work items; each item runs every sweep value and every scheme.  Seeds
+for the channel draw and the noise draw are derived by hashing the master
+seed together with the item indices, so results are independent of the
+execution order and of the worker-thread count; all schemes and sweep values
+of an item share the channel and noise seeds, making comparisons paired.
 """
 
 import threading
@@ -17,7 +20,6 @@ import numpy as np
 
 from .channel import (
     FrameBuffers,
-    RowPlan,
     TapFileError,
     add_awgn,
     add_noise_power,
@@ -70,86 +72,66 @@ def _with_field(obj, path: str, value):
 
 
 class _Setup(NamedTuple):
-    """What a work item needs of one config, made once per run."""
+    """What a work item needs of one sweep value, made once per run."""
 
     cfg: ExperimentConfig
     tilt: float
     trajectory: list
     params: dict
-    stacked: Waveform   # the schemes' preambles as one (schemes, L) stack
-    plan: RowPlan       # the channel's row plan of ``stacked``
-    file_taps: dict | None
+    stacked: Waveform   # the run's (schemes, L) preamble stack at this value's rate
 
 
-def _setups(cfgs: list[ExperimentConfig]) -> list[_Setup]:
-    """One set-up per config.  Configs whose preamble stacks are bit-equal
-    share one array and one row plan; a taps file is read once."""
-    setups, plans, taps_files = [], [], {}
-    for cfg in cfgs:
-        spec = cfg.scenario.trajectory
-        params = {s: replace(cfg.waveform, modulation=s) for s in cfg.schemes}
-        tx = [transmit(params[s]) for s in cfg.schemes]
-        # each item runs one channel pass and one noise draw for all schemes,
-        # which keeps the comparison paired
-        stacked = Waveform(
-            np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len
-        )
-        plan = _shared_plan(plans, stacked)
-        if plan is None:
-            plan = plan_rows(stacked)
-            plans.append(plan)
-        stacked = Waveform(plan.samples, stacked.sample_rate, stacked.n_dft, stacked.cp_len)
-        file_taps = None
-        if cfg.channel.source == "taps_file":
-            path = cfg.channel.taps_path
-            if path not in taps_files:
-                taps_files[path] = load_taps(path)
-            file_taps = taps_files[path]
+def _run_grid(
+    cfg: ExperimentConfig, axis: str | None = None, threads: int = 1
+) -> list[tuple[ExperimentConfig, list[ResultRecord]]]:
+    """``(swept_cfg, records)`` for each value of ``cfg.sweep`` along ``axis``,
+    or the one pair ``(cfg, records)`` when ``axis`` is None.
+
+    Each record list runs points x trials x schemes in canonical order.  A
+    work item is one (point, trial): it draws its unit noise once and runs
+    every value on it.  The channel and noise seeds do not depend on the
+    swept value, so every value sees the same physical channels and the same
+    noise draw, and the comparison is paired.
+    """
+    cfgs = [cfg]
+    if axis is not None:
+        if cfg.sweep.axis != axis:
+            raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
+        cfgs = [_with_field(cfg, SWEEP_AXES[axis], value) for value in cfg.sweep.values]
+    # one channel pass and one noise draw per item serve all schemes, which
+    # keeps the comparison paired; no sweep axis changes the samples, so the
+    # stack and its row plan serve every value
+    tx = [transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes]
+    plan = plan_rows(
+        Waveform(np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len)
+    )
+    setups = []
+    for swept in cfgs:
+        spec = swept.scenario.trajectory
         setups.append(
             _Setup(
-                cfg,
-                _resolve_tilt(cfg),
+                swept,
+                _resolve_tilt(swept),
                 build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps),
-                params,
-                stacked,
-                plan,
-                file_taps,
+                {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
+                Waveform(plan.samples, swept.waveform.sample_rate, tx[0].n_dft, tx[0].cp_len),
             )
         )
-    return setups
-
-
-def _shared_plan(plans: list[RowPlan], stacked: Waveform) -> RowPlan | None:
-    """The plan of ``plans`` made from samples bit-equal to ``stacked``'s,
-    with the same framing, if any."""
-    period = stacked.n_dft + stacked.cp_len
-    bits = stacked.samples.view(np.uint64)
-    for plan in plans:
-        if plan.period == period and np.array_equal(plan.samples.view(np.uint64), bits):
-            return plan
-    return None
-
-
-def _run_grid(cfgs: list[ExperimentConfig], threads: int = 1) -> list[list[ResultRecord]]:
-    """Run points x trials x schemes for each config of one run.
-
-    Returns one record list per config, each in canonical order.  A work
-    item is one (point, trial): it draws its unit noise once and runs every
-    config on it, so the configs must agree on the seed, the item grid, the
-    schemes and ``frame_len``.
-    """
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        if _grid_of(cfg) != _grid_of(first):
-            raise ValueError(
-                "the configs of one run must share seed, trials, trajectory count, "
-                "schemes and waveform.frame_len"
-            )
-    setups = _setups(cfgs)
-    noisy = any(
-        cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None for cfg in cfgs
-    )
-    shape = setups[0].stacked.samples.shape
+    file_taps = None
+    if cfg.channel.source == "taps_file":
+        file_taps = load_taps(cfg.channel.taps_path)
+        durations = [s.stacked.samples.shape[-1] / s.stacked.sample_rate for s in setups]
+        for point_idx in range(cfg.scenario.trajectory.count):
+            if point_idx not in file_taps:
+                raise TapFileError(f"taps file has no rows for point {point_idx}")
+            delay = file_taps[point_idx].taps[-1].delay_s
+            for duration in durations:
+                if delay >= duration:
+                    raise TapFileError(
+                        f"taps file: point {point_idx}: tap delay {delay} s exceeds "
+                        f"the frame duration {duration} s"
+                    )
+    noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
     # each worker thread reuses one set of row buffers for all its items
     local = threading.local()
 
@@ -157,18 +139,22 @@ def _run_grid(cfgs: list[ExperimentConfig], threads: int = 1) -> list[list[Resul
         point_idx, trial = item
         buffers = getattr(local, "buffers", None)
         if buffers is None:
-            buffers = local.buffers = FrameBuffers(shape)
-        # buffers.unit holds this row until the item's last config has used it
+            buffers = local.buffers = FrameBuffers(plan.samples.shape)
+        # buffers.unit holds this row until the item's last value has used it
         noise = None
         if noisy:
-            seed = _stream_seed(first.seed, _NOISE_STREAM, point_idx, trial)
+            seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
             noise = draw_unit_noise(seed, buffers)
-        return [_run_config(setup, point_idx, trial, noise, buffers) for setup in setups]
+        realization = None if file_taps is None else file_taps[point_idx]
+        return [
+            _run_config(setup, plan, realization, point_idx, trial, noise, buffers)
+            for setup in setups
+        ]
 
     items = [
         (point_idx, trial)
-        for point_idx in range(first.scenario.trajectory.count)
-        for trial in range(first.trials)
+        for point_idx in range(cfg.scenario.trajectory.count)
+        for trial in range(cfg.trials)
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -176,41 +162,23 @@ def _run_grid(cfgs: list[ExperimentConfig], threads: int = 1) -> list[list[Resul
     else:
         batches = [run_item(item) for item in items]
     return [
-        [record for batch in batches for record in batch[k]] for k in range(len(setups))
+        (setup.cfg, [record for batch in batches for record in batch[k]])
+        for k, setup in enumerate(setups)
     ]
 
 
-def _grid_of(cfg: ExperimentConfig) -> tuple:
-    return (
-        cfg.seed,
-        cfg.trials,
-        cfg.scenario.trajectory.count,
-        cfg.schemes,
-        cfg.waveform.frame_len,
-    )
-
-
 def _run_config(
-    setup: _Setup, point_idx: int, trial: int, noise, buffers
+    setup: _Setup, plan, realization, point_idx: int, trial: int, noise, buffers
 ) -> list[ResultRecord]:
-    """The records of one work item under one config, one per scheme.
+    """The records of one work item under one swept config, one per scheme.
 
-    ``noise`` is the item's unit noise row (``None`` for a noiseless run)
-    and ``buffers`` its worker's :class:`FrameBuffers`.
+    ``plan`` is the run's row plan, ``realization`` the item's channel from
+    the taps file (``None``: synthesize it), ``noise`` the item's unit noise
+    row (``None`` for a noiseless run) and ``buffers`` its worker's
+    :class:`FrameBuffers`.
     """
     cfg = setup.cfg
-    if setup.file_taps is not None:
-        if point_idx not in setup.file_taps:
-            raise TapFileError(f"taps file has no rows for point {point_idx}")
-        realization = setup.file_taps[point_idx]
-        duration = setup.stacked.samples.shape[-1] / setup.stacked.sample_rate
-        if realization.taps[-1].delay_s >= duration:
-            raise TapFileError(
-                f"taps file: point {point_idx}: tap delay "
-                f"{realization.taps[-1].delay_s} s exceeds the frame "
-                f"duration {duration} s"
-            )
-    else:
+    if realization is None:
         realization = synthesize_scenario_channel(
             setup.trajectory[point_idx],
             cfg.scenario.carrier_hz,
@@ -221,7 +189,7 @@ def _run_config(
             g_t_db=cfg.channel.g_t_db,
             doppler_scale=cfg.channel.doppler_scale,
         )
-    rx = apply_channel(setup.stacked, realization, buffers=buffers, plan=setup.plan)
+    rx = apply_channel(setup.stacked, realization, buffers=buffers, plan=plan)
     if cfg.noise.noise_power_watts is not None:
         rx = add_noise_power(rx, cfg.noise.noise_power_watts, buffers=buffers, noise=noise)
     else:
@@ -253,19 +221,6 @@ def _run_config(
     return records
 
 
-def _sweep(cfg: ExperimentConfig, axis: str, threads: int):
-    """``(swept_cfg, records)`` for each value of ``cfg.sweep``.
-
-    The channel and noise seeds do not depend on the swept value, so every
-    value sees the same physical channels and the same noise draw, and the
-    comparison is paired.
-    """
-    if cfg.sweep.axis != axis:
-        raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
-    swept = [_with_field(cfg, SWEEP_AXES[axis], value) for value in cfg.sweep.values]
-    return zip(swept, _run_grid(swept, threads))
-
-
 def summarize(records: list[ResultRecord]) -> dict[str, dict[str, float]]:
     """Per-scheme RMSE (detected rows) and detection rate."""
     summary: dict[str, dict[str, float]] = {}
@@ -287,13 +242,14 @@ def _rmse_columns(cfg: ExperimentConfig, records: list[ResultRecord]) -> dict:
 
 def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """Single grid run at the configured operating point."""
-    return _run_grid([cfg], threads)[0]
+    [(_, records)] = _run_grid(cfg, threads=threads)
+    return records
 
 
 def run_cdf_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Error-CDF rows per (scheme, subcarrier spacing)."""
     rows = []
-    for swept, records in _sweep(cfg, "delta_f_hz", threads):
+    for swept, records in _run_grid(cfg, "delta_f_hz", threads):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
@@ -320,7 +276,7 @@ def run_speed_tradeoff(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
             ),
             **_rmse_columns(cfg, records),
         }
-        for swept, records in _sweep(cfg, "speed_mps", threads)
+        for swept, records in _run_grid(cfg, "speed_mps", threads)
     ]
 
 
@@ -331,7 +287,7 @@ def run_tilt_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = (len(trajectory) - 1) // 2
     rows = []
-    for swept, records in _sweep(cfg, "tilt_deg", threads):
+    for swept, records in _run_grid(cfg, "tilt_deg", threads):
         tilt = swept.scenario.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
         geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)

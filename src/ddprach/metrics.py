@@ -90,8 +90,16 @@ class ResultRecord:
     detected: bool
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
+def format_cell(value) -> str:
+    """One CSV cell: empty for ``None``, ``1``/``0`` for a boolean and 12
+    significant digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
 def write_results_csv(path, records) -> None:
@@ -100,19 +108,8 @@ def write_results_csv(path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.scheme,
-                    _fmt(rec.delta_f_hz),
-                    _fmt(rec.speed_mps),
-                    str(rec.point_index),
-                    "los" if rec.los_tag else "nlos",
-                    _fmt(rec.true_d_m),
-                    _fmt(rec.est_d_m),
-                    _fmt(rec.error_m),
-                    "1" if rec.detected else "0",
-                ]
-            )
+            cells = {**vars(rec), "los_tag": "los" if rec.los_tag else "nlos"}
+            writer.writerow([format_cell(cells[key]) for key in RESULTS_HEADER])
 
 
 def read_results_csv(path) -> list[ResultRecord]:

@@ -253,6 +253,53 @@ def test_cli_frame_len_over_bound_exit_2(tmp_path, capsys, monkeypatch, command)
     assert "waveform: frame_len" in capsys.readouterr().err
 
 
+TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
+
+
+def test_synthetic_tap_past_the_frame_rejected():
+    # 100 km: 333.6 us of line-of-sight delay against the 300 us toy frame
+    with pytest.raises(
+        ConfigError, match=r"^waveform\.delta_f_hz: the frame lasts 0\.0003 s at 15000\.0 Hz"
+    ):
+        load_config(DATA / "tap_past_frame.yaml")
+
+
+def test_synthetic_tap_delay_checked_at_every_swept_spacing():
+    # 30 km: 100 us of delay against the 300, 150 and 75 us toy frames
+    tree = {
+        "waveform": TOY_WAVEFORM,
+        "scenario": {"trajectory": {"height_m": 30_000.0}},
+        "sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]},
+    }
+    with pytest.raises(ConfigError, match=r"^sweep\.values\[2\]: the frame lasts 7\.5e-05 s"):
+        parse_config(tree)
+    # another axis runs every value at waveform.delta_f_hz
+    parse_config(dict(tree, sweep={"axis": "speed_mps", "values": [10.0]}))
+
+
+def test_synthetic_tap_delay_includes_the_largest_nlos_excess():
+    # 89.9 km: 299.87 us of line-of-sight delay, 300.37 us with 0.5 us excess
+    tree = {
+        "waveform": TOY_WAVEFORM,
+        "scenario": {"trajectory": {"height_m": 89_900.0}},
+        "sweep": {"axis": "speed_mps", "values": [10.0]},
+    }
+    with pytest.raises(ConfigError, match=r"^waveform\.delta_f_hz: "):
+        parse_config(tree)
+    for channel in ({"nlos": None}, {"nlos": {"count": 0}}):
+        parse_config(dict(tree, channel=channel))
+    # recorded taps are checked against the frame when the run starts
+    parse_config(dict(tree, channel={"source": "taps_file", "taps_path": "taps.csv"}))
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate"])
+def test_cli_synthetic_tap_past_the_frame_exit_2(tmp_path, capsys, command):
+    args = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", str(DATA / "tap_past_frame.yaml"), *args]) == 2
+    assert "config error: waveform.delta_f_hz: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_target_pfa_range():
     with pytest.raises(ConfigError):
         parse_config({"detection": {"target_pfa": 1.0}})

@@ -11,6 +11,7 @@ import yaml
 from ddprach import (
     ConfigError,
     ResultRecord,
+    TapFileError,
     parse_config,
     range_from_toa,
     run_cdf_sweep,
@@ -18,9 +19,11 @@ from ddprach import (
     run_speed_tradeoff,
     run_tilt_sweep,
     summarize,
+    transmit,
     write_results_csv,
 )
 from ddprach import cli, experiments
+from ddprach.config import SWEEP_AXES
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
 
@@ -117,6 +120,7 @@ def test_thread_count_does_not_change_records():
     [
         (run_cdf_sweep, {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}),
         (run_speed_tradeoff, {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}),
+        (run_tilt_sweep, {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}),
     ],
 )
 def test_thread_count_does_not_change_sweeps(runner, sweep):
@@ -234,9 +238,10 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
 
 
 def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
-    calls = {"draw": [], "apply": [], "plan": 0}
-    real_draw, real_apply, real_plan = (
-        experiments.draw_unit_noise, experiments.apply_channel, experiments.plan_rows
+    calls = {"draw": [], "apply": [], "plan": 0, "transmit": []}
+    real_draw, real_apply, real_plan, real_transmit = (
+        experiments.draw_unit_noise, experiments.apply_channel, experiments.plan_rows,
+        experiments.transmit,
     )
 
     def draw(seed, buffers):
@@ -251,9 +256,14 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
         calls["plan"] += 1
         return real_plan(waveform)
 
+    def transmit(params):
+        calls["transmit"].append(params.modulation)
+        return real_transmit(params)
+
     monkeypatch.setattr(experiments, "draw_unit_noise", draw)
     monkeypatch.setattr(experiments, "apply_channel", apply)
     monkeypatch.setattr(experiments, "plan_rows", plan)
+    monkeypatch.setattr(experiments, "transmit", transmit)
     values = [15e3, 30e3, 60e3]
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
     run_cdf_sweep(cfg)
@@ -265,24 +275,35 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)
     assert len({stack for _, stack in calls["apply"]}) == 1
     assert calls["plan"] == 1
+    assert calls["transmit"] == cfg.schemes
 
 
-def test_grid_plans_each_distinct_stack_once(monkeypatch):
-    # a different ZC root gives a different stack of the same frame length
-    one, two = (parse_config(toy_tree(waveform=dict(TOY_WAVEFORM, root=r))) for r in (1, 2))
-    alone = [run_simulate(c) for c in (one, two, one)]
-    plans = []
-    real_plan = experiments.plan_rows
-    monkeypatch.setattr(experiments, "plan_rows", lambda wf: plans.append(wf) or real_plan(wf))
-    assert experiments._run_grid([one, two, one]) == alone
-    assert len(plans) == 2
+def test_sweep_axes_leave_the_preamble_samples_alone():
+    # what lets one transmitted stack and one row plan serve a whole run
+    assert [path for path in SWEEP_AXES.values() if path.startswith("waveform.")] == [
+        "waveform.delta_f_hz"
+    ]
+    waveform = parse_config(toy_tree()).waveform
+    for scheme in ("otfs", "ofdm"):
+        tx = [
+            transmit(replace(waveform, modulation=scheme, delta_f_hz=delta_f))
+            for delta_f in (15e3, 30e3, 60e3)
+        ]
+        for other in tx[1:]:
+            assert other.samples.tobytes() == tx[0].samples.tobytes()
+            assert (other.n_dft, other.cp_len) == (tx[0].n_dft, tx[0].cp_len)
 
 
-def test_grid_rejects_configs_of_another_frame_length():
-    cfg = parse_config(toy_tree())
-    longer = parse_config(toy_tree(waveform=dict(TOY_WAVEFORM, n=5)))
-    with pytest.raises(ValueError, match="frame_len"):
-        experiments._run_grid([cfg, longer])
+def count_channel_passes(monkeypatch):
+    calls = []
+    real_apply = experiments.apply_channel
+
+    def apply(*args, **kwargs):
+        calls.append(1)
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "apply_channel", apply)
+    return calls
 
 
 def test_taps_file_must_cover_all_points(tmp_path):
@@ -292,6 +313,64 @@ def test_taps_file_must_cover_all_points(tmp_path):
         channel={"source": "taps_file", "taps_path": str(taps)},
     ))
     with pytest.raises(ValueError, match="no rows for point 1"):
+        run_simulate(cfg)
+
+
+def test_taps_file_gap_fails_before_any_channel_pass(tmp_path, monkeypatch):
+    taps = tmp_path / "taps.csv"
+    for point in (0, 1):
+        write_single_tap(taps, point, 60.0, 1e-6)
+    cfg = parse_config(toy_tree(
+        channel={"source": "taps_file", "taps_path": str(taps)},
+    ))
+    calls = count_channel_passes(monkeypatch)
+    with pytest.raises(TapFileError, match="no rows for point 2"):
+        run_simulate(cfg)
+    assert calls == []
+
+
+def test_taps_file_delay_checked_at_every_sweep_value(tmp_path, monkeypatch):
+    # the toy frame is 144 samples: 300 us at 15 kHz, 75 us at 60 kHz
+    taps = tmp_path / "taps.csv"
+    for point in range(3):
+        write_single_tap(taps, point, 60.0, 100e-6)
+    cfg = parse_config(toy_tree(
+        channel={"source": "taps_file", "taps_path": str(taps)},
+        sweep={"axis": "delta_f_hz", "values": [15e3, 60e3]},
+    ))
+    calls = count_channel_passes(monkeypatch)
+    with pytest.raises(TapFileError, match="point 0: tap delay 0.0001 s exceeds"):
+        run_cdf_sweep(cfg)
+    assert calls == []
+    run_simulate(cfg)  # waveform.delta_f_hz is 15 kHz
+
+
+def test_synthetic_tap_bound_is_exact_at_the_frame_edge():
+    # the tallest flyover that parses runs; one float taller is rejected at
+    # parse time, and run anyway its far-end tap falls past the frame
+    def tree(height_m):
+        return toy_tree(
+            scenario={"trajectory": {"height_m": height_m, "count": 3}},
+            channel={"nlos": None},
+            noise={"snr_db": None},
+            trials=1,
+            schemes=["otfs"],
+            sweep={"axis": "speed_mps", "values": [10.0]},
+        )
+
+    low, high = 30.0, 1e6
+    while (mid := (low + high) / 2) not in (low, high):
+        try:
+            parse_config(tree(mid))
+            low = mid
+        except ConfigError:
+            high = mid
+    assert high == np.nextafter(low, np.inf)
+    assert len(run_simulate(parse_config(tree(low)))) == 3
+    with pytest.raises(ConfigError):
+        parse_config(tree(high))
+    cfg = experiments._with_field(parse_config(tree(low)), "scenario.trajectory.height_m", high)
+    with pytest.raises(ValueError, match="exceeds the frame duration"):
         run_simulate(cfg)
 
 
