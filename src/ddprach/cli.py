@@ -32,14 +32,19 @@ from .metrics import format_cell, write_results_csv
 __all__ = ["main", "build_parser"]
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _integer_at_least(low: int):
+    """argparse type: an integer ``>= low``; anything else exits 2 at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,10 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to YAML config")
         if name != "validate-config":
-            cmd.add_argument("--seed", type=int, help="override config seed")
+            # the config's own ``seed`` rule: >= 0
+            cmd.add_argument(
+                "--seed", type=_integer_at_least(0), help="override config seed"
+            )
             cmd.add_argument("--out", default=".", help="output directory")
             cmd.add_argument(
-                "--threads", type=_thread_count, default=1, help="worker threads"
+                "--threads", type=_integer_at_least(1), default=1, help="worker threads"
             )
     return parser
 

@@ -4,16 +4,20 @@ The preamble places one Zadoff-Chu sequence along the delay axis of a
 delay-Doppler grid and repeats it on every Doppler row.  Two modulations
 share that content:
 
-* ``"otfs"`` precodes the grid through the ISFFT before CP-OFDM modulation,
-  so the receiver applies the SFFT and correlates each Doppler row in the
-  delay domain;
+* ``"otfs"`` precodes the grid through the ISFFT before CP-OFDM modulation;
 * ``"ofdm"`` places the same rows directly on the time-frequency grid
-  (classic PRACH), so the receiver correlates each demodulated symbol
-  against the frequency-domain reference.
+  (classic PRACH).
 
-Either way the per-row cyclic correlation powers are combined
-non-coherently, thresholded against an order-statistics noise model and the
-peak lag is scaled to DFT-rate samples and to metres.
+One receiver serves both: each demodulated OFDM symbol is multiplied by a
+frequency-domain matched filter and taken to the delay domain by one IDFT
+pass (see :func:`_reference_spectrum`).  For ``"otfs"`` this equals
+correlating each Doppler row of the SFFT output in the delay domain, because
+the SFFT's transforms cancel against the correlator's and, by Parseval, leave
+the power summed over rows unchanged; the row sum thus resolves no Doppler.
+
+The per-symbol correlation powers are combined non-coherently, thresholded
+against an order-statistics noise model and the peak lag is scaled to
+DFT-rate samples and to metres.
 """
 
 import functools
@@ -29,12 +33,12 @@ from .dd_transform import (
     Waveform,
     heisenberg_modulate,
     isfft,
-    sfft,
+    sfft,  # noqa: F401
     wigner_demodulate,
 )
 from .units import SPEED_OF_LIGHT, dbm_to_watts
-# the receiver no longer calls ``circular_correlation``; it stays importable
-# from here because perfbench/tracer.py wraps ``prach_modem.circular_correlation``
+# the receiver calls neither ``sfft`` nor ``circular_correlation``; both stay
+# importable from here because perfbench/tracer.py wraps them by name
 from .zc import CorrelationProfile, ZcSequence, circular_correlation, generate_zc  # noqa: F401
 
 __all__ = [
@@ -160,17 +164,22 @@ def detection_threshold(profile: CorrelationProfile, target_pfa: float) -> float
 
 @functools.lru_cache(maxsize=None)
 def _reference_spectrum(root: int, n_zc: int, m: int, modulation: str) -> np.ndarray:
-    """Conjugated DFT of the ZC correlation reference over the M delay bins.
+    """Frequency-domain matched filter ``H`` of the ZC reference over M bins.
 
-    OTFS rows are correlated in the delay domain against the zero-padded
-    sequence; OFDM symbols are correlated against its IDFT, the delay-domain
-    pair of the frequency-domain matched filter.
+    The combined profile is ``sum_rows |IDFT_M(Y[row] * H)|^2`` over the
+    ``n`` demodulated symbols ``Y``.  OFDM carries the ZC on the subcarriers,
+    so ``H = conj(zc)``.  OTFS carries it along delay: the SFFT's IDFT over
+    delay cancels against the correlator's DFT, which leaves
+    ``H = sqrt(M) * conj(DFT_M(zc))``; the SFFT's DFT over Doppler is
+    unitary, so by Parseval the power summed over Doppler rows equals the
+    power summed over symbols.  The row sum therefore resolves no Doppler; a
+    delay-Doppler receiver would read a 2-D peak instead (ROADMAP item 2).
     """
-    reference = np.zeros(m, dtype=complex)
-    reference[:n_zc] = generate_zc(root, n_zc).samples
-    if modulation == "ofdm":
-        reference = np.fft.ifft(reference)
-    spectrum = np.conj(np.fft.fft(reference))
+    spectrum = np.zeros(m, dtype=complex)
+    spectrum[:n_zc] = generate_zc(root, n_zc).samples
+    if modulation == "otfs":
+        spectrum = math.sqrt(m) * np.fft.fft(spectrum)
+    spectrum = np.conj(spectrum)
     spectrum.setflags(write=False)
     return spectrum
 
@@ -180,22 +189,15 @@ _reference_lock = threading.Lock()
 
 
 def _combined_profile(tf: TimeFrequencyGrid, params: WaveformParams) -> CorrelationProfile:
-    """Non-coherent sum of the per-row cyclic correlation powers.
+    """Non-coherent sum of the per-symbol matched-filter output powers.
 
-    OTFS correlates each Doppler row of the SFFT output, OFDM each symbol
-    taken to the delay domain; all ``n`` rows go through one FFT pass.
+    All ``n`` symbols go through one multiply and one IFFT pass.
     """
     with _reference_lock:
-        reference = _reference_spectrum(
+        matched = _reference_spectrum(
             params.root, params.n_zc, params.m, params.modulation
         )
-    if params.modulation == "otfs":
-        # contiguous rows: an FFT pass over strided rows can round differently
-        # from one-row FFTs, which would move profiles in the last bit
-        rows = np.ascontiguousarray(sfft(tf).data.T)
-    else:
-        rows = np.fft.ifft(tf.data, axis=1)
-    corr = np.fft.ifft(np.fft.fft(rows, axis=1) * reference, axis=1)
+    corr = np.fft.ifft(tf.data * matched, axis=1)
     values = np.sum(np.abs(corr) ** 2, axis=0)
     return CorrelationProfile(
         values=values,
@@ -212,8 +214,8 @@ def receive_and_estimate_toa(
 ) -> ToaEstimate:
     """Detect the preamble and estimate its time of arrival.
 
-    Demodulates, correlates per Doppler row (OTFS) or per symbol (OFDM),
-    combines the correlation powers non-coherently and compares the peak
+    Demodulates, applies the matched filter to every symbol, combines the
+    correlation powers non-coherently and compares the peak
     against :func:`detection_threshold`.  The peak delay bin is rescaled to
     DFT-rate samples (``bin * n_dft / m``).  With ``interpolate_peak`` the
     two profile bins flanking the peak refine it to a sub-bin position

@@ -452,6 +452,17 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    # the config's ``seed: must be >= 0`` rule, for the override too
+    cfg_path = write_toy_config(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg_path, "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_taps_file_exit_3(tmp_path, capsys):
     text = TOY_CONFIG + (
         "channel:\n"

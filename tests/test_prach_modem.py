@@ -21,6 +21,7 @@ from ddprach import (
     resolve_range,
     transmit,
 )
+from ddprach import prach_modem
 from ddprach.dd_transform import sfft, wigner_demodulate
 from ddprach.units import SPEED_OF_LIGHT
 from ddprach.zc import CorrelationProfile, circular_correlation, generate_zc
@@ -220,7 +221,16 @@ def row_correlation_oracle(rx, params):
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
-@pytest.mark.parametrize("size", [{}, {"m": 64, "n": 16, "n_dft": 128, "n_zc": 61}])
+@pytest.mark.parametrize(
+    "size",
+    [
+        {},
+        {"m": 64, "n": 16, "n_dft": 128, "n_zc": 61},
+        {"n": 1},
+        {"m": 32, "cp_len": 0},  # m = n_dft
+        {"m": 1024, "n": 4, "n_dft": 2048, "n_zc": 139},  # README default
+    ],
+)
 def test_batched_profile_matches_row_oracle(scheme, size):
     params = toy_params(scheme, **size)
     channel = ChannelRealization(
@@ -234,6 +244,25 @@ def test_batched_profile_matches_row_oracle(scheme, size):
     assert np.allclose(est.profile.values, oracle, rtol=1e-12, atol=1e-12 * oracle.max())
     assert est.profile.peak_lag == int(np.argmax(oracle))
     assert est.profile.mean_power == pytest.approx(float(np.mean(oracle)), rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_receiver_runs_without_sfft(scheme, monkeypatch):
+    """The matched filter replaces the SFFT: the estimate never needs it."""
+    params = toy_params(scheme)
+    rx = add_awgn(apply_channel(transmit(params), single_tap(params, 6.6)), 20.0, seed=9)
+    before = receive_and_estimate_toa(rx, params, interpolate_peak=True)
+
+    def no_sfft(grid):
+        raise AssertionError("sfft called")
+
+    monkeypatch.setattr(prach_modem, "sfft", no_sfft)
+    after = receive_and_estimate_toa(rx, params, interpolate_peak=True)
+    assert after.detected and after.detected == before.detected
+    assert after.sample_delay == before.sample_delay
+    assert after.refined_sample_delay == before.refined_sample_delay
+    assert after.threshold == before.threshold
+    assert np.array_equal(after.profile.values, before.profile.values)
 
 
 # ---------------------------------------------------------------------------
