@@ -10,14 +10,12 @@ from .channel import (
     ChannelTap,
     FrameBuffers,
     NlosSpec,
-    RowPlan,
     TapFileError,
     add_awgn,
     add_noise_power,
     apply_channel,
     draw_unit_noise,
     load_taps,
-    plan_rows,
     received_power,
     save_taps,
     synthesize_scenario_channel,
@@ -90,7 +88,6 @@ __all__ = [
     "FrameBuffers",
     "NlosSpec",
     "ResultRecord",
-    "RowPlan",
     "SPEED_OF_LIGHT",
     "TapFileError",
     "TimeFrequencyGrid",
@@ -117,7 +114,6 @@ __all__ = [
     "los_point_count",
     "parse_config",
     "pitch_angle",
-    "plan_rows",
     "propulsion_power",
     "range_from_toa",
     "read_results_csv",

@@ -16,7 +16,6 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +28,11 @@ __all__ = [
     "ChannelRealization",
     "FrameBuffers",
     "NlosSpec",
-    "RowPlan",
     "TapFileError",
     "apply_channel",
     "add_awgn",
     "add_noise_power",
     "draw_unit_noise",
-    "plan_rows",
     "received_power",
     "load_taps",
     "save_taps",
@@ -114,18 +111,26 @@ def _classify_los(taps: list[ChannelTap]) -> bool:
 
 
 class FrameBuffers:
-    """The row-length arrays of one channel and noise pass over an ``(S, L)``
-    stack (or one ``(L,)`` frame), for reuse from one pass to the next.
+    """The row-length arrays of one channel and noise pass over one sample
+    array, an ``(S, L)`` stack or one ``(L,)`` frame, for reuse from one pass
+    to the next.
 
     ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write into these
     arrays when given ``buffers=``; the ``Waveform`` they return views
     ``frames``, so it holds only until the next call on the same buffers.
+    The buffers keep the sample array and framing of ``waveform``: the first
+    ``apply_channel`` on them plans that array's rows, later ones reuse the
+    plan, and ``apply_channel`` on another array or framing raises
+    ``ValueError``.  The array must not change while the buffers serve it.
     One object serves one thread at a time.
     """
 
-    def __init__(self, shape):
-        shape = tuple(shape)
+    def __init__(self, waveform: Waveform):
+        shape = waveform.samples.shape
         n = shape[-1]
+        self.samples = waveform.samples                # the array they serve
+        self.period = waveform.n_dft + waveform.cp_len
+        self.rows = None                               # its row plan, once made
         self.frames = np.empty(shape, dtype=complex)  # the output stack
         self.delayed = np.empty(n, dtype=complex)      # one filtered tap copy
         # a Doppler phasor over any span of an n-sample frame
@@ -136,41 +141,11 @@ class FrameBuffers:
         self.power = np.empty(shape)                   # |x|^2 of the stack
 
 
-def _buffers_for(buffers: FrameBuffers | None, samples: np.ndarray) -> FrameBuffers:
-    """Fresh buffers for ``samples``, or ``buffers`` checked against them."""
-    if buffers is None:
-        buffers = FrameBuffers(samples.shape)
-    elif buffers.frames.shape != samples.shape:
-        raise ValueError(
-            f"buffers hold frames of shape {buffers.frames.shape}, got {samples.shape}"
-        )
-    return buffers
-
-
-class RowPlan(NamedTuple):
-    """What :func:`apply_channel` filters of each row of one sample array.
-
-    ``rows`` holds ``(row, first, stop, pieces)`` per row with a nonzero
-    sample: the row index, the nonzero span ``first .. stop - 1`` and its
-    pieces from :func:`_span_pieces`.  ``samples`` is the array the plan was
-    made from and ``period`` the framing's ``n_dft + cp_len``.
-    """
-
-    samples: np.ndarray
-    period: int
-    rows: list
-
-
-def plan_rows(waveform: Waveform) -> RowPlan:
-    """Find each row's nonzero span and split it for :func:`apply_channel`.
-
-    The plan depends only on ``waveform.samples`` and the framing, so one
-    plan serves every channel pass over that array, from any thread, as long
-    as the array is not changed.
-    """
-    x = waveform.samples
+def _row_plan(x: np.ndarray, period: int) -> list:
+    """``(row, first, stop, pieces)`` per row of ``x`` with a nonzero sample:
+    the row index, the nonzero span ``first .. stop - 1`` and its pieces from
+    :func:`_span_pieces`."""
     n = x.shape[-1]
-    period = waveform.n_dft + waveform.cp_len
     rows = []
     for index, row in enumerate(x.reshape(-1, n)):
         nonzero = row != 0
@@ -179,14 +154,13 @@ def plan_rows(waveform: Waveform) -> RowPlan:
         first = int(nonzero.argmax())
         stop = n - int(nonzero[::-1].argmax())
         rows.append((index, first, stop, _span_pieces(row[first:stop], period)))
-    return RowPlan(x, period, rows)
+    return rows
 
 
 def apply_channel(
     waveform: Waveform,
     realization: ChannelRealization,
     buffers: FrameBuffers | None = None,
-    plan: RowPlan | None = None,
 ) -> Waveform:
     """Run a waveform through the tapped delay-line channel (no noise).
 
@@ -198,26 +172,23 @@ def apply_channel(
     the span between a row's first and last nonzero sample is filtered, so
     the work per row scales with that span; a span that repeats bit for bit
     every ``n_dft + cp_len`` samples is filtered over one period and its
-    edges only, with the same output.  With ``buffers`` the result is
-    written into ``buffers.frames`` (see :class:`FrameBuffers`).  ``plan``
-    is :func:`plan_rows` of this waveform, made once for many passes; without
-    one the call makes its own, and one made from another array or framing
-    raises ``ValueError``.
+    edges only, with the same output.  With ``buffers``, made from this
+    waveform's array and framing, the result is written into
+    ``buffers.frames`` (see :class:`FrameBuffers`).
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
     delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
-    if plan is None:
-        plan = plan_rows(waveform)
-    elif plan.samples is not x or plan.period != waveform.n_dft + waveform.cp_len:
-        raise ValueError("the row plan was made from another array or framing")
-    buffers = _buffers_for(buffers, x)
-    if np.may_share_memory(x, buffers.frames):
-        raise ValueError("apply_channel cannot write its output over its input")
+    if buffers is None:
+        buffers = FrameBuffers(waveform)
+    elif buffers.samples is not x or buffers.period != waveform.n_dft + waveform.cp_len:
+        raise ValueError("the buffers were made from another array or framing")
+    if buffers.rows is None:
+        buffers.rows = _row_plan(x, buffers.period)
     buffers.frames.fill(0)
     out = buffers.frames.reshape(-1, n)
-    spans = [(out[row], first, stop, pieces) for row, first, stop, pieces in plan.rows]
+    spans = [(out[row], first, stop, pieces) for row, first, stop, pieces in buffers.rows]
     for tap, n0, kernel in delays:
         _add_tap(spans, tap, n0, kernel, fs, buffers)
     return _wrap(buffers.frames, waveform)
@@ -370,43 +341,60 @@ def add_awgn(
     """Add circular complex white Gaussian noise at a target SNR.
 
     The noise variance is scaled to the measured mean power of the input,
-    row by row for a ``(S, L)`` stack; the rows share one unit noise draw
-    (see :func:`add_noise_power`).  ``snr_db=None`` or ``+inf`` returns the
-    waveform unchanged (noiseless); NaN and ``-inf`` raise ``ValueError``.
-    With ``buffers`` the noise is added in place onto ``buffers.frames``,
-    after copying the input there unless it already is that array.
-    ``noise``, an ``(L,)`` row from :func:`draw_unit_noise`, takes the place
-    of a draw from ``seed``.
+    row by row for a ``(S, L)`` stack, and the noise is added by
+    :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
+    ``+inf`` returns the waveform unchanged (noiseless); NaN and ``-inf``
+    raise ``ValueError``.  ``seed``, ``buffers`` and ``noise`` are used as in
+    :func:`add_noise_power`.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     buffers = _load(buffers, waveform)
+    loaded = _wrap(buffers.frames, waveform)
     if snr_db is None or snr_db == math.inf:
-        return _wrap(buffers.frames, waveform)
+        return loaded
     power = np.abs(buffers.frames, out=buffers.power)
     signal_power = np.mean(np.square(power, out=power), axis=-1)
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return _add_noise(waveform, buffers, noise_power, seed, noise)
+    return add_noise_power(loaded, noise_power, seed, buffers, noise)
 
 
 def add_noise_power(
     waveform: Waveform,
-    noise_power_watts: float,
+    noise_power_watts,
     seed=None,
     buffers: FrameBuffers | None = None,
     noise: np.ndarray | None = None,
 ) -> Waveform:
     """Add circular complex white Gaussian noise of absolute mean power.
 
-    A ``(S, L)`` stack gets one ``(L,)`` noise vector added to every row, so
-    each row equals a single-frame call with the same seed.  ``buffers`` and
-    ``noise`` are used as in :func:`add_awgn`.
+    ``noise_power_watts`` is one power for every row or one per row of a
+    ``(S, L)`` stack; each must be finite and ``>= 0``.  One ``(L,)`` unit
+    noise row, drawn from ``seed`` unless given as ``noise`` (from
+    :func:`draw_unit_noise`), is scaled to each row's power and added, so
+    each row equals a single-frame call with the same seed.  With
+    ``buffers`` the noise is added in place onto ``buffers.frames``, after
+    copying the input there unless it already is that array.
     """
-    if noise_power_watts < 0:
-        raise ValueError("noise power must be >= 0")
-    return _add_noise(waveform, _load(buffers, waveform), noise_power_watts, seed, noise)
+    noise_power = np.asarray(noise_power_watts, dtype=float)
+    if not np.all(np.isfinite(noise_power)) or np.any(noise_power < 0):
+        raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
+    buffers = _load(buffers, waveform)
+    n = buffers.unit.size
+    if noise is None:
+        noise = draw_unit_noise(seed, buffers)
+    elif seed is not None:
+        raise ValueError("give the noise as a seed or as a drawn row, not both")
+    elif noise.shape != (n,):
+        raise ValueError(f"the noise row must have shape {(n,)}, got {noise.shape}")
+    scale = np.sqrt(noise_power / 2.0)
+    rows = buffers.frames.reshape(-1, n)
+    for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
+        # keep the operand order row_scale * noise, as for the phasor above
+        row += np.multiply(row_scale, noise, out=buffers.scaled)
+    return _wrap(buffers.frames, waveform)
 
 
 def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
@@ -414,8 +402,8 @@ def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
 
     Real and imaginary parts are standard normal: one ``standard_normal``
     draw of ``2L`` values gives the ``L`` real parts, then the ``L``
-    imaginary parts.  :func:`add_awgn` and :func:`add_noise_power` scale this
-    row, so a row drawn once serves any number of them (``noise=``).
+    imaginary parts.  :func:`add_noise_power` scales this row, so a row
+    drawn once serves any number of noise calls (``noise=``).
     """
     n = buffers.unit.size
     draws = np.random.default_rng(seed).standard_normal(out=buffers.draws)
@@ -426,7 +414,12 @@ def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
 
 def _load(buffers: FrameBuffers | None, waveform: Waveform) -> FrameBuffers:
     """Buffers whose ``frames`` hold a copy of ``waveform.samples``."""
-    buffers = _buffers_for(buffers, waveform.samples)
+    if buffers is None:
+        buffers = FrameBuffers(waveform)
+    elif buffers.frames.shape != waveform.samples.shape:
+        raise ValueError(
+            f"buffers hold frames of shape {buffers.frames.shape}, got {waveform.samples.shape}"
+        )
     if waveform.samples is not buffers.frames:
         np.copyto(buffers.frames, waveform.samples)
     return buffers
@@ -434,24 +427,6 @@ def _load(buffers: FrameBuffers | None, waveform: Waveform) -> FrameBuffers:
 
 def _wrap(samples: np.ndarray, waveform: Waveform) -> Waveform:
     return Waveform(samples, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
-
-
-def _add_noise(waveform: Waveform, buffers: FrameBuffers, noise_power, seed, noise) -> Waveform:
-    """Add one unit noise row, drawn from ``seed`` unless given as ``noise``
-    and scaled by a scalar or per-row noise power, onto ``buffers.frames``."""
-    n = buffers.unit.size
-    if noise is None:
-        noise = draw_unit_noise(seed, buffers)
-    elif seed is not None:
-        raise ValueError("give the noise as a seed or as a drawn row, not both")
-    elif noise.shape != (n,):
-        raise ValueError(f"the noise row must have shape {(n,)}, got {noise.shape}")
-    scale = np.sqrt(np.asarray(noise_power) / 2.0)
-    rows = buffers.frames.reshape(-1, n)
-    for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
-        # keep the operand order row_scale * noise, as for the phasor above
-        row += np.multiply(row_scale, noise, out=buffers.scaled)
-    return _wrap(buffers.frames, waveform)
 
 
 def received_power(

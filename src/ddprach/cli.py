@@ -14,6 +14,7 @@ file).  All outputs are CSVs written under ``--out`` (default: cwd).
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,16 +33,22 @@ from .metrics import format_cell, write_results_csv
 __all__ = ["main", "build_parser"]
 
 
-def _integer_at_least(low: int):
-    """argparse type: an integer ``>= low``; anything else exits 2 at parse time."""
+# each worker thread allocates its own frame buffers
+_MAX_THREADS = 64
+
+
+def _integer_in(low: int, high: float = math.inf):
+    """argparse type: an integer in ``[low, high]``; anything else exits 2 at
+    parse time."""
+    bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return value
 
     return parse
@@ -65,11 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "validate-config":
             # the config's own ``seed`` rule: >= 0
             cmd.add_argument(
-                "--seed", type=_integer_at_least(0), help="override config seed"
+                "--seed", type=_integer_in(0), help="override config seed"
             )
             cmd.add_argument("--out", default=".", help="output directory")
             cmd.add_argument(
-                "--threads", type=_integer_at_least(1), default=1, help="worker threads"
+                "--threads",
+                type=_integer_in(1, _MAX_THREADS),
+                default=1,
+                help=f"worker threads, 1 to {_MAX_THREADS} (default 1)",
             )
     return parser
 

@@ -2,13 +2,15 @@
 
 A run is one config, or one config per value of its sweep.  No sweep axis
 changes the preamble samples or the framing, so a run transmits each scheme
-once, plans the rows of the one preamble stack and reads a taps file once,
-before any work item runs.  Every run fans out over (trajectory point,
-trial) work items; each item runs every sweep value and every scheme.  Seeds
-for the channel draw and the noise draw are derived by hashing the master
-seed together with the item indices, so results are independent of the
-execution order and of the worker-thread count; all schemes and sweep values
-of an item share the channel and noise seeds, making comparisons paired.
+once into one preamble stack and reads a taps file once, before any work
+item runs.  Every run fans out over (trajectory point, trial) work items;
+each item runs every sweep value and every scheme.  Each worker thread keeps
+one set of ``FrameBuffers`` made from that stack, which plans its rows once.
+Seeds for the channel draw and the noise draw are derived by hashing the
+master seed together with the item indices, so results are independent of
+the execution order and of the worker-thread count; all schemes and sweep
+values of an item share the channel and noise seeds, making comparisons
+paired.
 """
 
 import threading
@@ -26,7 +28,6 @@ from .channel import (
     apply_channel,
     draw_unit_noise,
     load_taps,
-    plan_rows,
     synthesize_scenario_channel,
 )
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig
@@ -100,11 +101,9 @@ def _run_grid(
         cfgs = [_with_field(cfg, SWEEP_AXES[axis], value) for value in cfg.sweep.values]
     # one channel pass and one noise draw per item serve all schemes, which
     # keeps the comparison paired; no sweep axis changes the samples, so the
-    # stack and its row plan serve every value
+    # stack serves every value
     tx = [transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes]
-    plan = plan_rows(
-        Waveform(np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len)
-    )
+    stack = np.stack([w.samples for w in tx])
     setups = []
     for swept in cfgs:
         spec = swept.scenario.trajectory
@@ -114,7 +113,7 @@ def _run_grid(
                 _resolve_tilt(swept),
                 build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps),
                 {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
-                Waveform(plan.samples, swept.waveform.sample_rate, tx[0].n_dft, tx[0].cp_len),
+                Waveform(stack, swept.waveform.sample_rate, tx[0].n_dft, tx[0].cp_len),
             )
         )
     file_taps = None
@@ -132,14 +131,15 @@ def _run_grid(
                         f"the frame duration {duration} s"
                     )
     noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
-    # each worker thread reuses one set of row buffers for all its items
+    # each worker thread reuses one set of buffers, and the one row plan
+    # they make, for all its items
     local = threading.local()
 
     def run_item(item):
         point_idx, trial = item
         buffers = getattr(local, "buffers", None)
         if buffers is None:
-            buffers = local.buffers = FrameBuffers(plan.samples.shape)
+            buffers = local.buffers = FrameBuffers(setups[0].stacked)
         # buffers.unit holds this row until the item's last value has used it
         noise = None
         if noisy:
@@ -147,7 +147,7 @@ def _run_grid(
             noise = draw_unit_noise(seed, buffers)
         realization = None if file_taps is None else file_taps[point_idx]
         return [
-            _run_config(setup, plan, realization, point_idx, trial, noise, buffers)
+            _run_config(setup, realization, point_idx, trial, noise, buffers)
             for setup in setups
         ]
 
@@ -168,14 +168,13 @@ def _run_grid(
 
 
 def _run_config(
-    setup: _Setup, plan, realization, point_idx: int, trial: int, noise, buffers
+    setup: _Setup, realization, point_idx: int, trial: int, noise, buffers
 ) -> list[ResultRecord]:
     """The records of one work item under one swept config, one per scheme.
 
-    ``plan`` is the run's row plan, ``realization`` the item's channel from
-    the taps file (``None``: synthesize it), ``noise`` the item's unit noise
-    row (``None`` for a noiseless run) and ``buffers`` its worker's
-    :class:`FrameBuffers`.
+    ``realization`` is the item's channel from the taps file (``None``:
+    synthesize it), ``noise`` the item's unit noise row (``None`` for a
+    noiseless run) and ``buffers`` its worker's :class:`FrameBuffers`.
     """
     cfg = setup.cfg
     if realization is None:
@@ -189,7 +188,7 @@ def _run_config(
             g_t_db=cfg.channel.g_t_db,
             doppler_scale=cfg.channel.doppler_scale,
         )
-    rx = apply_channel(setup.stacked, realization, buffers=buffers, plan=plan)
+    rx = apply_channel(setup.stacked, realization, buffers=buffers)
     if cfg.noise.noise_power_watts is not None:
         rx = add_noise_power(rx, cfg.noise.noise_power_watts, buffers=buffers, noise=noise)
     else:

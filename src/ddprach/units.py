@@ -1,18 +1,6 @@
 """Physical constants and unit conversion helpers."""
 
-import numpy as np
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-def db_to_linear(value_db):
-    """Convert a dB power ratio to linear scale."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(value):
-    """Convert a linear power ratio to dB."""
-    return 10.0 * np.log10(np.asarray(value, dtype=float))
 
 
 def dbm_to_watts(value_dbm: float) -> float:

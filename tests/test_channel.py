@@ -16,7 +16,6 @@ from ddprach import (
     apply_channel,
     draw_unit_noise,
     load_taps,
-    plan_rows,
     received_power,
     save_taps,
     synthesize_scenario_channel,
@@ -371,11 +370,13 @@ def test_repeat_detection_compares_bits():
     assert not channel._repeats(ROW[: period + channel._REACH], period)
 
 
-def dirty_buffers(shape):
-    """Buffers whose every array holds NaN, so stale contents would show."""
-    buffers = channel.FrameBuffers(shape)
-    for array in vars(buffers).values():
-        array.fill(np.nan)
+def dirty_buffers(waveform):
+    """Buffers for ``waveform`` whose every own array holds NaN, so stale
+    contents would show."""
+    buffers = channel.FrameBuffers(waveform)
+    for name, value in vars(buffers).items():
+        if isinstance(value, np.ndarray) and name != "samples":
+            value.fill(np.nan)
     return buffers
 
 
@@ -400,7 +401,7 @@ BUFFER_CASES = {
 def test_buffered_channel_matches_fresh_call(case):
     wf, taps = BUFFER_CASES[case]
     ch = ChannelRealization(0, 1.0, taps)
-    buffers = dirty_buffers(wf.samples.shape)
+    buffers = dirty_buffers(wf)
     got = apply_channel(wf, ch, buffers=buffers)
     assert got.samples is buffers.frames
     assert same_bits(got.samples, apply_channel(wf, ch).samples)
@@ -412,21 +413,10 @@ def test_buffered_channel_calls_do_not_leak_state():
     # of the first output would show
     first = ChannelRealization(0, 1.0, DEFAULT_TAPS)
     second = ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 7.25 / wf.sample_rate, 640.0)])
-    buffers = dirty_buffers(wf.samples.shape)
+    buffers = dirty_buffers(wf)
     for ch in (first, second, first):
         got = apply_channel(wf, ch, buffers=buffers)
         assert same_bits(got.samples, apply_channel(wf, ch).samples)
-
-
-def test_buffered_channel_checks_shape_and_aliasing():
-    wf = make_waveform(STACK_ROWS)
-    ch = ChannelRealization(0, 1.0, STACK_TAPS["doppler"])
-    with pytest.raises(ValueError, match="shape"):
-        apply_channel(wf, ch, buffers=channel.FrameBuffers((2, 256)))
-    buffers = channel.FrameBuffers(STACK_ROWS.shape)
-    buffers.frames[...] = STACK_ROWS
-    with pytest.raises(ValueError, match="over its input"):
-        apply_channel(make_waveform(buffers.frames), ch, buffers=buffers)
 
 
 PLAN_CASES = sorted(c for c in BUFFER_CASES if c.startswith(("trim_", "periodic_")))
@@ -435,37 +425,46 @@ PLAN_CASES = sorted(c for c in BUFFER_CASES if c.startswith(("trim_", "periodic_
 @pytest.mark.parametrize("case", PLAN_CASES)
 def test_planned_channel_matches_unplanned_call(case):
     wf, taps = BUFFER_CASES[case]
-    plan = plan_rows(wf)
-    assert plan.samples is wf.samples
-    # one plan serves many passes: other taps, and another sample rate over
-    # the same array
+    buffers = dirty_buffers(wf)
+    assert buffers.samples is wf.samples and buffers.rows is None
+    # the row plan the first call makes on the buffers serves the later
+    # passes: other taps, and another sample rate over the same array
     other_rate = Waveform(wf.samples, 0.5 * wf.sample_rate, wf.n_dft, wf.cp_len)
+    plans = []
     for ch, w in [
         (ChannelRealization(0, 1.0, taps), wf),
         (ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 2.25 / wf.sample_rate, 640.0)]), wf),
         (ChannelRealization(0, 1.0, taps), other_rate),
     ]:
         expected = apply_channel(w, ch).samples
-        assert same_bits(apply_channel(w, ch, plan=plan).samples, expected)
-        got = apply_channel(w, ch, buffers=dirty_buffers(w.samples.shape), plan=plan)
-        assert same_bits(got.samples, expected)
+        assert same_bits(apply_channel(w, ch, buffers=buffers).samples, expected)
+        plans.append(buffers.rows)
+    assert all(plan is plans[0] for plan in plans)
 
 
-def test_plan_from_another_array_or_framing_raises():
+def test_buffers_from_another_array_or_framing_raise():
     wf = BUFFER_CASES["periodic_toy_preambles_n4"][0]
     ch = ChannelRealization(0, 1.0, TOY_TAPS)
-    plan = plan_rows(wf)
+    buffers = channel.FrameBuffers(wf)
     copy = Waveform(wf.samples.copy(), wf.sample_rate, wf.n_dft, wf.cp_len)
     reframed = Waveform(wf.samples, wf.sample_rate, wf.n_dft, wf.cp_len + 1)
-    for other in (copy, reframed):
+    # the buffers' own output stack as the input: it can never be overwritten
+    # while it is read
+    buffers.frames[...] = wf.samples
+    own_output = Waveform(buffers.frames, wf.sample_rate, wf.n_dft, wf.cp_len)
+    first_row = Waveform(wf.samples[:1], wf.sample_rate, wf.n_dft, wf.cp_len)
+    other_shape = channel.FrameBuffers(first_row)
+    for other, other_buffers in [
+        (copy, buffers), (reframed, buffers), (own_output, buffers), (wf, other_shape),
+    ]:
         with pytest.raises(ValueError, match="another array or framing"):
-            apply_channel(other, ch, plan=plan)
+            apply_channel(other, ch, buffers=other_buffers)
 
 
 def test_plan_skips_all_zero_rows():
     rows, _ = TRIM_CASES["all_zero_row_beside_nonzero"]
-    plan = plan_rows(make_waveform(np.stack(rows)))
-    assert [(row, first, stop) for row, first, stop, _ in plan.rows] == [(1, 0, 400)]
+    plan = channel._row_plan(np.stack(rows), 0)
+    assert [(row, first, stop) for row, first, stop, _ in plan] == [(1, 0, 400)]
 
 
 NOISE_CALLS = {
@@ -482,7 +481,7 @@ NOISE_ROWS = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(
 def test_buffered_noise_matches_fresh_call(call, rows, in_place):
     add = NOISE_CALLS[call]
     expected = add(make_waveform(rows)).samples
-    buffers = dirty_buffers(rows.shape)
+    buffers = dirty_buffers(make_waveform(rows))
     if in_place:
         # the input is the buffers' own frame stack, as after apply_channel
         buffers.frames[...] = rows
@@ -510,7 +509,7 @@ def test_drawn_noise_row_matches_seeded_call(rows):
     def seed():
         return np.random.SeedSequence([5, 2, 1, 0])
 
-    buffers = dirty_buffers(rows.shape)
+    buffers = dirty_buffers(make_waveform(rows))
     unit = draw_unit_noise(seed(), buffers)
     assert unit is buffers.unit
     expected = add_noise_power(make_waveform(np.zeros(rows.shape[-1])), 2.0, seed=seed())
@@ -528,11 +527,13 @@ def test_drawn_noise_row_matches_seeded_call(rows):
 
 def test_noise_row_checked():
     wf = make_waveform(NOISE_ROWS)
-    unit = draw_unit_noise(1, channel.FrameBuffers(NOISE_ROWS.shape))
+    unit = draw_unit_noise(1, channel.FrameBuffers(wf))
     with pytest.raises(ValueError, match="not both"):
         add_awgn(wf, 5.0, seed=1, noise=unit)
     with pytest.raises(ValueError, match="shape"):
         add_noise_power(wf, 0.3, noise=unit[:-1])
+    with pytest.raises(ValueError, match="shape"):
+        add_awgn(wf, 5.0, seed=1, buffers=channel.FrameBuffers(make_waveform(NOISE_ROWS[0])))
 
 
 def test_taps_sorted_by_delay():
@@ -578,6 +579,14 @@ def test_awgn_rejects_nan_and_minus_infinity(snr_db):
     wf = make_waveform(bandlimited_noise(128, seed=8))
     with pytest.raises(ValueError, match="snr_db"):
         add_awgn(wf, snr_db, seed=1)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, -0.1, [0.3, math.nan]])
+def test_noise_power_rejects_non_finite_and_negative(power):
+    # a scalar or per-row power, bad in any row, never yields non-finite frames
+    wf = make_waveform(NOISE_ROWS)
+    with pytest.raises(ValueError, match="noise power"):
+        add_noise_power(wf, power, seed=1)
 
 
 def test_awgn_empirical_snr():

@@ -452,6 +452,18 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_cli_threads_above_64_exit_2(tmp_path, capsys):
+    # each worker thread allocates its own buffers; the parser stops a huge
+    # count before any thread starts
+    cfg_path = write_toy_config(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg_path, "--out", str(out), "--threads", "65"])
+    assert exc.value.code == 2
+    assert "in [1, 64]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_negative_seed_exit_2(tmp_path, capsys):
     # the config's ``seed: must be >= 0`` rule, for the override too
     cfg_path = write_toy_config(tmp_path)

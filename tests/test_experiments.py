@@ -22,7 +22,7 @@ from ddprach import (
     transmit,
     write_results_csv,
 )
-from ddprach import cli, experiments
+from ddprach import channel, cli, experiments
 from ddprach.config import SWEEP_AXES
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
@@ -240,7 +240,7 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
 def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     calls = {"draw": [], "apply": [], "plan": 0, "transmit": []}
     real_draw, real_apply, real_plan, real_transmit = (
-        experiments.draw_unit_noise, experiments.apply_channel, experiments.plan_rows,
+        experiments.draw_unit_noise, experiments.apply_channel, channel._row_plan,
         experiments.transmit,
     )
 
@@ -252,9 +252,9 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
         calls["apply"].append((waveform.sample_rate, id(waveform.samples)))
         return real_apply(waveform, realization, **kwargs)
 
-    def plan(waveform):
+    def plan(samples, period):
         calls["plan"] += 1
-        return real_plan(waveform)
+        return real_plan(samples, period)
 
     def transmit(params):
         calls["transmit"].append(params.modulation)
@@ -262,7 +262,8 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "draw_unit_noise", draw)
     monkeypatch.setattr(experiments, "apply_channel", apply)
-    monkeypatch.setattr(experiments, "plan_rows", plan)
+    # apply_channel plans the rows of its buffers' array on first use
+    monkeypatch.setattr(channel, "_row_plan", plan)
     monkeypatch.setattr(experiments, "transmit", transmit)
     values = [15e3, 30e3, 60e3]
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
@@ -274,12 +275,12 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     rates = [value * cfg.waveform.n_dft for value in values]
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)
     assert len({stack for _, stack in calls["apply"]}) == 1
-    assert calls["plan"] == 1
+    assert calls["plan"] == 1  # one worker thread, one set of buffers
     assert calls["transmit"] == cfg.schemes
 
 
 def test_sweep_axes_leave_the_preamble_samples_alone():
-    # what lets one transmitted stack and one row plan serve a whole run
+    # what lets one transmitted stack and its row plan serve a whole run
     assert [path for path in SWEEP_AXES.values() if path.startswith("waveform.")] == [
         "waveform.delta_f_hz"
     ]
