@@ -121,8 +121,11 @@ class FrameBuffers:
     The buffers keep the sample array and framing of ``waveform``: the first
     ``apply_channel`` on them plans that array's rows, later ones reuse the
     plan, and ``apply_channel`` on another array or framing raises
-    ``ValueError``.  The array must not change while the buffers serve it.
-    One object serves one thread at a time.
+    ``ValueError``.  They also keep, per tap position, the filtered row spans
+    last made there and the delay in samples they were made for; a later
+    pass whose tap at that position has the same delay in samples reuses
+    them.  The array must not change while the buffers serve it.  One object
+    serves one thread at a time.
     """
 
     def __init__(self, waveform: Waveform):
@@ -131,14 +134,41 @@ class FrameBuffers:
         self.samples = waveform.samples                # the array they serve
         self.period = waveform.n_dft + waveform.cp_len
         self.rows = None                               # its row plan, once made
+        self.taps = []                                 # _FilteredTap per tap position
         self.frames = np.empty(shape, dtype=complex)  # the output stack
-        self.delayed = np.empty(n, dtype=complex)      # one filtered tap copy
+        # one tap's copy of a span in a channel pass, a row's scaled noise in
+        # a noise pass
+        self.delayed = np.empty(n, dtype=complex)
         # a Doppler phasor over any span of an n-sample frame
         self.phasors = np.empty((-(-n // _PHASOR_BLOCK), _PHASOR_BLOCK), dtype=complex)
         self.draws = np.empty(2 * n)                   # real draws, then imaginary
         self.unit = np.empty(n, dtype=complex)         # the unit noise row
-        self.scaled = np.empty(n, dtype=complex)       # a row's scaled noise
         self.power = np.empty(shape)                   # |x|^2 of the stack
+
+
+class _FilteredTap:
+    """One tap's filtered, delayed and frame-cut copy of each span of a row
+    plan, before its gain and Doppler phasor.
+
+    These depend on the tap's delay in samples alone, which ``delay`` holds
+    (``None`` until :func:`_filter_tap` fills them).  ``spans`` holds
+    ``(row, start, end, head, copy_from, tail, period)`` per span that
+    reaches the frame: its output extent ``start .. end - 1`` before the
+    integer delay ``n0``, and its outputs as views of ``storage``.  ``head``
+    is the whole extent unless the span is periodic (``tail`` is not
+    ``None``); then the outputs from ``copy_from`` up to ``tail`` repeat
+    every ``period`` samples, and :func:`_add_tap` re-expands them.
+    ``lo .. hi - 1`` is the union of the delayed extents.
+    """
+
+    def __init__(self, rows: list):
+        # per span, no more outputs than its head_end, plus _REACH for the
+        # tail of a periodic span
+        size = sum(head_end + _REACH * (tail is not None) for *_, (_, head_end, tail, _) in rows)
+        self.storage = np.empty(size, dtype=complex)
+        self.delay = None
+        self.n0 = self.lo = self.hi = 0
+        self.spans = []
 
 
 def _row_plan(x: np.ndarray, period: int) -> list:
@@ -174,12 +204,14 @@ def apply_channel(
     every ``n_dft + cp_len`` samples is filtered over one period and its
     edges only, with the same output.  With ``buffers``, made from this
     waveform's array and framing, the result is written into
-    ``buffers.frames`` (see :class:`FrameBuffers`).
+    ``buffers.frames``, and a tap whose delay in samples equals the one the
+    buffers last filtered at its position reuses those filtered spans (see
+    :class:`FrameBuffers`).
     """
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
-    delays = [_tap_delay(tap, fs, n) for tap in realization.taps]
+    delays = [_delay_samples(tap, fs, n) for tap in realization.taps]
     if buffers is None:
         buffers = FrameBuffers(waveform)
     elif buffers.samples is not x or buffers.period != waveform.n_dft + waveform.cp_len:
@@ -188,14 +220,18 @@ def apply_channel(
         buffers.rows = _row_plan(x, buffers.period)
     buffers.frames.fill(0)
     out = buffers.frames.reshape(-1, n)
-    spans = [(out[row], first, stop, pieces) for row, first, stop, pieces in buffers.rows]
-    for tap, n0, kernel in delays:
-        _add_tap(spans, tap, n0, kernel, fs, buffers)
+    for index, (tap, delay) in enumerate(zip(realization.taps, delays)):
+        if index == len(buffers.taps):
+            buffers.taps.append(_FilteredTap(buffers.rows))
+        filtered = buffers.taps[index]
+        if filtered.delay != delay:
+            _filter_tap(filtered, delay, buffers.rows, n)
+        _add_tap(out, filtered, tap, fs, buffers)
     return _wrap(buffers.frames, waveform)
 
 
 def _span_pieces(span: np.ndarray, period: int):
-    """Split a row span into the pieces that :func:`_add_tap` filters.
+    """Split a row span into the pieces that :func:`_filter_tap` filters.
 
     ``np.convolve`` computes filtered span sample ``j`` as one dot product
     of the kernel with span samples ``j - K + 1 .. j`` (``K <= _INTERP_TAPS``
@@ -235,67 +271,97 @@ def _parts(piece: np.ndarray) -> np.ndarray:
     return np.concatenate((piece.real, _INTERP_GAP, piece.imag))
 
 
-def _tap_delay(tap: ChannelTap, fs: float, n: int):
-    """Check a tap's delay against an ``n``-sample frame and split it.
-
-    Returns ``(tap, n0, kernel)``: the integer delay ``n0`` and the sinc
-    kernel for the fractional part; an on-grid delay gets the unit kernel.
-    """
+def _delay_samples(tap: ChannelTap, fs: float, n: int) -> float:
+    """Check a tap's delay against an ``n``-sample frame; return it in samples."""
     duration = n / fs
-    if tap.delay_s < 0:
+    if not tap.delay_s >= 0:
         raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")
     if tap.delay_s >= duration:
         raise ValueError(
             f"tap delay {tap.delay_s} s exceeds the frame duration {duration} s"
         )
-    delay_samples = tap.delay_s * fs
+    return tap.delay_s * fs
+
+
+def _tap_delay(delay_samples: float):
+    """Split a delay in samples into ``(n0, kernel)``: the integer delay
+    ``n0`` and the sinc kernel for the fractional part; an on-grid delay gets
+    the unit kernel."""
     n0 = int(math.floor(delay_samples))
     mu = delay_samples - n0
     if mu < 1e-12 or mu > 1.0 - 1e-12:
-        return tap, int(round(delay_samples)), _UNIT_KERNEL
-    return tap, n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
+        return int(round(delay_samples)), _UNIT_KERNEL
+    return n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
 
 
-def _add_tap(spans, tap, n0, kernel, fs, buffers) -> None:
-    """Add one tap's copy of each row span to its output row.
+def _filter_tap(filtered: _FilteredTap, delay: float, rows: list, n: int) -> None:
+    """Fill ``filtered`` with the spans of a tap ``delay`` samples late.
 
-    ``spans`` holds ``(acc, first, stop, pieces)`` per nonzero row, with
-    ``pieces`` from :func:`_span_pieces`.  Each span ``first .. stop - 1`` is
-    filtered by ``kernel``, delayed by ``n0`` samples, cut at the frame end
-    and rotated by the tap's gain and Doppler phasor.  The phasor is built
-    once, over the union of the rows' output extents.
+    ``rows`` is the row plan of an ``n``-sample frame, with ``pieces`` from
+    :func:`_span_pieces`.  Each span ``first .. stop - 1`` is filtered by the
+    tap's kernel, delayed by ``n0`` samples and cut at the frame end, straight
+    into ``filtered.storage``.
     """
+    filtered.delay = None  # a fill cut short by an error must never match
+    n0, kernel = _tap_delay(delay)
     # filtered sample k reads span samples k - (K - 1 - lead) .. k + lead
     lead = (kernel.size - 1) // 2
-    # each span's output extent start .. end - 1, where it reaches the frame
-    extents = []
-    for acc, first, stop, pieces in spans:
+    spans = []
+    used = 0
+    for row, first, stop, (head, head_end, tail, period) in rows:
+        # the span's output extent start .. end - 1, where it reaches the frame
         start = max(first - lead, 0)
-        end = min(stop + kernel.size - 1 - lead, acc.size - n0)
-        if end > start:
-            extents.append((acc, first, stop, pieces, start, end))
-    if not extents:
-        return
-    lo = n0 + min(extent[4] for extent in extents)
-    hi = n0 + max(extent[5] for extent in extents)
-    phasor = _doppler_phasor(tap, fs, lo, hi, buffers.phasors)
-    for acc, first, stop, (head, head_end, tail, period), start, end in extents:
-        # filtered span sample j lands in delayed[j - skip]
+        end = min(stop + kernel.size - 1 - lead, n - n0)
+        if end <= start:
+            continue
+        # filtered span sample j is output sample j - skip of the extent
         skip = start + lead - first
-        delayed = buffers.delayed[: end - start]
-        j_stop = skip + delayed.size
-        _filter_into(delayed[: min(j_stop, head_end) - skip], head, skip, kernel)
+        j_stop = skip + end - start
+        head_out = filtered.storage[used : used + min(j_stop, head_end) - skip]
+        _filter_into(head_out, head, skip, kernel)
+        used += head_out.size
+        tail_out = None
         if tail is not None:
-            size = stop - first
-            copy_end = min(j_stop, size)
-            for j in range(head_end, copy_end, period):
-                k = min(j + period, copy_end)
-                delayed[j - skip : k - skip] = delayed[j - skip - period : k - skip - period]
-            _filter_into(delayed[size - skip :], tail, _REACH, kernel)
-        # keep the operand order phasor * delayed: a complex product can
+            tail_out = filtered.storage[used : used + max(j_stop - (stop - first), 0)]
+            _filter_into(tail_out, tail, _REACH, kernel)
+            used += tail_out.size
+        spans.append((row, start, end, head_out, head_end - skip, tail_out, period))
+    filtered.spans = spans
+    if spans:
+        filtered.n0 = n0
+        filtered.lo = n0 + min(span[1] for span in spans)
+        filtered.hi = n0 + max(span[2] for span in spans)
+    filtered.delay = delay
+
+
+def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float, buffers):
+    """Add one tap's copy of each row span to its row of ``out``.
+
+    The spans ``filtered`` for the tap's delay are rotated by the tap's
+    gain and Doppler phasor, built once over the union of their extents.  A
+    periodic span is re-expanded in ``buffers.delayed`` first: every output
+    between its head and tail is a copy of the one a period earlier.
+    """
+    if not filtered.spans:
+        return
+    phasor = _doppler_phasor(tap, fs, filtered.lo, filtered.hi, buffers.phasors)
+    for row, start, end, head, copy_from, tail, period in filtered.spans:
+        delayed = buffers.delayed[: end - start]
+        source = head
+        if tail is not None:
+            copy_end = delayed.size - tail.size
+            delayed[: head.size] = head
+            for i in range(copy_from, copy_end, period):
+                k = min(i + period, copy_end)
+                delayed[i:k] = delayed[i - period : k - period]
+            delayed[copy_end:] = tail
+            source = delayed
+        at = filtered.n0 + start
+        # keep the operand order phasor * source: a complex product can
         # differ in the last bit when its operands are swapped
-        np.multiply(phasor[n0 + start - lo : n0 + end - lo], delayed, out=delayed)
-        acc[n0 + start : n0 + end] += delayed
+        lag = at - filtered.lo
+        np.multiply(phasor[lag : lag + delayed.size], source, out=delayed)
+        out[row, at : at + delayed.size] += delayed
 
 
 def _filter_into(out, parts, j, kernel) -> None:
@@ -393,7 +459,7 @@ def add_noise_power(
     rows = buffers.frames.reshape(-1, n)
     for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
         # keep the operand order row_scale * noise, as for the phasor above
-        row += np.multiply(row_scale, noise, out=buffers.scaled)
+        row += np.multiply(row_scale, noise, out=buffers.delayed)
     return _wrap(buffers.frames, waveform)
 
 

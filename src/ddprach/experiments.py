@@ -5,7 +5,9 @@ changes the preamble samples or the framing, so a run transmits each scheme
 once into one preamble stack and reads a taps file once, before any work
 item runs.  Every run fans out over (trajectory point, trial) work items;
 each item runs every sweep value and every scheme.  Each worker thread keeps
-one set of ``FrameBuffers`` made from that stack, which plans its rows once.
+one set of ``FrameBuffers`` made from that stack, which plans its rows once
+and keeps each tap's filtered spans: the values of a ``speed_mps`` or
+``tilt_deg`` sweep share an item's tap delays, so they filter each tap once.
 Seeds for the channel draw and the noise draw are derived by hashing the
 master seed together with the item indices, so results are independent of
 the execution order and of the worker-thread count; all schemes and sweep
@@ -145,9 +147,15 @@ def _run_grid(
         if noisy:
             seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
             noise = draw_unit_noise(seed, buffers)
-        realization = None if file_taps is None else file_taps[point_idx]
+        # default_rng leaves a SeedSequence as it was, so every value draws
+        # the same taps from this one
+        realization = channel_seed = None
+        if file_taps is None:
+            channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
+        else:
+            realization = file_taps[point_idx]
         return [
-            _run_config(setup, realization, point_idx, trial, noise, buffers)
+            _run_config(setup, point_idx, realization, channel_seed, noise, buffers)
             for setup in setups
         ]
 
@@ -168,13 +176,14 @@ def _run_grid(
 
 
 def _run_config(
-    setup: _Setup, realization, point_idx: int, trial: int, noise, buffers
+    setup: _Setup, point_idx: int, realization, channel_seed, noise, buffers
 ) -> list[ResultRecord]:
     """The records of one work item under one swept config, one per scheme.
 
     ``realization`` is the item's channel from the taps file (``None``:
-    synthesize it), ``noise`` the item's unit noise row (``None`` for a
-    noiseless run) and ``buffers`` its worker's :class:`FrameBuffers`.
+    synthesize it from ``channel_seed``), ``noise`` the item's unit noise row
+    (``None`` for a noiseless run) and ``buffers`` its worker's
+    :class:`FrameBuffers`.
     """
     cfg = setup.cfg
     if realization is None:
@@ -184,7 +193,7 @@ def _run_config(
             cfg.scenario.antenna,
             setup.tilt,
             cfg.channel.nlos,
-            seed=_stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial),
+            seed=channel_seed,
             g_t_db=cfg.channel.g_t_db,
             doppler_scale=cfg.channel.doppler_scale,
         )

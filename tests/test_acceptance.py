@@ -17,6 +17,7 @@ from ddprach import (
     ChannelRealization,
     ChannelTap,
     DelayDopplerGrid,
+    FrameBuffers,
     Waveform,
     WaveformParams,
     add_awgn,
@@ -192,6 +193,8 @@ def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
     stacked = Waveform(
         np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len
     )
+    # one set of buffers plans the stacked rows once for all trials
+    buffers = FrameBuffers(stacked)
     fs = params["otfs"].sample_rate
     doppler = eps * params["otfs"].delta_f_hz
     errors = {s: [] for s in params}
@@ -209,7 +212,8 @@ def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
         true_d = range_from_toa(d0, 15e3, 2048)
         realization = ChannelRealization(0, true_d, taps, True)
         noise_seed = np.random.SeedSequence([master_seed, 2, trial])
-        rx = add_awgn(apply_channel(stacked, realization), 5.0, noise_seed)
+        rx = apply_channel(stacked, realization, buffers=buffers)
+        rx = add_awgn(rx, 5.0, noise_seed, buffers=buffers)
         for scheme, samples in zip(params, rx.samples):
             est = receive_and_estimate_toa(
                 Waveform(samples, rx.sample_rate, rx.n_dft, rx.cp_len),

@@ -259,7 +259,9 @@ def _reference_apply(waveform, realization):
     x = waveform.samples
     fs = waveform.sample_rate
     n = x.shape[-1]
-    delays = [channel._tap_delay(tap, fs, n) for tap in realization.taps]
+    delays = [
+        (tap, *channel._tap_delay(channel._delay_samples(tap, fs, n))) for tap in realization.taps
+    ]
     rows = x.reshape(-1, n)
     out = np.zeros_like(rows)
     for row, acc in zip(rows, out):
@@ -419,27 +421,57 @@ def test_buffered_channel_calls_do_not_leak_state():
         assert same_bits(got.samples, apply_channel(wf, ch).samples)
 
 
-PLAN_CASES = sorted(c for c in BUFFER_CASES if c.startswith(("trim_", "periodic_")))
+def count_filters(monkeypatch):
+    """A list that grows by one per ``channel._filter_into`` call."""
+    calls = []
+    real_filter = channel._filter_into
+
+    def filter_into(*args):
+        calls.append(1)
+        return real_filter(*args)
+
+    monkeypatch.setattr(channel, "_filter_into", filter_into)
+    return calls
 
 
-@pytest.mark.parametrize("case", PLAN_CASES)
-def test_planned_channel_matches_unplanned_call(case):
+@pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+def test_planned_channel_matches_unplanned_call(case, monkeypatch):
     wf, taps = BUFFER_CASES[case]
+    fs = wf.sample_rate
     buffers = dirty_buffers(wf)
     assert buffers.samples is wf.samples and buffers.rows is None
-    # the row plan the first call makes on the buffers serves the later
-    # passes: other taps, and another sample rate over the same array
-    other_rate = Waveform(wf.samples, 0.5 * wf.sample_rate, wf.n_dft, wf.cp_len)
+    # one set of buffers serves passes that reuse the row plan of the first
+    # and, where a tap's delay in samples is unchanged, its filtered spans
+    a = ChannelRealization(0, 1.0, taps)
+    # a's delays with other gains and Dopplers
+    b = ChannelRealization(
+        1, 1.0, [ChannelTap(0.6j * t.gain, t.delay_s, 0.5 * t.doppler_hz - 300.0) for t in taps]
+    )
+    # other delays, one of them on the sample grid, and one tap more
+    c = ChannelRealization(
+        2,
+        1.0,
+        [ChannelTap(0.4 - 0.2j, 3.0 / fs, 640.0)]
+        + [ChannelTap(t.gain, t.delay_s + 0.5 / fs, t.doppler_hz) for t in taps],
+    )
+    other_rate = Waveform(wf.samples, 0.5 * fs, wf.n_dft, wf.cp_len)
+    filters = count_filters(monkeypatch)
     plans = []
-    for ch, w in [
-        (ChannelRealization(0, 1.0, taps), wf),
-        (ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 2.25 / wf.sample_rate, 640.0)]), wf),
-        (ChannelRealization(0, 1.0, taps), other_rate),
+    # pass -> (channel, waveform, filters as much as a fresh call (True), not
+    # at all (False) or not counted (None))
+    for ch, w, filters_all in [
+        (a, wf, True), (b, wf, False), (c, wf, True), (a, wf, True), (a, other_rate, None),
     ]:
         expected = apply_channel(w, ch).samples
+        fresh = len(filters)
+        filters.clear()
         assert same_bits(apply_channel(w, ch, buffers=buffers).samples, expected)
+        if filters_all is not None:
+            assert len(filters) == (fresh if filters_all else 0)
+        filters.clear()
         plans.append(buffers.rows)
     assert all(plan is plans[0] for plan in plans)
+    assert len(buffers.taps) == len(c.taps)
 
 
 def test_buffers_from_another_array_or_framing_raise():

@@ -279,6 +279,84 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     assert calls["transmit"] == cfg.schemes
 
 
+def count_filtering(monkeypatch):
+    """``(filter calls made, filter calls a fresh call makes)`` per channel
+    pass of the runners, counted through ``channel._filter_into``."""
+    filters, passes = [], []
+    real_filter, real_apply = channel._filter_into, experiments.apply_channel
+
+    def filter_into(*args):
+        filters.append(1)
+        return real_filter(*args)
+
+    def apply(waveform, realization, **kwargs):
+        filters.clear()
+        real_apply(waveform, realization)  # fresh buffers filter every span
+        fresh = len(filters)
+        filters.clear()
+        result = real_apply(waveform, realization, **kwargs)
+        passes.append((len(filters), fresh, realization))
+        return result
+
+    monkeypatch.setattr(channel, "_filter_into", filter_into)
+    monkeypatch.setattr(experiments, "apply_channel", apply)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "axis, values, refilters",
+    [
+        # no swept speed or tilt moves a tap: the first value filters, the
+        # others reuse its spans
+        ("speed_mps", [0.0, 5.0, 20.0], False),
+        ("tilt_deg", [0.0, 10.0, 20.0], False),
+        # another spacing is another sample rate, so other delays in samples
+        ("delta_f_hz", [15e3, 30e3, 60e3], True),
+    ],
+)
+def test_sweep_filters_each_tap_once_per_item_at_one_sample_rate(
+    monkeypatch, axis, values, refilters
+):
+    passes = count_filtering(monkeypatch)
+    # one trial per point: consecutive items share no tap delay
+    cfg = parse_config(toy_tree(trials=1, sweep={"axis": axis, "values": values}))
+    experiments._run_grid(cfg, axis)
+    assert len(passes) == 3 * len(values)
+    for k, (made, fresh, _) in enumerate(passes):
+        assert fresh > 0
+        assert made == (fresh if refilters or k % len(values) == 0 else 0)
+
+
+def test_simulate_reuses_the_los_tap_between_trials_of_a_point(monkeypatch):
+    passes = count_filtering(monkeypatch)
+    cfg = parse_config(toy_tree(trials=2))
+    run_simulate(cfg)
+    assert len(passes) == 3 * 2
+    for k, (made, fresh, realization) in enumerate(passes):
+        if k % 2 == 0:
+            assert made == fresh
+            los_delay = realization.taps[0].delay_s
+        else:
+            # trial 1 of a point: the LoS tap, first by delay, is trial 0's
+            assert realization.taps[0].delay_s == los_delay
+            assert 0 < made < fresh
+
+
+@pytest.mark.parametrize(
+    "axis, values", [("speed_mps", [0.0, 5.0, 20.0]), ("tilt_deg", [0.0, 10.0, 20.0])]
+)
+def test_sweep_records_equal_runs_of_each_value_alone(axis, values):
+    # every value after an item's first reuses the filtered spans of the first
+    tree = toy_tree(detection={"interpolate_peak": True}, sweep={"axis": axis, "values": values})
+    cfg = parse_config(tree)
+    assert cfg.channel.nlos is not None
+    for swept, records in experiments._run_grid(cfg, axis):
+        alone = run_simulate(swept)
+        assert len(records) == len(alone) == 3 * 2 * 2
+        for record, expected in zip(records, alone):
+            assert vars(record) == vars(expected)
+
+
 def test_sweep_axes_leave_the_preamble_samples_alone():
     # what lets one transmitted stack and its row plan serve a whole run
     assert [path for path in SWEEP_AXES.values() if path.startswith("waveform.")] == [
