@@ -125,7 +125,8 @@ class FrameBuffers:
     last made there and the delay in samples they were made for; a later
     pass whose tap at that position has the same delay in samples reuses
     them.  The array must not change while the buffers serve it.  One object
-    serves one thread at a time.
+    serves one thread at a time; the experiment runners make one per run and
+    run every work item on the calling thread.
     """
 
     def __init__(self, waveform: Waveform):
@@ -533,9 +534,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     Columns: ``point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz``.
     Rows are grouped by ``point_index``; taps are sorted by delay and the
     LoS tag is derived from the tap powers.  Malformed rows, including
-    non-finite numbers and gains that are zero in linear terms (which
-    :func:`save_taps` cannot store either), raise :class:`TapFileError` with
-    the offending line number.
+    non-finite numbers, gains that are zero in linear terms (which
+    :func:`save_taps` cannot store either) and a ``true_distance_m`` other
+    than the one on the point's earlier rows, raise :class:`TapFileError`
+    with the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
@@ -574,8 +576,12 @@ def load_taps(path) -> dict[int, ChannelRealization]:
                 raise TapFileError(
                     f"{path}: line {line_no}: gain {gain_db} dB is zero as a linear amplitude"
                 )
+            if distances.setdefault(point, distance) != distance:
+                raise TapFileError(
+                    f"{path}: line {line_no}: point {point}: true_distance_m {distance} "
+                    f"differs from {distances[point]} on its earlier rows"
+                )
             groups.setdefault(point, []).append(ChannelTap(gain, delay, doppler))
-            distances[point] = distance
     return {
         point: ChannelRealization(point, distances[point], taps)
         for point, taps in sorted(groups.items())

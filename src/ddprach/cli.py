@@ -33,7 +33,8 @@ from .metrics import format_cell, write_results_csv
 __all__ = ["main", "build_parser"]
 
 
-# each worker thread allocates its own frame buffers
+# every run is serial, so ``--threads`` reaches no runner; the bound stays so
+# that each command line accepted or refused so far still is
 _MAX_THREADS = 64
 
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=_integer_in(1, _MAX_THREADS),
                 default=1,
-                help=f"worker threads, 1 to {_MAX_THREADS} (default 1)",
+                help=f"no effect, every run is serial; accepts 1 to {_MAX_THREADS} (default 1)",
             )
     return parser
 
@@ -125,22 +126,22 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            records = run_simulate(cfg, threads=args.threads)
+            records = run_simulate(cfg)
             path = out_path("results.csv")
             write_results_csv(path, records)
             _print_summary(summarize(records))
         elif args.command == "cdf-sweep":
-            rows = run_cdf_sweep(cfg, threads=args.threads)
+            rows = run_cdf_sweep(cfg)
             path = out_path("cdf.csv")
             _write_rows(path, ["scheme", "delta_f_hz", "abs_error_m", "cdf"], rows)
         elif args.command == "speed-tradeoff":
-            rows = run_speed_tradeoff(cfg, threads=args.threads)
+            rows = run_speed_tradeoff(cfg)
             header = ["speed_mps", "tilt_deg", "power_w"]
             header += [f"rmse_{s}_m" for s in cfg.schemes]
             path = out_path("speed_tradeoff.csv")
             _write_rows(path, header, rows)
         elif args.command == "tilt-sweep":
-            rows = run_tilt_sweep(cfg, threads=args.threads)
+            rows = run_tilt_sweep(cfg)
             header = [
                 "tilt_deg",
                 "n_los_geometric",

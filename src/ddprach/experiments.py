@@ -3,20 +3,18 @@
 A run is one config, or one config per value of its sweep.  No sweep axis
 changes the preamble samples or the framing, so a run transmits each scheme
 once into one preamble stack and reads a taps file once, before any work
-item runs.  Every run fans out over (trajectory point, trial) work items;
-each item runs every sweep value and every scheme.  Each worker thread keeps
-one set of ``FrameBuffers`` made from that stack, which plans its rows once
-and keeps each tap's filtered spans: the values of a ``speed_mps`` or
-``tilt_deg`` sweep share an item's tap delays, so they filter each tap once.
-Seeds for the channel draw and the noise draw are derived by hashing the
-master seed together with the item indices, so results are independent of
-the execution order and of the worker-thread count; all schemes and sweep
-values of an item share the channel and noise seeds, making comparisons
-paired.
+item runs.  Every run then goes through its (trajectory point, trial) work
+items in canonical order on the calling thread; each item runs every sweep
+value and every scheme.  The run keeps one set of ``FrameBuffers`` made from
+that stack, which plans its rows once and keeps each tap's filtered spans:
+the values of a ``speed_mps`` or ``tilt_deg`` sweep share an item's tap
+delays, so they filter each tap once.  Seeds for the channel draw and the
+noise draw are derived by hashing the master seed together with the item
+indices, so results do not depend on the execution order; all schemes and
+sweep values of an item share the channel and noise seeds, making
+comparisons paired.
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -85,7 +83,7 @@ class _Setup(NamedTuple):
 
 
 def _run_grid(
-    cfg: ExperimentConfig, axis: str | None = None, threads: int = 1
+    cfg: ExperimentConfig, axis: str | None = None
 ) -> list[tuple[ExperimentConfig, list[ResultRecord]]]:
     """``(swept_cfg, records)`` for each value of ``cfg.sweep`` along ``axis``,
     or the one pair ``(cfg, records)`` when ``axis`` is None.
@@ -133,46 +131,28 @@ def _run_grid(
                         f"the frame duration {duration} s"
                     )
     noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
-    # each worker thread reuses one set of buffers, and the one row plan
-    # they make, for all its items
-    local = threading.local()
-
-    def run_item(item):
-        point_idx, trial = item
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = FrameBuffers(setups[0].stacked)
-        # buffers.unit holds this row until the item's last value has used it
-        noise = None
-        if noisy:
-            seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
-            noise = draw_unit_noise(seed, buffers)
-        # default_rng leaves a SeedSequence as it was, so every value draws
-        # the same taps from this one
-        realization = channel_seed = None
-        if file_taps is None:
-            channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
-        else:
-            realization = file_taps[point_idx]
-        return [
-            _run_config(setup, point_idx, realization, channel_seed, noise, buffers)
-            for setup in setups
-        ]
-
-    items = [
-        (point_idx, trial)
-        for point_idx in range(cfg.scenario.trajectory.count)
-        for trial in range(cfg.trials)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(run_item, items))
-    else:
-        batches = [run_item(item) for item in items]
-    return [
-        (setup.cfg, [record for batch in batches for record in batch[k]])
-        for k, setup in enumerate(setups)
-    ]
+    # one set of buffers, and the one row plan they make, serves every item
+    buffers = FrameBuffers(setups[0].stacked)
+    runs = [(setup.cfg, []) for setup in setups]
+    for point_idx in range(cfg.scenario.trajectory.count):
+        for trial in range(cfg.trials):
+            # buffers.unit holds this row until the item's last value has used it
+            noise = None
+            if noisy:
+                seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
+                noise = draw_unit_noise(seed, buffers)
+            # default_rng leaves a SeedSequence as it was, so every value
+            # draws the same taps from this one
+            realization = channel_seed = None
+            if file_taps is None:
+                channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
+            else:
+                realization = file_taps[point_idx]
+            for setup, (_, records) in zip(setups, runs):
+                records += _run_config(
+                    setup, point_idx, realization, channel_seed, noise, buffers
+                )
+    return runs
 
 
 def _run_config(
@@ -182,7 +162,7 @@ def _run_config(
 
     ``realization`` is the item's channel from the taps file (``None``:
     synthesize it from ``channel_seed``), ``noise`` the item's unit noise row
-    (``None`` for a noiseless run) and ``buffers`` its worker's
+    (``None`` for a noiseless run) and ``buffers`` the run's
     :class:`FrameBuffers`.
     """
     cfg = setup.cfg
@@ -248,16 +228,16 @@ def _rmse_columns(cfg: ExperimentConfig, records: list[ResultRecord]) -> dict:
     return {f"rmse_{s}_m": summary.get(s, {}).get("rmse_m") for s in cfg.schemes}
 
 
-def run_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
+def run_simulate(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Single grid run at the configured operating point."""
-    [(_, records)] = _run_grid(cfg, threads=threads)
+    [(_, records)] = _run_grid(cfg)
     return records
 
 
-def run_cdf_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_cdf_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Error-CDF rows per (scheme, subcarrier spacing)."""
     rows = []
-    for swept, records in _run_grid(cfg, "delta_f_hz", threads):
+    for swept, records in _run_grid(cfg, "delta_f_hz"):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
@@ -273,7 +253,7 @@ def run_cdf_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
     return rows
 
 
-def run_speed_tradeoff(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_speed_tradeoff(cfg: ExperimentConfig) -> list[dict]:
     """Ranging RMSE versus speed next to tilt and propulsion power."""
     return [
         {
@@ -284,18 +264,18 @@ def run_speed_tradeoff(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
             ),
             **_rmse_columns(cfg, records),
         }
-        for swept, records in _run_grid(cfg, "speed_mps", threads)
+        for swept, records in _run_grid(cfg, "speed_mps")
     ]
 
 
-def run_tilt_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_tilt_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Ranging RMSE and LoS point counts versus forced antenna tilt."""
     spec = cfg.scenario.trajectory
     trajectory = build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps)
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = (len(trajectory) - 1) // 2
     rows = []
-    for swept, records in _run_grid(cfg, "tilt_deg", threads):
+    for swept, records in _run_grid(cfg, "tilt_deg"):
         tilt = swept.scenario.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
         geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)

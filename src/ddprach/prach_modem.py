@@ -22,7 +22,6 @@ DFT-rate samples and to metres.
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,19 +183,12 @@ def _reference_spectrum(root: int, n_zc: int, m: int, modulation: str) -> np.nda
     return spectrum
 
 
-# worker threads share the cache; the lock builds each reference only once
-_reference_lock = threading.Lock()
-
-
 def _combined_profile(tf: TimeFrequencyGrid, params: WaveformParams) -> CorrelationProfile:
     """Non-coherent sum of the per-symbol matched-filter output powers.
 
     All ``n`` symbols go through one multiply and one IFFT pass.
     """
-    with _reference_lock:
-        matched = _reference_spectrum(
-            params.root, params.n_zc, params.m, params.modulation
-        )
+    matched = _reference_spectrum(params.root, params.n_zc, params.m, params.modulation)
     corr = np.fft.ifft(tf.data * matched, axis=1)
     values = np.sum(np.abs(corr) ** 2, axis=0)
     return CorrelationProfile(

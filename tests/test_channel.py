@@ -773,6 +773,20 @@ def test_load_rejects_non_finite_and_zero_gains(tmp_path, gain_db):
         load_taps(path)
 
 
+def test_load_rejects_rows_of_a_point_that_disagree_on_distance(tmp_path):
+    # one point has one true distance: a later row may not overwrite it
+    path = tmp_path / "taps.csv"
+    path.write_text(
+        "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
+        "0,30.0,0.0,0.0,1e-7,0.0\n"
+        "1,60.0,0.0,0.0,2e-7,0.0\n"
+        "0,30,-6.0,0.0,3e-7,0.0\n"
+        "0,45.0,-3.0,0.0,5e-7,0.0\n"
+    )
+    with pytest.raises(TapFileError, match="line 5: point 0: true_distance_m 45.0"):
+        load_taps(path)
+
+
 def test_tap_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     realizations = {}

@@ -453,8 +453,8 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 
 def test_cli_threads_above_64_exit_2(tmp_path, capsys):
-    # each worker thread allocates its own buffers; the parser stops a huge
-    # count before any thread starts
+    # --threads has no effect, but the bound on it stays: a command line
+    # refused before is still refused, at parse time
     cfg_path = write_toy_config(tmp_path)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
@@ -511,8 +511,10 @@ TAPS_HEADER_LINE = "point_index,true_distance_m,gain_db,phase_rad,delay_s,dopple
         # the toy frame lasts 144 / 480 kHz = 0.3 ms
         ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-3,0\n2,60.0,0,0,1e-6,0\n",
          "point 1: tap delay 0.001 s exceeds the frame duration"),
+        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n0,45.0,0,0,2e-6,0\n",
+         "line 5: point 0: true_distance_m 45.0 differs from 60.0"),
     ],
-    ids=["missing_point", "delay_past_frame"],
+    ids=["missing_point", "delay_past_frame", "distance_disagrees"],
 )
 def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
     taps = tmp_path / "taps.csv"
@@ -528,7 +530,7 @@ def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
 
 
 def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
-    def broken_run(cfg, threads=1):
+    def broken_run(cfg):
         raise ValueError("a programming error")
 
     monkeypatch.setattr(cli, "run_simulate", broken_run)
