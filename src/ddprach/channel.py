@@ -121,8 +121,8 @@ class FrameBuffers:
     The buffers keep the sample array and framing of ``waveform``: the first
     ``apply_channel`` on them plans that array's rows, later ones reuse the
     plan, and ``apply_channel`` on another array or framing raises
-    ``ValueError``.  They also keep, per tap position, the filtered row spans
-    last made there and the delay in samples they were made for; a later
+    ``ValueError``.  They also keep, per tap position, the delayed rows last
+    filtered there and the delay in samples they were filtered for; a later
     pass whose tap at that position has the same delay in samples reuses
     them.  The array must not change while the buffers serve it.  One object
     serves one thread at a time; the experiment runners make one per run and
@@ -148,27 +148,22 @@ class FrameBuffers:
 
 
 class _FilteredTap:
-    """One tap's filtered, delayed and frame-cut copy of each span of a row
+    """One tap's filtered, delayed and frame-cut copy of each row of a row
     plan, before its gain and Doppler phasor.
 
     These depend on the tap's delay in samples alone, which ``delay`` holds
     (``None`` until :func:`_filter_tap` fills them).  ``spans`` holds
-    ``(row, start, end, head, copy_from, tail, period)`` per span that
-    reaches the frame: its output extent ``start .. end - 1`` before the
-    integer delay ``n0``, and its outputs as views of ``storage``.  ``head``
-    is the whole extent unless the span is periodic (``tail`` is not
-    ``None``); then the outputs from ``copy_from`` up to ``tail`` repeat
-    every ``period`` samples, and :func:`_add_tap` re-expands them.
-    ``lo .. hi - 1`` is the union of the delayed extents.
+    ``(row, at, values)`` per row span that reaches the frame: the copy of
+    output samples ``at .. at + values.size - 1`` of the row, as a view of
+    ``storage``.  ``lo .. hi - 1`` is the union of those extents.
     """
 
     def __init__(self, rows: list):
-        # per span, no more outputs than its head_end, plus _REACH for the
-        # tail of a periodic span
-        size = sum(head_end + _REACH * (tail is not None) for *_, (_, head_end, tail, _) in rows)
+        # a span's copy is at most _REACH outputs longer than the span
+        size = sum(stop - first + _REACH for _, first, stop, _ in rows)
         self.storage = np.empty(size, dtype=complex)
         self.delay = None
-        self.n0 = self.lo = self.hi = 0
+        self.lo = self.hi = 0
         self.spans = []
 
 
@@ -206,7 +201,7 @@ def apply_channel(
     edges only, with the same output.  With ``buffers``, made from this
     waveform's array and framing, the result is written into
     ``buffers.frames``, and a tap whose delay in samples equals the one the
-    buffers last filtered at its position reuses those filtered spans (see
+    buffers last filtered at its position reuses those delayed rows (see
     :class:`FrameBuffers`).
     """
     x = waveform.samples
@@ -296,12 +291,14 @@ def _tap_delay(delay_samples: float):
 
 
 def _filter_tap(filtered: _FilteredTap, delay: float, rows: list, n: int) -> None:
-    """Fill ``filtered`` with the spans of a tap ``delay`` samples late.
+    """Fill ``filtered`` with the rows of a tap ``delay`` samples late.
 
     ``rows`` is the row plan of an ``n``-sample frame, with ``pieces`` from
     :func:`_span_pieces`.  Each span ``first .. stop - 1`` is filtered by the
     tap's kernel, delayed by ``n0`` samples and cut at the frame end, straight
-    into ``filtered.storage``.
+    into ``filtered.storage``.  Of a periodic span only the head and the tail
+    are filtered; every output between them is a copy of the one a period
+    earlier.
     """
     filtered.delay = None  # a fill cut short by an error must never match
     n0, kernel = _tap_delay(delay)
@@ -315,54 +312,45 @@ def _filter_tap(filtered: _FilteredTap, delay: float, rows: list, n: int) -> Non
         end = min(stop + kernel.size - 1 - lead, n - n0)
         if end <= start:
             continue
+        values = filtered.storage[used : used + end - start]
+        used += values.size
         # filtered span sample j is output sample j - skip of the extent
         skip = start + lead - first
-        j_stop = skip + end - start
-        head_out = filtered.storage[used : used + min(j_stop, head_end) - skip]
-        _filter_into(head_out, head, skip, kernel)
-        used += head_out.size
-        tail_out = None
+        copy_from = head_end - skip
+        _filter_into(values[:copy_from], head, skip, kernel)
         if tail is not None:
-            tail_out = filtered.storage[used : used + max(j_stop - (stop - first), 0)]
-            _filter_into(tail_out, tail, _REACH, kernel)
-            used += tail_out.size
-        spans.append((row, start, end, head_out, head_end - skip, tail_out, period))
+            # the outputs from copy_end on read past the span end: its tail
+            # gives them; those before repeat every period
+            copy_end = min(values.size, stop - first - skip)
+            _filter_into(values[copy_end:], tail, _REACH, kernel)
+            for i in range(copy_from, copy_end, period):
+                k = min(i + period, copy_end)
+                values[i:k] = values[i - period : k - period]
+        spans.append((row, n0 + start, values))
     filtered.spans = spans
     if spans:
-        filtered.n0 = n0
-        filtered.lo = n0 + min(span[1] for span in spans)
-        filtered.hi = n0 + max(span[2] for span in spans)
+        filtered.lo = min(at for _, at, _ in spans)
+        filtered.hi = max(at + values.size for _, at, values in spans)
     filtered.delay = delay
 
 
 def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float, buffers):
     """Add one tap's copy of each row span to its row of ``out``.
 
-    The spans ``filtered`` for the tap's delay are rotated by the tap's
-    gain and Doppler phasor, built once over the union of their extents.  A
-    periodic span is re-expanded in ``buffers.delayed`` first: every output
-    between its head and tail is a copy of the one a period earlier.
+    The copies ``filtered`` for the tap's delay are rotated by the tap's
+    gain and Doppler phasor, built once over the union of their extents,
+    in ``buffers.delayed``; the stored copies stay as they are.
     """
     if not filtered.spans:
         return
     phasor = _doppler_phasor(tap, fs, filtered.lo, filtered.hi, buffers.phasors)
-    for row, start, end, head, copy_from, tail, period in filtered.spans:
-        delayed = buffers.delayed[: end - start]
-        source = head
-        if tail is not None:
-            copy_end = delayed.size - tail.size
-            delayed[: head.size] = head
-            for i in range(copy_from, copy_end, period):
-                k = min(i + period, copy_end)
-                delayed[i:k] = delayed[i - period : k - period]
-            delayed[copy_end:] = tail
-            source = delayed
-        at = filtered.n0 + start
-        # keep the operand order phasor * source: a complex product can
-        # differ in the last bit when its operands are swapped
+    for row, at, values in filtered.spans:
         lag = at - filtered.lo
-        np.multiply(phasor[lag : lag + delayed.size], source, out=delayed)
-        out[row, at : at + delayed.size] += delayed
+        delayed = buffers.delayed[: values.size]
+        # keep the operand order phasor * values: a complex product can
+        # differ in the last bit when its operands are swapped
+        np.multiply(phasor[lag : lag + values.size], values, out=delayed)
+        out[row, at : at + values.size] += delayed
 
 
 def _filter_into(out, parts, j, kernel) -> None:
@@ -534,10 +522,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     Columns: ``point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz``.
     Rows are grouped by ``point_index``; taps are sorted by delay and the
     LoS tag is derived from the tap powers.  Malformed rows, including
-    non-finite numbers, gains that are zero in linear terms (which
-    :func:`save_taps` cannot store either) and a ``true_distance_m`` other
-    than the one on the point's earlier rows, raise :class:`TapFileError`
-    with the offending line number.
+    negative point indices, non-finite numbers, gains that are zero in
+    linear terms (which :func:`save_taps` cannot store either) and a
+    ``true_distance_m`` other than the one on the point's earlier rows,
+    raise :class:`TapFileError` with the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
@@ -567,10 +555,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
                 raise TapFileError(f"{path}: line {line_no}: {exc}") from exc
             if not all(map(math.isfinite, (distance, gain_db, phase, delay, doppler))):
                 raise TapFileError(f"{path}: line {line_no}: non-finite value")
+            if point < 0:
+                raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
             if delay < 0:
-                raise TapFileError(
-                    f"{path}: line {line_no}: negative delay {delay}"
-                )
+                raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
             gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
             if gain == 0.0:
                 raise TapFileError(

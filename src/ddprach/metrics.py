@@ -113,14 +113,25 @@ def write_results_csv(path, records) -> None:
 
 
 def read_results_csv(path) -> list[ResultRecord]:
-    """Read back a results CSV written by :func:`write_results_csv`."""
+    """Read back a results CSV written by :func:`write_results_csv`.
+
+    Empty lines are skipped; a row with another field count than the header
+    raises ``ValueError`` naming the path and the line.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != RESULTS_HEADER:
             raise ValueError(f"{path}: unexpected results header {header}")
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(RESULTS_HEADER):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(RESULTS_HEADER)} "
+                    f"fields, got {len(row)}"
+                )
             records.append(
                 ResultRecord(
                     scheme=row[0],

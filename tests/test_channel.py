@@ -458,9 +458,11 @@ def test_planned_channel_matches_unplanned_call(case, monkeypatch):
     filters = count_filters(monkeypatch)
     plans = []
     # pass -> (channel, waveform, filters as much as a fresh call (True), not
-    # at all (False) or not counted (None))
+    # at all (False) or not counted (None)); a's second pass, a hit right
+    # after a hit, shows a stored copy that the pass before it changed
     for ch, w, filters_all in [
-        (a, wf, True), (b, wf, False), (c, wf, True), (a, wf, True), (a, other_rate, None),
+        (a, wf, True), (b, wf, False), (a, wf, False), (c, wf, True), (a, wf, True),
+        (a, other_rate, None),
     ]:
         expected = apply_channel(w, ch).samples
         fresh = len(filters)

@@ -513,8 +513,11 @@ TAPS_HEADER_LINE = "point_index,true_distance_m,gain_db,phase_rad,delay_s,dopple
          "point 1: tap delay 0.001 s exceeds the frame duration"),
         ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n0,45.0,0,0,2e-6,0\n",
          "line 5: point 0: true_distance_m 45.0 differs from 60.0"),
+        # the run never reads a point before 0
+        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n-1,60.0,0,0,1e-6,0\n",
+         "line 5: negative point_index -1"),
     ],
-    ids=["missing_point", "delay_past_frame", "distance_disagrees"],
+    ids=["missing_point", "delay_past_frame", "distance_disagrees", "negative_point"],
 )
 def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
     taps = tmp_path / "taps.csv"

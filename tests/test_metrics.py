@@ -12,6 +12,7 @@ from ddprach import (
     rmse_los_bound,
     write_results_csv,
 )
+from ddprach.metrics import RESULTS_HEADER
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,8 @@ def test_results_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "results.csv"
     write_results_csv(path, records)
+    with open(path, "a", newline="") as fh:
+        fh.write("\r\n")  # a trailing blank line
     loaded = read_results_csv(path)
     assert len(loaded) == 2
     assert loaded[0].scheme == "otfs"
@@ -129,8 +132,18 @@ def test_results_csv_round_trip(tmp_path):
     assert loaded[1].los_tag is False
 
 
-def test_results_csv_rejects_foreign_header(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b,c\n1,2,3\n",
+        # the results header, then a row of 8 fields
+        ",".join(RESULTS_HEADER) + "\notfs,15000.0,10.0,3,los,60.0,58.55,1.45\n",
+        "",
+    ],
+    ids=["foreign_header", "short_row", "empty_file"],
+)
+def test_results_csv_rejects_foreign_header(tmp_path, text):
     path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
+    path.write_text(text)
     with pytest.raises(ValueError):
         read_results_csv(path)
