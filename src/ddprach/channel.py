@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dd_transform import Waveform
+from .metrics import write_rows
 from .uav_scenario import AntennaConfig, TrajectoryPoint, antenna_gain
 from .units import SPEED_OF_LIGHT
 
@@ -584,24 +585,22 @@ def save_taps(path, realizations) -> None:
     """
     if isinstance(realizations, dict):
         realizations = realizations.values()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TAPS_HEADER)
-        for real in sorted(realizations, key=lambda r: r.point_index):
-            for tap in real.taps:
-                amplitude = abs(tap.gain)
-                if amplitude == 0.0:
-                    raise ValueError("cannot store a zero-gain tap in dB")
-                writer.writerow(
-                    [
-                        real.point_index,
-                        f"{real.true_distance_m:.12g}",
-                        f"{20.0 * math.log10(amplitude):.12g}",
-                        f"{cmath.phase(tap.gain):.12g}",
-                        f"{tap.delay_s:.12g}",
-                        f"{tap.doppler_hz:.12g}",
-                    ]
-                )
+    rows = []
+    for real in sorted(realizations, key=lambda r: r.point_index):
+        for tap in real.taps:
+            amplitude = abs(tap.gain)
+            if amplitude == 0.0:
+                raise ValueError("cannot store a zero-gain tap in dB")
+            cells = (
+                real.point_index,
+                real.true_distance_m,
+                20.0 * math.log10(amplitude),
+                cmath.phase(tap.gain),
+                tap.delay_s,
+                tap.doppler_hz,
+            )
+            rows.append(dict(zip(TAPS_HEADER, cells)))
+    write_rows(path, TAPS_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

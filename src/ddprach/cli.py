@@ -13,7 +13,6 @@ file).  All outputs are CSVs written under ``--out`` (default: cwd).
 """
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -22,13 +21,16 @@ from pathlib import Path
 from .channel import TapFileError
 from .config import ConfigError, load_config, serialize_config
 from .experiments import (
+    CDF_HEADER,
     run_cdf_sweep,
     run_simulate,
     run_speed_tradeoff,
     run_tilt_sweep,
     summarize,
 )
-from .metrics import format_cell, write_results_csv
+from .metrics import write_results_csv
+# perfbench/tracer.py wraps the writer under this name until ROADMAP item 8
+from .metrics import write_rows as _write_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -85,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_rows(path: Path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(row[key]) for key in header])
-
-
 def _print_summary(summary: dict) -> None:
     for scheme, entry in summary.items():
         parts = [f"{scheme}: detection_rate={entry['detection_rate']:.4f}"]
@@ -133,24 +127,17 @@ def main(argv=None) -> int:
         elif args.command == "cdf-sweep":
             rows = run_cdf_sweep(cfg)
             path = out_path("cdf.csv")
-            _write_rows(path, ["scheme", "delta_f_hz", "abs_error_m", "cdf"], rows)
+            _write_rows(path, CDF_HEADER, rows)
+        # a sweep runner writes one row per sweep value, and sweep.values is
+        # never empty: the first row's keys are the columns
         elif args.command == "speed-tradeoff":
             rows = run_speed_tradeoff(cfg)
-            header = ["speed_mps", "tilt_deg", "power_w"]
-            header += [f"rmse_{s}_m" for s in cfg.schemes]
             path = out_path("speed_tradeoff.csv")
-            _write_rows(path, header, rows)
+            _write_rows(path, list(rows[0]), rows)
         elif args.command == "tilt-sweep":
             rows = run_tilt_sweep(cfg)
-            header = [
-                "tilt_deg",
-                "n_los_geometric",
-                "last_los_index",
-                "n_los_tagged",
-            ]
-            header += [f"rmse_{s}_m" for s in cfg.schemes]
             path = out_path("tilt_sweep.csv")
-            _write_rows(path, header, rows)
+            _write_rows(path, list(rows[0]), rows)
         print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ from .uav_scenario import (
 )
 
 __all__ = [
+    "CDF_HEADER",
     "run_simulate",
     "run_cdf_sweep",
     "run_speed_tradeoff",
@@ -234,20 +235,21 @@ def run_simulate(cfg: ExperimentConfig) -> list[ResultRecord]:
     return records
 
 
+# the columns of cdf.csv, declared apart from its rows: a sweep that detects
+# nothing writes no row, and its table is the header alone
+CDF_HEADER = ["scheme", "delta_f_hz", "abs_error_m", "cdf"]
+
+
 def run_cdf_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Error-CDF rows per (scheme, subcarrier spacing)."""
+    """Error-CDF rows per (scheme, subcarrier spacing), keyed by :data:`CDF_HEADER`."""
     rows = []
     for swept, records in _run_grid(cfg, "delta_f_hz"):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
+                delta_f = swept.waveform.delta_f_hz
                 rows += [
-                    {
-                        "scheme": scheme,
-                        "delta_f_hz": swept.waveform.delta_f_hz,
-                        "abs_error_m": abscissa,
-                        "cdf": probability,
-                    }
+                    dict(zip(CDF_HEADER, (scheme, delta_f, abscissa, probability)))
                     for abscissa, probability in error_cdf(errors)
                 ]
     return rows

@@ -1,8 +1,8 @@
-"""Ranging error statistics: RMSE, LoS bound, CDF and the results CSV."""
+"""Ranging error statistics: RMSE, LoS bound, CDF, and the one CSV writer."""
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,6 +12,7 @@ __all__ = [
     "rmse",
     "error_cdf",
     "rmse_los_bound",
+    "write_rows",
     "write_results_csv",
     "read_results_csv",
 ]
@@ -59,25 +60,12 @@ def rmse_los_bound(m: int, k: int, p_t_watts: float, h_squared: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# results CSV
+# CSV tables
 # ---------------------------------------------------------------------------
-
-RESULTS_HEADER = [
-    "scheme",
-    "delta_f_hz",
-    "speed_mps",
-    "point_index",
-    "los_tag",
-    "true_d_m",
-    "est_d_m",
-    "error_m",
-    "detected",
-]
-
 
 @dataclass
 class ResultRecord:
-    """One row of the simulation results CSV."""
+    """One row of the simulation results CSV; its fields are the columns."""
 
     scheme: str
     delta_f_hz: float
@@ -88,6 +76,9 @@ class ResultRecord:
     est_d_m: float | None
     error_m: float | None
     detected: bool
+
+
+RESULTS_HEADER = [f.name for f in fields(ResultRecord)]
 
 
 def format_cell(value) -> str:
@@ -102,14 +93,23 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(path, records) -> None:
-    """Write result records in the canonical column order."""
+def write_rows(path, header, rows) -> None:
+    """Write a CSV table: the ``header`` line, then one line per row mapping,
+    its cells taken in ``header`` order through :func:`format_cell`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            cells = {**vars(rec), "los_tag": "los" if rec.los_tag else "nlos"}
-            writer.writerow([format_cell(cells[key]) for key in RESULTS_HEADER])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(row[key]) for key in header])
+
+
+def write_results_csv(path, records) -> None:
+    """Write result records in the canonical column order."""
+    write_rows(
+        path,
+        RESULTS_HEADER,
+        ({**vars(rec), "los_tag": "los" if rec.los_tag else "nlos"} for rec in records),
+    )
 
 
 def read_results_csv(path) -> list[ResultRecord]:
