@@ -110,7 +110,7 @@ class ToaEstimate:
     """Detector output for one received frame."""
 
     detected: bool
-    sample_delay: int                 # peak delay in DFT-rate samples
+    sample_delay: int                 # peak delay in DFT-rate samples; < 0 if early
     threshold: float                  # detection threshold on the profile
     profile: CorrelationProfile       # combined profile over delay bins
     refined_sample_delay: float | None = None  # sub-bin peak, if requested
@@ -208,10 +208,14 @@ def receive_and_estimate_toa(
 
     Demodulates, applies the matched filter to every symbol, combines the
     correlation powers non-coherently and compares the peak
-    against :func:`detection_threshold`.  The peak delay bin is rescaled to
-    DFT-rate samples (``bin * n_dft / m``).  With ``interpolate_peak`` the
-    two profile bins flanking the peak refine it to a sub-bin position
-    (``refined_sample_delay``); the integer read-out is unchanged.
+    against :func:`detection_threshold`.  The peak delay bin ``b`` is read
+    as the lag ``b``, or as ``b - m`` when it lies past the CP
+    (``b > cp_len * m / n_dft``) and within one main lobe of the profile's
+    end (``b >= m - ceil(m / n_zc)``), and rescaled to DFT-rate samples
+    (``lag * n_dft / m``), so an early peak gives a negative delay.  With
+    ``interpolate_peak`` the two profile bins flanking the peak refine the
+    lag to a sub-bin position (``refined_sample_delay``); the integer
+    read-out is unchanged.
     """
     tf = wigner_demodulate(rx, params.m, params.n)
     combined = _combined_profile(tf, params)
@@ -222,7 +226,12 @@ def receive_and_estimate_toa(
     peak = combined.peak_lag
     detected = bool(values[peak] >= threshold)
     stride = params.n_dft / params.m
-    sample_delay = int(round(peak * stride))
+    # the profile is cyclic: a peak past the CP and within one main lobe of
+    # the last bin is an early arrival, read as a negative lag
+    past_cp = peak > params.cp_len * params.m / params.n_dft
+    in_last_lobe = peak >= params.m - math.ceil(params.m / params.n_zc)
+    lag = peak - params.m if past_cp and in_last_lobe else peak
+    sample_delay = int(round(lag * stride))
     refined = None
     if interpolate_peak and detected:
         amplitudes = np.sqrt(values)
@@ -233,7 +242,7 @@ def receive_and_estimate_toa(
             offset = right / (centre + right)
         else:
             offset = -left / (centre + left)
-        refined = (peak + offset) * stride
+        refined = (lag + offset) * stride
     return ToaEstimate(detected, sample_delay, threshold, combined, refined)
 
 

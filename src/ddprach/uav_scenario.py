@@ -11,8 +11,6 @@ inside the antenna's first-null beamwidth.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "AntennaConfig",
     "AirframeConfig",
@@ -62,7 +60,6 @@ class TrajectoryPoint:
     """One sampled position on the flyover line."""
 
     index: int
-    position: np.ndarray          # [x, y, z] in metres, target at origin frame
     height_m: float
     horizontal_offset_m: float    # signed offset from the overhead point
     speed_mps: float
@@ -75,13 +72,9 @@ class TrajectoryPoint:
 
 
 def build_trajectory(
-    height_m: float,
-    dp_m: float,
-    count: int,
-    speed_mps: float,
-    target=(0.0, 0.0, 0.0),
+    height_m: float, dp_m: float, count: int, speed_mps: float
 ) -> list[TrajectoryPoint]:
-    """Sample a straight constant-height pass over ``target``.
+    """Sample a straight constant-height pass over the target at the origin.
 
     Points are spaced ``dp_m`` apart along the x axis and centred so that the
     overhead point (minimum distance, elevation 90 degrees) has index
@@ -91,17 +84,14 @@ def build_trajectory(
         raise ValueError("count must be >= 1")
     if dp_m <= 0 or height_m <= 0:
         raise ValueError("dp_m and height_m must be positive")
-    target = np.asarray(target, dtype=float)
     p0 = (count - 1) // 2
     points = []
     for i in range(count):
         offset = (i - p0) * dp_m
-        position = target + np.array([offset, 0.0, height_m])
         elevation = math.degrees(math.atan2(height_m, abs(offset)))
         points.append(
             TrajectoryPoint(
                 index=i,
-                position=position,
                 height_m=height_m,
                 horizontal_offset_m=offset,
                 speed_mps=speed_mps,

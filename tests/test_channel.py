@@ -822,7 +822,6 @@ def test_tap_file_round_trip(tmp_path):
 def overhead_point(height=30.0, speed=0.0):
     return TrajectoryPoint(
         index=0,
-        position=(0.0, 0.0, height),
         height_m=height,
         horizontal_offset_m=0.0,
         speed_mps=speed,
@@ -844,7 +843,6 @@ def test_doppler_for_motion_aligned_path():
     # target far ahead along the flight direction: radial speed ~ +v
     point = TrajectoryPoint(
         index=0,
-        position=(-1000.0, 0.0, 1e-6),
         height_m=1e-6,
         horizontal_offset_m=-1000.0,
         speed_mps=10.0,
@@ -887,7 +885,6 @@ def test_synthesis_deterministic_per_seed():
 def test_doppler_scale_multiplies_all_taps():
     point = TrajectoryPoint(
         index=0,
-        position=(-40.0, 0.0, 30.0),
         height_m=30.0,
         horizontal_offset_m=-40.0,
         speed_mps=10.0,

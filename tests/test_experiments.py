@@ -103,6 +103,14 @@ def test_seed_changes_channel_draws():
     assert run_simulate(base) == run_simulate(base)
 
 
+def test_readme_default_reads_no_wrapped_peak():
+    """An ofdm peak about one main lobe early is a negative lag, not a range
+    of about 20 km: no detected record is off by more than 1 km."""
+    records = [r for r in run_simulate(parse_config({"trials": 2})) if r.detected]
+    assert {r.scheme for r in records} == {"otfs", "ofdm"}
+    assert max(abs(r.error_m) for r in records) < 1000.0
+
+
 def test_schemes_share_channel_and_noise():
     """Per-(point, trial) draws do not depend on the scheme under test."""
     both = parse_config(toy_tree())
@@ -532,6 +540,13 @@ def test_cdf_sweep_requires_matching_axis():
     cfg = parse_config(toy_tree(sweep={"axis": "speed_mps", "values": [10.0]}))
     with pytest.raises(ConfigError):
         run_cdf_sweep(cfg)
+
+
+def test_cdf_sweep_without_a_detection_writes_the_header_alone(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(toy_tree(noise={"snr_db": -40.0})))
+    assert cli.main(["cdf-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cdf.csv").read_text() == "scheme,delta_f_hz,abs_error_m,cdf\n"
 
 
 def test_speed_tradeoff_rows():

@@ -140,6 +140,21 @@ def test_integer_delay_readout(scheme):
     assert est.sample_delay == round(est.profile.peak_lag * stride)
 
 
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+@pytest.mark.parametrize("size", [{}, {"m": 1024, "n_dft": 2048, "n_zc": 139}])
+def test_early_peak_reads_as_negative_delay(scheme, size):
+    """A frame one bin early peaks at bin m - 1, the lag -1."""
+    params = toy_params(scheme, **size)
+    stride = params.n_dft // params.m
+    tx = transmit(params)
+    rx = Waveform(np.roll(tx.samples, -stride), tx.sample_rate, tx.n_dft, tx.cp_len)
+    est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
+    assert est.detected
+    assert est.profile.peak_lag == params.m - 1
+    assert est.sample_delay == -round(params.n_dft / params.m)
+    assert est.refined_sample_delay < 0
+
+
 # ---------------------------------------------------------------------------
 # detection threshold
 # ---------------------------------------------------------------------------
