@@ -13,14 +13,13 @@ flyover geometry.
 """
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dd_transform import Waveform
-from .metrics import write_rows
+from .metrics import read_rows, write_rows
 from .uav_scenario import AntennaConfig, TrajectoryPoint, antenna_gain
 from .units import SPEED_OF_LIGHT
 
@@ -530,47 +529,31 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TAPS_HEADER:
-            raise TapFileError(
-                f"{path}: line 1: expected header {','.join(TAPS_HEADER)}"
+    for line_no, row in read_rows(path, TAPS_HEADER, TapFileError):
+        try:
+            point = int(row["point_index"])
+            distance, gain_db, phase, delay, doppler = (
+                float(row[column]) for column in TAPS_HEADER[1:]
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TAPS_HEADER):
-                raise TapFileError(
-                    f"{path}: line {line_no}: expected {len(TAPS_HEADER)} "
-                    f"fields, got {len(row)}"
-                )
-            try:
-                point = int(row[0])
-                distance = float(row[1])
-                gain_db = float(row[2])
-                phase = float(row[3])
-                delay = float(row[4])
-                doppler = float(row[5])
-            except ValueError as exc:
-                raise TapFileError(f"{path}: line {line_no}: {exc}") from exc
-            if not all(map(math.isfinite, (distance, gain_db, phase, delay, doppler))):
-                raise TapFileError(f"{path}: line {line_no}: non-finite value")
-            if point < 0:
-                raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
-            if delay < 0:
-                raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
-            gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
-            if gain == 0.0:
-                raise TapFileError(
-                    f"{path}: line {line_no}: gain {gain_db} dB is zero as a linear amplitude"
-                )
-            if distances.setdefault(point, distance) != distance:
-                raise TapFileError(
-                    f"{path}: line {line_no}: point {point}: true_distance_m {distance} "
-                    f"differs from {distances[point]} on its earlier rows"
-                )
-            groups.setdefault(point, []).append(ChannelTap(gain, delay, doppler))
+        except ValueError as exc:
+            raise TapFileError(f"{path}: line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, (distance, gain_db, phase, delay, doppler))):
+            raise TapFileError(f"{path}: line {line_no}: non-finite value")
+        if point < 0:
+            raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
+        if delay < 0:
+            raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
+        gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
+        if gain == 0.0:
+            raise TapFileError(
+                f"{path}: line {line_no}: gain {gain_db} dB is zero as a linear amplitude"
+            )
+        if distances.setdefault(point, distance) != distance:
+            raise TapFileError(
+                f"{path}: line {line_no}: point {point}: true_distance_m {distance} "
+                f"differs from {distances[point]} on its earlier rows"
+            )
+        groups.setdefault(point, []).append(ChannelTap(gain, delay, doppler))
     return {
         point: ChannelRealization(point, distances[point], taps)
         for point, taps in sorted(groups.items())

@@ -113,7 +113,6 @@ _RULES = {
     "waveform.n_dft": _between(1, 65_536),
     "waveform.n": _between(1, 1_024),
     "waveform.cp_len": _NON_NEGATIVE,
-    "waveform.modulation": _one_of(MODULATIONS),
     "scenario.trajectory.count": _between(1, 100_000),
     "scenario.trajectory.speed_mps": _NON_NEGATIVE,
     "scenario.antenna.g_rmax_db": _ANY,
@@ -132,6 +131,10 @@ _RULES = {
     "sweep.axis": _one_of(SWEEP_AXES),
     "sweep.values": _ANY,  # checked against the swept field in parse_config
 }
+
+# a field of a nested library dataclass that each run sets itself, so no
+# config key: a run takes its modulation from ``schemes``
+_RUN_FIELD = ("waveform", "modulation")
 
 # samples per frame, n * (n_dft + cp_len): 64 MiB per complex row
 _MAX_FRAME_LEN = 1 << 22
@@ -174,7 +177,7 @@ def _section(cls, node, path: str):
     """Build dataclass ``cls`` from a mapping; absent keys keep their default."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path or '<root>'}: expected a mapping, got {type(node).__name__}")
-    types = {f.name: f.type for f in fields(cls) if f.init}
+    types = {f.name: f.type for f in fields(cls) if f.init and (path, f.name) != _RUN_FIELD}
     unknown = sorted(set(node) - set(types), key=str)
     if unknown:
         raise ConfigError(f"unknown config key: {path + '.' if path else ''}{unknown[0]}")
@@ -289,5 +292,8 @@ def _plain(node):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render the canonical YAML form of a configuration."""
-    return yaml.safe_dump(_plain(asdict(cfg)), sort_keys=False)
+    """Render the canonical YAML form of a configuration: every config key."""
+    tree = asdict(cfg)
+    section, name = _RUN_FIELD
+    del tree[section][name]
+    return yaml.safe_dump(_plain(tree), sort_keys=False)

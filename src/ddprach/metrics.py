@@ -1,7 +1,8 @@
-"""Ranging error statistics: RMSE, LoS bound, CDF, and the one CSV writer."""
+"""Ranging error statistics: RMSE, LoS bound, CDF, and the one CSV writer and reader."""
 
 import csv
 import math
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -12,6 +13,7 @@ __all__ = [
     "rmse",
     "error_cdf",
     "rmse_los_bound",
+    "read_rows",
     "write_rows",
     "write_results_csv",
     "read_results_csv",
@@ -103,6 +105,27 @@ def write_rows(path, header, rows) -> None:
             writer.writerow([format_cell(row[key]) for key in header])
 
 
+def read_rows(path, header, error=ValueError):
+    """Read a CSV table: yield ``(line_no, row)`` for each non-blank line
+    after the ``header`` line, ``row`` mapping each column to its text.
+
+    A first line other than ``header``, or a row with another field count,
+    raises ``error`` naming the path and the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise error(f"{path}: line 1: expected header {','.join(header)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(
+                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield line_no, dict(zip(header, row))
+
+
 def write_results_csv(path, records) -> None:
     """Write result records in the canonical column order."""
     write_rows(
@@ -112,37 +135,33 @@ def write_results_csv(path, records) -> None:
     )
 
 
+def _parse_cell(kind, text: str, truth: tuple[str, str]):
+    """One cell as a value of field type ``kind``: ``""`` is ``None`` where
+    the type allows it, and a boolean is one of the two ``truth`` texts."""
+    if type(None) in typing.get_args(kind):
+        if not text:
+            return None
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    if kind is bool and text not in truth:
+        raise ValueError(f"expected {' or '.join(truth)}, got {text!r}")
+    return text == truth[0] if kind is bool else kind(text)
+
+
 def read_results_csv(path) -> list[ResultRecord]:
     """Read back a results CSV written by :func:`write_results_csv`.
 
-    Empty lines are skipped; a row with another field count than the header
+    Each cell is parsed by its ``ResultRecord`` field's type.  A foreign
+    header, a row with another field count or a cell that does not parse
     raises ``ValueError`` naming the path and the line.
     """
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise ValueError(f"{path}: unexpected results header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RESULTS_HEADER):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(RESULTS_HEADER)} "
-                    f"fields, got {len(row)}"
-                )
-            records.append(
-                ResultRecord(
-                    scheme=row[0],
-                    delta_f_hz=float(row[1]),
-                    speed_mps=float(row[2]),
-                    point_index=int(row[3]),
-                    los_tag=row[4] == "los",
-                    true_d_m=float(row[5]),
-                    est_d_m=float(row[6]) if row[6] else None,
-                    error_m=float(row[7]) if row[7] else None,
-                    detected=row[8] == "1",
-                )
-            )
+    for line_no, row in read_rows(path, RESULTS_HEADER):
+        values = {}
+        for f in fields(ResultRecord):
+            truth = ("los", "nlos") if f.name == "los_tag" else ("1", "0")
+            try:
+                values[f.name] = _parse_cell(f.type, row[f.name], truth)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {f.name}: {exc}") from exc
+        records.append(ResultRecord(**values))
     return records

@@ -1,5 +1,7 @@
 """Physical constants and unit conversion helpers."""
 
+__all__ = ["SPEED_OF_LIGHT"]
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 

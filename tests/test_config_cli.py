@@ -391,6 +391,19 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_waveform_modulation_is_no_config_key_exit_2(tmp_path, capsys):
+    # each run takes its modulation from ``schemes``; a config that named one
+    # would be parsed and printed but reach no run
+    with pytest.raises(ConfigError, match="unknown config key: waveform.modulation"):
+        parse_config({"waveform": {"modulation": "ofdm"}})
+    path = write_toy_config(tmp_path, text="waveform:\n  modulation: ofdm\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "unknown config key: waveform.modulation" in capsys.readouterr().err
+    assert not out.exists()
+    assert "modulation" not in serialize_config(parse_config({}))
+
+
 def test_cli_missing_config_exit_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.yaml")])
     assert rc == 2

@@ -147,3 +147,20 @@ def test_results_csv_rejects_foreign_header(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_results_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        ("otfs,15000.0,10.0,3,los,sixty,58.55,1.45,1", "true_d_m"),
+        ("otfs,15000.0,10.0,3,los,60.0,58.55,1.45,", "detected"),
+        ("otfs,15000.0,10.0,3.5,los,60.0,58.55,1.45,1", "point_index"),
+        ("otfs,15000.0,10.0,3,1,60.0,58.55,1.45,1", "los_tag"),
+    ],
+    ids=["text_number", "empty_boolean", "float_index", "numeric_los_tag"],
+)
+def test_results_csv_names_the_line_of_a_bad_cell(tmp_path, row, column):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(RESULTS_HEADER) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {column}: "):
+        read_results_csv(path)
