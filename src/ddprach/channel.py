@@ -125,8 +125,9 @@ class FrameBuffers:
     filtered there and the delay in samples they were filtered for; a later
     pass whose tap at that position has the same delay in samples reuses
     them.  The array must not change while the buffers serve it.  One object
-    serves one thread at a time; the experiment runners make one per run and
-    run every work item on the calling thread.
+    serves one thread at a time; the experiment runners make one per process
+    of a run, so ``--threads K`` holds K sets, one in each forked worker
+    process.
     """
 
     def __init__(self, waveform: Waveform):

@@ -3,19 +3,32 @@
 A run is one config, or one config per value of its sweep.  No sweep axis
 changes the preamble samples or the framing, so a run transmits each scheme
 once into one preamble stack and reads a taps file once, before any work
-item runs.  Every run then goes through its (trajectory point, trial) work
-items in canonical order on the calling thread; each item runs every sweep
-value and every scheme.  The run keeps one set of ``FrameBuffers`` made from
-that stack, which plans its rows once and keeps each tap's filtered spans:
-the values of a ``speed_mps`` or ``tilt_deg`` sweep share an item's tap
-delays, so they filter each tap once.  Seeds for the channel draw and the
-noise draw are derived by hashing the master seed together with the item
-indices, so results do not depend on the execution order; all schemes and
-sweep values of an item share the channel and noise seeds, making
-comparisons paired.
+item runs.  Its (trajectory point, trial) work items then run in canonical
+order; each item runs every sweep value and every scheme.  With
+``workers=K`` (the command line's ``--threads K``, which keeps its name but
+starts processes) the trajectory points are split into ``min(K, count)``
+contiguous ranges, one process each: the calling process runs the first and
+``os.fork`` children the others (so this needs a platform with ``fork``,
+such as Linux), and each range's records come back in range order.  Memory
+grows with K, one interpreter's worth of pages touched per child, and spans
+or counters recorded by a wrapper installed in the calling process see its
+own range only: the benchmark's traced speed-tradeoff at ``--threads 2``
+counts 840 interpolated taps where one process counts 1680.  Each process
+keeps one set of ``FrameBuffers`` made from the stack, which plans its rows
+once and keeps each tap's filtered spans: the trials of a point share its
+line-of-sight tap, and the values of a ``speed_mps`` or ``tilt_deg`` sweep
+share an item's tap delays, so they filter each tap once.  Seeds for the
+channel draw and the noise draw are derived by hashing the master seed
+together with the item indices, so results depend neither on the execution
+order nor on K; all schemes and sweep values of an item share the channel
+and noise seeds, making comparisons paired.
 """
 
+import os
+import pickle
+import signal
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +97,7 @@ class _Setup(NamedTuple):
 
 
 def _run_grid(
-    cfg: ExperimentConfig, axis: str | None = None
+    cfg: ExperimentConfig, axis: str | None = None, workers: int = 1
 ) -> list[tuple[ExperimentConfig, list[ResultRecord]]]:
     """``(swept_cfg, records)`` for each value of ``cfg.sweep`` along ``axis``,
     or the one pair ``(cfg, records)`` when ``axis`` is None.
@@ -93,7 +106,9 @@ def _run_grid(
     work item is one (point, trial): it draws its unit noise once and runs
     every value on it.  The channel and noise seeds do not depend on the
     swept value, so every value sees the same physical channels and the same
-    noise draw, and the comparison is paired.
+    noise draw, and the comparison is paired.  The points run in
+    ``min(workers, count)`` processes over contiguous ranges (see
+    :func:`_fork_map`); one worker runs them all in this process.
     """
     cfgs = [cfg]
     if axis is not None:
@@ -131,11 +146,26 @@ def _run_grid(
                         f"taps file: point {point_idx}: tap delay {delay} s exceeds "
                         f"the frame duration {duration} s"
                     )
+    count = cfg.scenario.trajectory.count
+    k = min(workers, count)
+    ranges = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
+    parts = _fork_map(partial(_run_points, cfg, setups, file_taps), ranges)
+    return [
+        (setup.cfg, [record for part in parts for record in part[i]])
+        for i, setup in enumerate(setups)
+    ]
+
+
+def _run_points(
+    cfg: ExperimentConfig, setups: list[_Setup], file_taps, points: range
+) -> list[list[ResultRecord]]:
+    """One record list per setup over the work items of ``points``, in
+    canonical order."""
     noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
     # one set of buffers, and the one row plan they make, serves every item
     buffers = FrameBuffers(setups[0].stacked)
-    runs = [(setup.cfg, []) for setup in setups]
-    for point_idx in range(cfg.scenario.trajectory.count):
+    runs = [[] for _ in setups]
+    for point_idx in points:
         for trial in range(cfg.trials):
             # buffers.unit holds this row until the item's last value has used it
             noise = None
@@ -149,11 +179,76 @@ def _run_grid(
                 channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
             else:
                 realization = file_taps[point_idx]
-            for setup, (_, records) in zip(setups, runs):
+            for setup, records in zip(setups, runs):
                 records += _run_config(
                     setup, point_idx, realization, channel_seed, noise, buffers
                 )
     return runs
+
+
+def _fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, each item in its own process.
+
+    Forked children compute every item after the first, which this process
+    computes while they run.  A child pickles its result, or the exception
+    it raised, into a pipe and leaves through ``os._exit``, so it runs no
+    cleanup of the parent's.  The results come back in item order, and the
+    first failed child's exception is raised here.  Every child is reaped
+    before this returns or raises, and killed first unless its result was
+    read, so an error or an interrupt leaves no process behind.  One item
+    forks nothing.
+    """
+    pids, pipes = [], []
+    try:
+        for item in items[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, item, write_fd)
+            finally:
+                os.close(write_fd)  # the child never gets here
+            pids.append(pid)
+        results = [fn(items[0])]
+        while pids:
+            # read to the end before waiting: a child blocks on a full pipe
+            data = pipes[0].read()
+            _, status = os.waitpid(pids[0], 0)
+            pid = pids.pop(0)
+            pipes.pop(0).close()
+            try:
+                ok, value = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise ChildProcessError(
+                    f"worker process {pid} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} and sent no result"
+                ) from exc
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _child(fn, item, write_fd: int):
+    """Body of a forked child of :func:`_fork_map`; ends the process."""
+    code = 1
+    try:
+        try:
+            payload = (True, fn(item))
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_config(
@@ -229,9 +324,10 @@ def _rmse_columns(cfg: ExperimentConfig, records: list[ResultRecord]) -> dict:
     return {f"rmse_{s}_m": summary.get(s, {}).get("rmse_m") for s in cfg.schemes}
 
 
-def run_simulate(cfg: ExperimentConfig) -> list[ResultRecord]:
-    """Single grid run at the configured operating point."""
-    [(_, records)] = _run_grid(cfg)
+def run_simulate(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRecord]:
+    """Single grid run at the configured operating point, in ``workers``
+    processes (see :func:`_run_grid`)."""
+    [(_, records)] = _run_grid(cfg, workers=workers)
     return records
 
 
@@ -240,10 +336,10 @@ def run_simulate(cfg: ExperimentConfig) -> list[ResultRecord]:
 CDF_HEADER = ["scheme", "delta_f_hz", "abs_error_m", "cdf"]
 
 
-def run_cdf_sweep(cfg: ExperimentConfig) -> list[dict]:
+def run_cdf_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Error-CDF rows per (scheme, subcarrier spacing), keyed by :data:`CDF_HEADER`."""
     rows = []
-    for swept, records in _run_grid(cfg, "delta_f_hz"):
+    for swept, records in _run_grid(cfg, "delta_f_hz", workers):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
@@ -255,7 +351,7 @@ def run_cdf_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_speed_tradeoff(cfg: ExperimentConfig) -> list[dict]:
+def run_speed_tradeoff(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE versus speed next to tilt and propulsion power."""
     return [
         {
@@ -266,18 +362,18 @@ def run_speed_tradeoff(cfg: ExperimentConfig) -> list[dict]:
             ),
             **_rmse_columns(cfg, records),
         }
-        for swept, records in _run_grid(cfg, "speed_mps")
+        for swept, records in _run_grid(cfg, "speed_mps", workers)
     ]
 
 
-def run_tilt_sweep(cfg: ExperimentConfig) -> list[dict]:
+def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE and LoS point counts versus forced antenna tilt."""
     spec = cfg.scenario.trajectory
     trajectory = build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps)
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = (len(trajectory) - 1) // 2
     rows = []
-    for swept, records in _run_grid(cfg, "tilt_deg"):
+    for swept, records in _run_grid(cfg, "tilt_deg", workers):
         tilt = swept.scenario.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
         geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)

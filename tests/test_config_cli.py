@@ -436,22 +436,47 @@ def test_cli_seed_override(tmp_path, capsys):
     assert first != third
 
 
-def test_cli_thread_count_is_invisible(tmp_path, capsys):
-    cfg_path = write_toy_config(tmp_path)
+OUTPUT = {
+    "simulate": "results.csv",
+    "cdf-sweep": "cdf.csv",
+    "speed-tradeoff": "speed_tradeoff.csv",
+    "tilt-sweep": "tilt_sweep.csv",
+}
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])  # 8 exceeds every point count here
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", None),  # the toy config, 3 points
+        ("cdf-sweep", "sweep_config.yaml"),
+        ("speed-tradeoff", "speed_config.yaml"),
+        ("tilt-sweep", "tilt_config.yaml"),
+        # reads taps.csv from the working directory: the file's taps must
+        # reach every worker process
+        ("simulate", "full_config.yaml"),
+    ],
+)
+def test_cli_thread_count_is_invisible(tmp_path, capsys, monkeypatch, command, config, threads):
+    if config is None:
+        cfg_path = write_toy_config(tmp_path)
+    else:
+        monkeypatch.chdir(DATA)
+        cfg_path = config
 
     def run(out_name, threads):
         out = tmp_path / out_name
         rc = main([
-            "simulate", "--config", cfg_path, "--out", str(out),
+            command, "--config", cfg_path, "--out", str(out),
             "--threads", str(threads),
         ])
         assert rc == 0
-        return (out / "results.csv").read_bytes()
+        return (out / OUTPUT[command]).read_bytes()
 
     serial = run("t1", 1)
-    threaded = run("t4", 4)
+    forked = run(f"t{threads}", threads)
     capsys.readouterr()
-    assert serial == threaded
+    assert serial == forked
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -466,8 +491,7 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 
 def test_cli_threads_above_64_exit_2(tmp_path, capsys):
-    # --threads has no effect, but the bound on it stays: a command line
-    # refused before is still refused, at parse time
+    # a command line refused before is still refused, at parse time
     cfg_path = write_toy_config(tmp_path)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
@@ -546,7 +570,7 @@ def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
 
 
 def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
-    def broken_run(cfg):
+    def broken_run(cfg, workers):
         raise ValueError("a programming error")
 
     monkeypatch.setattr(cli, "run_simulate", broken_run)

@@ -1,6 +1,7 @@
 """Experiment runners: seeding, pairing, sweeps and summaries."""
 
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -312,9 +313,9 @@ def test_simulate_reuses_the_los_tap_between_trials_of_a_point(monkeypatch, tmp_
     tree = toy_tree(trials=2)
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(tree))
-    argv = ["simulate", "--config", str(config), "--out", str(tmp_path), "--threads", "4"]
-    # the library call, then the CLI, where --threads is accepted and
-    # changes nothing
+    # the library call, then the CLI in one process: the counters live in
+    # this one, which a worker process would not report to
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path), "--threads", "1"]
     for run in (lambda: run_simulate(parse_config(tree)), lambda: cli.main(argv)):
         passes.clear()
         plans.clear()
@@ -331,6 +332,41 @@ def test_simulate_reuses_the_los_tap_between_trials_of_a_point(monkeypatch, tmp_
                 # trial 1 of a point: the LoS tap, first by delay, is trial 0's
                 assert realization.taps[0].delay_s == los_delay
                 assert 0 < made < fresh
+
+
+# three points in three processes: point 0 runs in the caller, point 1 in
+# the first child, and the second child is killed once the first has failed
+@pytest.mark.parametrize("failing_point", [0, 1])
+def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch, failing_point):
+    real_run_config = experiments._run_config
+
+    def run_config(setup, point_idx, *args):
+        if point_idx == failing_point:
+            raise ValueError(f"no channel at point {point_idx}")
+        return real_run_config(setup, point_idx, *args)
+
+    # a forked child runs the patched module as it was at the fork
+    monkeypatch.setattr(experiments, "_run_config", run_config)
+    with pytest.raises(ValueError, match=f"^no channel at point {failing_point}$") as exc:
+        run_simulate(parse_config(toy_tree()), workers=3)
+    assert type(exc.value) is ValueError
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
+    real_run_config = experiments._run_config
+
+    def run_config(setup, point_idx, *args):
+        if point_idx == 2:  # in the child, which runs points 1 and 2
+            os._exit(3)
+        return real_run_config(setup, point_idx, *args)
+
+    monkeypatch.setattr(experiments, "_run_config", run_config)
+    with pytest.raises(ChildProcessError, match="exited with code 3 and sent no result"):
+        run_simulate(parse_config(toy_tree()), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
