@@ -121,13 +121,13 @@ class FrameBuffers:
     The buffers keep the sample array and framing of ``waveform``: the first
     ``apply_channel`` on them plans that array's rows, later ones reuse the
     plan, and ``apply_channel`` on another array or framing raises
-    ``ValueError``.  They also keep, per tap position, the delayed rows last
-    filtered there and the delay in samples they were filtered for; a later
-    pass whose tap at that position has the same delay in samples reuses
-    them.  The array must not change while the buffers serve it.  One object
-    serves one thread at a time; the experiment runners make one per process
-    of a run, so ``--threads K`` holds K sets, one in each forked worker
-    process.
+    ``ValueError``.  They also keep, per tap position, the whole filtered
+    output of each row span last made there, uncut, and the delay in samples
+    it was made for; a later pass whose tap at that position has the same
+    delay in samples reuses it, and each pass cuts it to the delayed frame.
+    The array must not change while the buffers serve it.  One object serves
+    one thread at a time; the experiment runners make one per process of a
+    run, so ``--threads K`` holds K sets, one in each forked worker process.
     """
 
     def __init__(self, waveform: Waveform):
@@ -138,10 +138,10 @@ class FrameBuffers:
         self.rows = None                               # its row plan, once made
         self.taps = []                                 # _FilteredTap per tap position
         self.frames = np.empty(shape, dtype=complex)  # the output stack
-        # one tap's copy of a span in a channel pass, a row's scaled noise in
-        # a noise pass
+        # one tap's rotated part of a span on the delayed frame in a channel
+        # pass, a row's scaled noise in a noise pass
         self.delayed = np.empty(n, dtype=complex)
-        # a Doppler phasor over any span of an n-sample frame
+        # one tap's Doppler phasor over the whole n-sample frame
         self.phasors = np.empty((-(-n // _PHASOR_BLOCK), _PHASOR_BLOCK), dtype=complex)
         self.draws = np.empty(2 * n)                   # real draws, then imaginary
         self.unit = np.empty(n, dtype=complex)         # the unit noise row
@@ -149,22 +149,23 @@ class FrameBuffers:
 
 
 class _FilteredTap:
-    """One tap's filtered, delayed and frame-cut copy of each row of a row
-    plan, before its gain and Doppler phasor.
+    """One tap's filtered output of each row span of a row plan, kept whole,
+    before its delay cut, gain and Doppler phasor.
 
     These depend on the tap's delay in samples alone, which ``delay`` holds
-    (``None`` until :func:`_filter_tap` fills them).  ``spans`` holds
-    ``(row, at, values)`` per row span that reaches the frame: the copy of
-    output samples ``at .. at + values.size - 1`` of the row, as a view of
-    ``storage``.  ``lo .. hi - 1`` is the union of those extents.
+    (``None`` until :func:`_filter_tap` fills them), with ``n0`` its integer
+    part.  ``spans`` holds ``(row, at, values)`` per row span: its filtered
+    output, as a view of ``storage``, which lands on frame samples
+    ``at .. at + values.size - 1`` of the row; :func:`_add_tap` adds the
+    part of it on the delayed frame.
     """
 
     def __init__(self, rows: list):
-        # a span's copy is at most _REACH outputs longer than the span
+        # a span's output is at most _REACH samples longer than the span
         size = sum(stop - first + _REACH for _, first, stop, _ in rows)
         self.storage = np.empty(size, dtype=complex)
         self.delay = None
-        self.lo = self.hi = 0
+        self.n0 = 0
         self.spans = []
 
 
@@ -202,7 +203,7 @@ def apply_channel(
     edges only, with the same output.  With ``buffers``, made from this
     waveform's array and framing, the result is written into
     ``buffers.frames``, and a tap whose delay in samples equals the one the
-    buffers last filtered at its position reuses those delayed rows (see
+    buffers last filtered at its position reuses those filtered spans (see
     :class:`FrameBuffers`).
     """
     x = waveform.samples
@@ -222,7 +223,7 @@ def apply_channel(
             buffers.taps.append(_FilteredTap(buffers.rows))
         filtered = buffers.taps[index]
         if filtered.delay != delay:
-            _filter_tap(filtered, delay, buffers.rows, n)
+            _filter_tap(filtered, delay, buffers.rows)
         _add_tap(out, filtered, tap, fs, buffers)
     return _wrap(buffers.frames, waveform)
 
@@ -291,67 +292,60 @@ def _tap_delay(delay_samples: float):
     return n0, np.sinc(_INTERP_LAGS - mu) * _INTERP_WINDOW
 
 
-def _filter_tap(filtered: _FilteredTap, delay: float, rows: list, n: int) -> None:
-    """Fill ``filtered`` with the rows of a tap ``delay`` samples late.
+def _filter_tap(filtered: _FilteredTap, delay: float, rows: list) -> None:
+    """Fill ``filtered`` with the spans of a tap ``delay`` samples late.
 
-    ``rows`` is the row plan of an ``n``-sample frame, with ``pieces`` from
-    :func:`_span_pieces`.  Each span ``first .. stop - 1`` is filtered by the
-    tap's kernel, delayed by ``n0`` samples and cut at the frame end, straight
-    into ``filtered.storage``.  Of a periodic span only the head and the tail
-    are filtered; every output between them is a copy of the one a period
-    earlier.
+    ``rows`` is a row plan, with ``pieces`` from :func:`_span_pieces`.  Each
+    span ``first .. stop - 1`` is filtered by the tap's kernel, whole, into
+    ``filtered.storage``; :func:`_add_tap` cuts it to the delayed frame.  Of
+    a periodic span only the head and the tail are filtered; every output
+    between them is a copy of the one a period earlier.
     """
     filtered.delay = None  # a fill cut short by an error must never match
     n0, kernel = _tap_delay(delay)
-    # filtered sample k reads span samples k - (K - 1 - lead) .. k + lead
+    # filtered span sample j is row sample first + j - lead, frame sample
+    # n0 + first + j - lead
     lead = (kernel.size - 1) // 2
     spans = []
     used = 0
     for row, first, stop, (head, head_end, tail, period) in rows:
-        # the span's output extent start .. end - 1, where it reaches the frame
-        start = max(first - lead, 0)
-        end = min(stop + kernel.size - 1 - lead, n - n0)
-        if end <= start:
-            continue
-        values = filtered.storage[used : used + end - start]
+        values = filtered.storage[used : used + stop - first + kernel.size - 1]
         used += values.size
-        # filtered span sample j is output sample j - skip of the extent
-        skip = start + lead - first
-        copy_from = head_end - skip
-        _filter_into(values[:copy_from], head, skip, kernel)
+        _filter_into(values[:head_end], head, 0, kernel)
         if tail is not None:
-            # the outputs from copy_end on read past the span end: its tail
-            # gives them; those before repeat every period
-            copy_end = min(values.size, stop - first - skip)
-            _filter_into(values[copy_end:], tail, _REACH, kernel)
-            for i in range(copy_from, copy_end, period):
-                k = min(i + period, copy_end)
+            # the outputs past the span end read its tail; those before
+            # repeat every period
+            end = stop - first
+            _filter_into(values[end:], tail, _REACH, kernel)
+            for i in range(head_end, end, period):
+                k = min(i + period, end)
                 values[i:k] = values[i - period : k - period]
-        spans.append((row, n0 + start, values))
+        spans.append((row, n0 + first - lead, values))
     filtered.spans = spans
-    if spans:
-        filtered.lo = min(at for _, at, _ in spans)
-        filtered.hi = max(at + values.size for _, at, values in spans)
+    filtered.n0 = n0
     filtered.delay = delay
 
 
 def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float, buffers):
-    """Add one tap's copy of each row span to its row of ``out``.
+    """Add one tap's filtered output of each row span to its row of ``out``.
 
-    The copies ``filtered`` for the tap's delay are rotated by the tap's
-    gain and Doppler phasor, built once over the union of their extents,
-    in ``buffers.delayed``; the stored copies stay as they are.
+    This is where a span is cut to the delayed frame: its part on frame
+    samples ``n0 .. n - 1``, the head before ``n0`` being zero-filled.  That
+    part is rotated by the tap's gain and Doppler phasor, built once over
+    the frame, in ``buffers.delayed``; the stored outputs stay as they are.
     """
-    if not filtered.spans:
-        return
-    phasor = _doppler_phasor(tap, fs, filtered.lo, filtered.hi, buffers.phasors)
+    n = out.shape[-1]
+    phasor = _doppler_phasor(tap, fs, 0, n, buffers.phasors)
     for row, at, values in filtered.spans:
-        lag = at - filtered.lo
-        delayed = buffers.delayed[: values.size]
+        lo = max(at, filtered.n0)
+        hi = min(at + values.size, n)
+        if hi <= lo:
+            continue  # delayed wholly past the frame end
+        delayed = buffers.delayed[: hi - lo]
         # keep the operand order phasor * values: a complex product can
         # differ in the last bit when its operands are swapped
-        np.multiply(phasor[lag : lag + values.size], values, out=delayed)
-        out[row, at : at + values.size] += delayed
+        np.multiply(phasor[lo:hi], values[lo - at : hi - at], out=delayed)
+        out[row, lo:hi] += delayed
 
 
 def _filter_into(out, parts, j, kernel) -> None:

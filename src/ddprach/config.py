@@ -156,7 +156,8 @@ def _rule(path: str, kind):
 def _scalar(kind, node, path: str):
     types, noun = _SCALARS[kind]
     if not isinstance(node, types) or (isinstance(node, bool) and kind is not bool):
-        raise ConfigError(f"{path}: expected {noun}, got {node!r}")
+        hint = _float_text_hint(node) if kind is float else ""
+        raise ConfigError(f"{path}: expected {noun}, got {node!r}{hint}")
     value = node
     if kind is float:
         try:
@@ -171,6 +172,23 @@ def _scalar(kind, node, path: str):
     if not check(value):
         raise ConfigError(f"{path}: must be {allowed}, got {value!r}")
     return value
+
+
+def _float_text_hint(node) -> str:
+    """A hint for text that reads as a float: YAML 1.1, which PyYAML follows,
+    takes ``15e3``, ``1e-3`` and ``1.0e6`` as text, since its floats need a
+    dot and, with an exponent, its sign (``15.0e+3``)."""
+    try:
+        if not isinstance(node, str) or not math.isfinite(float(node)):
+            return ""
+    except ValueError:
+        return ""
+    mantissa, e, exponent = node.strip().lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if e and exponent[:1] not in "+-":
+        exponent = "+" + exponent
+    return f", which YAML read as text; write it {mantissa}{e}{exponent}"
 
 
 def _section(cls, node, path: str):

@@ -226,6 +226,12 @@ TRIM_CASES = {
         [ChannelTap(1.0, 37.6 / FS, 1500.0), ChannelTap(0.3, 40.0 / FS, -700.0),
          ChannelTap(0.2, 75.2 / FS, 0.0)],
     ),
+    # the second tap delays the whole short span, kernel head included,
+    # past the frame end
+    "span_wholly_past_frame_end": (
+        [span_row(500, 480, 495, 38)],
+        [ChannelTap(0.8 - 0.3j, 7.3 / FS, 1200.0), ChannelTap(0.5, 60.4 / FS, -400.0)],
+    ),
     "on_grid_tap_on_trimmed_row": (
         [span_row(300, 40, 90, 35)],
         [ChannelTap(0.9 - 0.1j, 12.0 / FS, 2200.0)],

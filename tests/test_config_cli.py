@@ -391,6 +391,21 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, spelling",
+    [("15e3", "15.0e+3"), ("1e-3", "1.0e-3"), ("1.0e6", "1.0e+6")],
+)
+def test_cli_float_that_yaml_reads_as_text_exit_2_with_a_hint(tmp_path, capsys, text, spelling):
+    # YAML 1.1 floats need a dot and a signed exponent; PyYAML reads these as text
+    path = write_toy_config(tmp_path, text=f"waveform: {{delta_f_hz: {text}}}\n")
+    assert main(["validate-config", "--config", path]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: waveform.delta_f_hz: expected a number, got '{text}', "
+        f"which YAML read as text; write it {spelling}"
+    )
+    parse_config(yaml.safe_load(f"waveform: {{delta_f_hz: {spelling}}}"))  # the hint parses
+
+
 def test_cli_waveform_modulation_is_no_config_key_exit_2(tmp_path, capsys):
     # each run takes its modulation from ``schemes``; a config that named one
     # would be parsed and printed but reach no run

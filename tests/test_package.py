@@ -1,9 +1,11 @@
-"""The package namespace, and the README's library examples."""
+"""The package namespace, and the README's library examples and config."""
 
 import importlib
 import pkgutil
 import re
 from pathlib import Path
+
+import yaml
 
 import ddprach
 
@@ -35,3 +37,9 @@ def test_readme_library_examples_run(capsys):
         exec(compile(block, str(README), "exec"), namespace)
     # the first block prints the range of the detected preamble
     assert float(capsys.readouterr().out) > 0
+
+
+def test_readme_config_shows_the_defaults():
+    """The README's ``yaml`` block is the config that ``{}`` parses to."""
+    (block,) = re.findall(r"^```yaml\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert ddprach.parse_config(yaml.safe_load(block)) == ddprach.parse_config({})
