@@ -50,7 +50,7 @@ _INTERP_LAGS = np.arange(-(_INTERP_TAPS // 2 - 1), _INTERP_TAPS // 2 + 1)
 _INTERP_WINDOW = np.kaiser(_INTERP_TAPS, _INTERP_BETA)
 _UNIT_KERNEL = np.ones(1)  # on-grid delays: a plain shift
 # how far the longest kernel reaches past its output sample; also the length
-# of the zero gap that separates the halves of [re, gap, im]
+# of the zero gap between the halves of a row span's operand (see _row_plan)
 _REACH = _INTERP_TAPS - 1
 _INTERP_GAP = np.zeros(_REACH)
 
@@ -162,7 +162,7 @@ class _FilteredTap:
 
     def __init__(self, rows: list):
         # a span's output is at most _REACH samples longer than the span
-        size = sum(stop - first + _REACH for _, first, stop, _ in rows)
+        size = sum(stop - first + _REACH for _, first, stop, *_ in rows)
         self.storage = np.empty(size, dtype=complex)
         self.delay = None
         self.n0 = 0
@@ -170,9 +170,23 @@ class _FilteredTap:
 
 
 def _row_plan(x: np.ndarray, period: int) -> list:
-    """``(row, first, stop, pieces)`` per row of ``x`` with a nonzero sample:
-    the row index, the nonzero span ``first .. stop - 1`` and its pieces from
-    :func:`_span_pieces`."""
+    """``(row, first, stop, operand, period)`` per row of ``x`` with a nonzero
+    sample: the row index, the nonzero span ``first .. stop - 1``, the real
+    operand that :func:`_filter_tap` convolves and the span's period, or
+    ``None`` for a span that does not repeat.
+
+    ``np.convolve`` computes filtered span sample ``j`` as one dot product of
+    the kernel with span samples ``j - K + 1 .. j`` (``K <= _INTERP_TAPS``
+    kernel taps).  When the span repeats bit for bit with ``period``, every
+    ``j`` from ``period + _REACH`` to the span end is the same dot product as
+    ``j - period``, so a copy of that output is exact.  Only a head of
+    ``period + _REACH`` samples and, for the outputs past the span end, the
+    last ``_REACH`` samples need filtering; otherwise the whole span does.
+    The kernels are real, so the operand holds each of these halves' real
+    and imaginary parts, ``[re, gap, im]`` or ``[head re, gap, head im, gap,
+    tail re, gap, tail im]``, and goes through one real convolution; each
+    ``_REACH``-sample zero gap keeps the outputs of its neighbours apart.
+    """
     n = x.shape[-1]
     rows = []
     for index, row in enumerate(x.reshape(-1, n)):
@@ -181,7 +195,14 @@ def _row_plan(x: np.ndarray, period: int) -> list:
             continue
         first = int(nonzero.argmax())
         stop = n - int(nonzero[::-1].argmax())
-        rows.append((index, first, stop, _span_pieces(row[first:stop], period)))
+        span = row[first:stop]
+        if _repeats(span, period):
+            pieces, repeat = (span[: period + _REACH], span[-_REACH:]), period
+        else:
+            pieces, repeat = (span,), None
+        # no gap after the last half: a trailing one changes output bits
+        parts = [part for p in pieces for part in (p.real, _INTERP_GAP, p.imag, _INTERP_GAP)]
+        rows.append((index, first, stop, np.concatenate(parts[:-1]), repeat))
     return rows
 
 
@@ -228,26 +249,6 @@ def apply_channel(
     return _wrap(buffers.frames, waveform)
 
 
-def _span_pieces(span: np.ndarray, period: int):
-    """Split a row span into the pieces that :func:`_filter_tap` filters.
-
-    ``np.convolve`` computes filtered span sample ``j`` as one dot product
-    of the kernel with span samples ``j - K + 1 .. j`` (``K <= _INTERP_TAPS``
-    kernel taps).  When the span repeats bit for bit with ``period``, every
-    ``j`` from ``period + _REACH`` to the span end is the same dot product as
-    ``j - period``, so a copy of that output is exact.  Only a head of
-    ``period + _REACH`` samples and, for the outputs past the span end, the
-    last ``_REACH`` samples need filtering; otherwise the head is the whole
-    span.  Returns ``(head, head_end, tail, period)``: the pieces as
-    ``[re, _INTERP_GAP, im]``, the first ``j`` the head does not give, and
-    ``tail``/``period`` (``None`` for a span that does not repeat).
-    """
-    if _repeats(span, period):
-        head_end = period + _REACH
-        return _parts(span[:head_end]), head_end, _parts(span[-_REACH:]), period
-    return _parts(span), span.size + _REACH, None, None
-
-
 def _repeats(span: np.ndarray, period: int) -> bool:
     """True if ``span`` repeats bit for bit with ``period`` and is longer
     than ``period + _REACH`` samples.
@@ -261,12 +262,6 @@ def _repeats(span: np.ndarray, period: int) -> bool:
         np.array_equal(bits[period:], bits[:-period])
         for bits in (span.real.view(np.uint64), span.imag.view(np.uint64))
     )
-
-
-def _parts(piece: np.ndarray) -> np.ndarray:
-    # the kernels are real, so [re, zeros, im] goes through one real
-    # convolution; the zero gap keeps the two halves' outputs apart
-    return np.concatenate((piece.real, _INTERP_GAP, piece.imag))
 
 
 def _delay_samples(tap: ChannelTap, fs: float, n: int) -> float:
@@ -295,11 +290,12 @@ def _tap_delay(delay_samples: float):
 def _filter_tap(filtered: _FilteredTap, delay: float, rows: list) -> None:
     """Fill ``filtered`` with the spans of a tap ``delay`` samples late.
 
-    ``rows`` is a row plan, with ``pieces`` from :func:`_span_pieces`.  Each
-    span ``first .. stop - 1`` is filtered by the tap's kernel, whole, into
-    ``filtered.storage``; :func:`_add_tap` cuts it to the delayed frame.  Of
-    a periodic span only the head and the tail are filtered; every output
-    between them is a copy of the one a period earlier.
+    ``rows`` is a row plan from :func:`_row_plan`.  Each span
+    ``first .. stop - 1`` is filtered by the tap's kernel, whole, into
+    ``filtered.storage``, with one convolution of its operand;
+    :func:`_add_tap` cuts it to the delayed frame.  Of a periodic span only
+    the head and the tail are filtered; every output between them is a copy
+    of the one a period earlier.
     """
     filtered.delay = None  # a fill cut short by an error must never match
     n0, kernel = _tap_delay(delay)
@@ -308,22 +304,35 @@ def _filter_tap(filtered: _FilteredTap, delay: float, rows: list) -> None:
     lead = (kernel.size - 1) // 2
     spans = []
     used = 0
-    for row, first, stop, (head, head_end, tail, period) in rows:
-        values = filtered.storage[used : used + stop - first + kernel.size - 1]
+    for row, first, stop, operand, period in rows:
+        end = stop - first
+        values = filtered.storage[used : used + end + kernel.size - 1]
         used += values.size
-        _filter_into(values[:head_end], head, 0, kernel)
-        if tail is not None:
-            # the outputs past the span end read its tail; those before
-            # repeat every period
-            end = stop - first
-            _filter_into(values[end:], tail, _REACH, kernel)
-            for i in range(head_end, end, period):
+        convolved = np.convolve(operand, kernel)
+        if period is None:
+            _take(values, convolved, 0, end)
+        else:
+            head = period + _REACH
+            _take(values[:head], convolved, 0, head)
+            # the outputs past the span end read the tail, the last half
+            # pair; those before it repeat every period
+            _take(values[end:], convolved, 2 * (head + _REACH) + _REACH, _REACH)
+            for i in range(head, end, period):
                 k = min(i + period, end)
                 values[i:k] = values[i - period : k - period]
         spans.append((row, n0 + first - lead, values))
     filtered.spans = spans
     filtered.n0 = n0
     filtered.delay = delay
+
+
+def _take(out: np.ndarray, convolved: np.ndarray, at: int, size: int) -> None:
+    """Fill ``out`` from ``convolved``, an operand's convolution: the real
+    parts from output ``at`` on, the imaginary parts ``size + _REACH``
+    outputs later, ``size`` being the length of the real half read there."""
+    imag = at + size + _REACH
+    out.real = convolved[at : at + out.size]
+    out.imag = convolved[imag : imag + out.size]
 
 
 def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float, buffers):
@@ -335,7 +344,7 @@ def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float
     the frame, in ``buffers.delayed``; the stored outputs stay as they are.
     """
     n = out.shape[-1]
-    phasor = _doppler_phasor(tap, fs, 0, n, buffers.phasors)
+    phasor = _doppler_phasor(tap, fs, buffers.phasors)
     for row, at, values in filtered.spans:
         lo = max(at, filtered.n0)
         hi = min(at + values.size, n)
@@ -348,37 +357,20 @@ def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float
         out[row, lo:hi] += delayed
 
 
-def _filter_into(out, parts, j, kernel) -> None:
-    """Write filtered samples ``j .. j + out.size - 1`` of a piece to ``out``.
+def _doppler_phasor(tap: ChannelTap, fs: float, grid: np.ndarray) -> np.ndarray:
+    """``g exp(j 2 pi nu (t - tau))`` at every sample of ``grid``, flattened.
 
-    ``parts`` is the piece as ``[re, _INTERP_GAP, im]``.
+    ``grid`` is a ``(blocks, _PHASOR_BLOCK)`` array, such as
+    ``FrameBuffers.phasors``, that covers the frame.  Sample
+    ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
+    exponential at ``t = B b / fs`` and an offset exponential at ``o / fs``.
     """
-    if out.size == 0:
-        return
-    filtered = np.convolve(parts, kernel)
-    imag = j + (parts.size + _REACH) // 2
-    out.real = filtered[j : j + out.size]
-    out.imag = filtered[imag : imag + out.size]
-
-
-def _doppler_phasor(tap: ChannelTap, fs: float, lo: int, hi: int, grid=None) -> np.ndarray:
-    """``g exp(j 2 pi nu (t - tau))`` at samples ``lo .. hi - 1``.
-
-    Sample ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
-    exponential at ``t = B b / fs`` and an offset exponential at ``o / fs``,
-    so its value does not depend on ``lo`` and ``hi``.  The products go into
-    the leading blocks of ``grid`` when given, else into a new array.
-    """
-    first = lo // _PHASOR_BLOCK
-    block_starts = np.arange(first, (hi - 1) // _PHASOR_BLOCK + 1) * _PHASOR_BLOCK
+    block_starts = np.arange(grid.shape[0]) * _PHASOR_BLOCK
     blocks = tap.gain * np.exp(
         2j * np.pi * tap.doppler_hz * (block_starts / fs - tap.delay_s)
     )
     offsets = np.exp(2j * np.pi * tap.doppler_hz * (_PHASOR_OFFSETS / fs))
-    out = None if grid is None else grid[: blocks.size]
-    products = np.multiply(blocks[:, None], offsets, out=out)
-    skip = lo - first * _PHASOR_BLOCK
-    return products.reshape(-1)[skip : skip + hi - lo]
+    return np.multiply(blocks[:, None], offsets, out=grid).reshape(-1)
 
 
 def add_awgn(

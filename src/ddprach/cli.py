@@ -14,6 +14,7 @@ file).  All outputs are CSVs written under ``--out`` (default: cwd).
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,6 +60,18 @@ def _integer_in(low: int, high: float = math.inf):
     return parse
 
 
+def _output_dir(text: str) -> str:
+    """argparse type: a directory that can be made after the run; a path
+    that is, or sits under, an existing non-directory exits 2 at parse time."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if os.path.exists(part):
+            if not os.path.isdir(part):
+                raise argparse.ArgumentTypeError(f"{part} exists and is not a directory")
+            break
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddprach",
@@ -79,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--seed", type=_integer_in(0), help="override config seed"
             )
-            cmd.add_argument("--out", default=".", help="output directory")
+            cmd.add_argument("--out", type=_output_dir, default=".", help="output directory")
             cmd.add_argument(
                 "--threads",
                 type=_integer_in(1, _MAX_THREADS),

@@ -289,7 +289,8 @@ def _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs):
     end = min(stop + kernel.size - 1 - lead, acc.size - n0)
     if end <= start:
         return
-    phasor = channel._doppler_phasor(tap, fs, n0 + start, n0 + end)
+    grid = np.empty((-(-acc.size // channel._PHASOR_BLOCK), channel._PHASOR_BLOCK), complex)
+    phasor = channel._doppler_phasor(tap, fs, grid)[n0 + start : n0 + end]
     filtered = np.convolve(parts, kernel)
     skip = start + lead - first
     imag = skip + parts.size - (stop - first)
@@ -378,6 +379,16 @@ def test_repeat_detection_compares_bits():
     assert not channel._repeats(ROW[: period + channel._REACH], period)
 
 
+@pytest.mark.parametrize("tap", DEFAULT_TAPS, ids=["fractional", "fractional_2", "on_grid"])
+def test_one_convolution_per_row_span_per_tap(tap, convolutions):
+    # the README default's otfs row, filtered whole, and its ofdm row, whose
+    # head and tail share one operand
+    rows, n_dft, cp_len, _ = PERIODIC_CASES["default_preambles"]
+    wf = Waveform(rows, 15e3 * n_dft, n_dft, cp_len)
+    apply_channel(wf, ChannelRealization(0, 1.0, [tap]))
+    assert len(convolutions) == 2
+
+
 def dirty_buffers(waveform):
     """Buffers for ``waveform`` whose every own array holds NaN, so stale
     contents would show."""
@@ -427,21 +438,8 @@ def test_buffered_channel_calls_do_not_leak_state():
         assert same_bits(got.samples, apply_channel(wf, ch).samples)
 
 
-def count_filters(monkeypatch):
-    """A list that grows by one per ``channel._filter_into`` call."""
-    calls = []
-    real_filter = channel._filter_into
-
-    def filter_into(*args):
-        calls.append(1)
-        return real_filter(*args)
-
-    monkeypatch.setattr(channel, "_filter_into", filter_into)
-    return calls
-
-
 @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
-def test_planned_channel_matches_unplanned_call(case, monkeypatch):
+def test_planned_channel_matches_unplanned_call(case, convolutions):
     wf, taps = BUFFER_CASES[case]
     fs = wf.sample_rate
     buffers = dirty_buffers(wf)
@@ -461,7 +459,6 @@ def test_planned_channel_matches_unplanned_call(case, monkeypatch):
         + [ChannelTap(t.gain, t.delay_s + 0.5 / fs, t.doppler_hz) for t in taps],
     )
     other_rate = Waveform(wf.samples, 0.5 * fs, wf.n_dft, wf.cp_len)
-    filters = count_filters(monkeypatch)
     plans = []
     # pass -> (channel, waveform, filters as much as a fresh call (True), not
     # at all (False) or not counted (None)); a's second pass, a hit right
@@ -471,12 +468,12 @@ def test_planned_channel_matches_unplanned_call(case, monkeypatch):
         (a, other_rate, None),
     ]:
         expected = apply_channel(w, ch).samples
-        fresh = len(filters)
-        filters.clear()
+        fresh = len(convolutions)
+        convolutions.clear()
         assert same_bits(apply_channel(w, ch, buffers=buffers).samples, expected)
         if filters_all is not None:
-            assert len(filters) == (fresh if filters_all else 0)
-        filters.clear()
+            assert len(convolutions) == (fresh if filters_all else 0)
+        convolutions.clear()
         plans.append(buffers.rows)
     assert all(plan is plans[0] for plan in plans)
     assert len(buffers.taps) == len(c.taps)
@@ -504,7 +501,7 @@ def test_buffers_from_another_array_or_framing_raise():
 def test_plan_skips_all_zero_rows():
     rows, _ = TRIM_CASES["all_zero_row_beside_nonzero"]
     plan = channel._row_plan(np.stack(rows), 0)
-    assert [(row, first, stop) for row, first, stop, _ in plan] == [(1, 0, 400)]
+    assert [(row, first, stop) for row, first, stop, *_ in plan] == [(1, 0, 400)]
 
 
 NOISE_CALLS = {

@@ -516,6 +516,22 @@ def test_cli_threads_above_64_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "cdf-sweep"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["the_file", "under_the_file"])
+def test_cli_out_on_an_existing_file_exit_2(tmp_path, capsys, monkeypatch, command, under):
+    # refused at parse time, before any work, not as a data error after it
+    for runner in ("run_simulate", "run_cdf_sweep"):
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs: pytest.fail("ran"))
+    cfg_path = write_toy_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--out", str(taken / under)])
+    assert exc.value.code == 2
+    assert f"--out: {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
 def test_cli_negative_seed_exit_2(tmp_path, capsys):
     # the config's ``seed: must be >= 0`` rule, for the override too
     cfg_path = write_toy_config(tmp_path)

@@ -22,7 +22,7 @@ from ddprach import (
     transmit,
     write_results_csv,
 )
-from ddprach import channel, cli, experiments
+from ddprach import cli, experiments
 from ddprach.config import SWEEP_AXES
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
@@ -104,12 +104,24 @@ def test_seed_changes_channel_draws():
     assert run_simulate(base) == run_simulate(base)
 
 
-def test_readme_default_reads_no_wrapped_peak():
+# results.csv of the README default at two trials, the benchmark's
+# simulate-default run, as written before each row span's tap fill became one
+# convolution: the full-size framing must not move a bit
+GOLDEN_README_DEFAULT_SHA256 = (
+    "20fc9b586c944f9bcbc574c0a90bb1fedcb87550d8d315d118413638763058cd"
+)
+
+
+def test_readme_default_reads_no_wrapped_peak(tmp_path):
     """An ofdm peak about one main lobe early is a negative lag, not a range
     of about 20 km: no detected record is off by more than 1 km."""
-    records = [r for r in run_simulate(parse_config({"trials": 2})) if r.detected]
+    results = run_simulate(parse_config({"trials": 2}))
+    records = [r for r in results if r.detected]
     assert {r.scheme for r in records} == {"otfs", "ofdm"}
     assert max(abs(r.error_m) for r in records) < 1000.0
+    path = tmp_path / "results.csv"
+    write_results_csv(path, results)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_README_DEFAULT_SHA256
 
 
 def test_schemes_share_channel_and_noise():
@@ -211,10 +223,9 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
 
 
 def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
-    calls = {"draw": [], "apply": [], "plan": 0, "transmit": []}
-    real_draw, real_apply, real_plan, real_transmit = (
-        experiments.draw_unit_noise, experiments.apply_channel, channel._row_plan,
-        experiments.transmit,
+    calls = {"draw": [], "apply": [], "transmit": []}
+    real_draw, real_apply, real_transmit = (
+        experiments.draw_unit_noise, experiments.apply_channel, experiments.transmit,
     )
 
     def draw(seed, buffers):
@@ -225,18 +236,13 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
         calls["apply"].append((waveform.sample_rate, id(waveform.samples)))
         return real_apply(waveform, realization, **kwargs)
 
-    def plan(samples, period):
-        calls["plan"] += 1
-        return real_plan(samples, period)
-
     def transmit(params):
         calls["transmit"].append(params.modulation)
         return real_transmit(params)
 
     monkeypatch.setattr(experiments, "draw_unit_noise", draw)
     monkeypatch.setattr(experiments, "apply_channel", apply)
-    # apply_channel plans the rows of its buffers' array on first use
-    monkeypatch.setattr(channel, "_row_plan", plan)
+    plans = count_plans(monkeypatch)
     monkeypatch.setattr(experiments, "transmit", transmit)
     values = [15e3, 30e3, 60e3]
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
@@ -248,30 +254,40 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     rates = [value * cfg.waveform.n_dft for value in values]
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)
     assert len({stack for _, stack in calls["apply"]}) == 1
-    assert calls["plan"] == 1  # one set of buffers per run
+    assert len(plans) == 1  # one set of buffers per run
     assert calls["transmit"] == cfg.schemes
 
 
-def count_filtering(monkeypatch):
-    """``(filter calls made, filter calls a fresh call makes)`` per channel
-    pass of the runners, counted through ``channel._filter_into``."""
-    filters, passes = [], []
-    real_filter, real_apply = channel._filter_into, experiments.apply_channel
+def count_plans(monkeypatch):
+    """A list that grows by one per ``experiments.FrameBuffers`` made: the
+    channel plans the rows of a set of buffers once, on its first pass."""
+    plans = []
+    real_buffers = experiments.FrameBuffers
 
-    def filter_into(*args):
-        filters.append(1)
-        return real_filter(*args)
+    def buffers(waveform):
+        plans.append(1)
+        return real_buffers(waveform)
+
+    monkeypatch.setattr(experiments, "FrameBuffers", buffers)
+    return plans
+
+
+def count_filtering(monkeypatch, convolutions):
+    """``(filter calls made, filter calls a fresh call makes)`` per channel
+    pass of the runners, counted through the channel's ``np.convolve``."""
+    passes = []
+    real_apply = experiments.apply_channel
 
     def apply(waveform, realization, **kwargs):
-        filters.clear()
-        real_apply(waveform, realization)  # fresh buffers filter every span
-        fresh = len(filters)
-        filters.clear()
+        convolutions.clear()
+        # fresh buffers filter every span
+        real_apply(waveform, realization, buffers=experiments.FrameBuffers(waveform))
+        fresh = len(convolutions)
+        convolutions.clear()
         result = real_apply(waveform, realization, **kwargs)
-        passes.append((len(filters), fresh, realization))
+        passes.append((len(convolutions), fresh, realization))
         return result
 
-    monkeypatch.setattr(channel, "_filter_into", filter_into)
     monkeypatch.setattr(experiments, "apply_channel", apply)
     return passes
 
@@ -288,9 +304,9 @@ def count_filtering(monkeypatch):
     ],
 )
 def test_sweep_filters_each_tap_once_per_item_at_one_sample_rate(
-    monkeypatch, axis, values, refilters
+    monkeypatch, convolutions, axis, values, refilters
 ):
-    passes = count_filtering(monkeypatch)
+    passes = count_filtering(monkeypatch, convolutions)
     # one trial per point: consecutive items share no tap delay
     cfg = parse_config(toy_tree(trials=1, sweep={"axis": axis, "values": values}))
     experiments._run_grid(cfg, axis)
@@ -300,16 +316,11 @@ def test_sweep_filters_each_tap_once_per_item_at_one_sample_rate(
         assert made == (fresh if refilters or k % len(values) == 0 else 0)
 
 
-def test_simulate_reuses_the_los_tap_between_trials_of_a_point(monkeypatch, tmp_path):
-    passes = count_filtering(monkeypatch)
-    plans = []
-    real_plan = channel._row_plan
-
-    def plan(samples, period):
-        plans.append(1)
-        return real_plan(samples, period)
-
-    monkeypatch.setattr(channel, "_row_plan", plan)
+def test_simulate_reuses_the_los_tap_between_trials_of_a_point(
+    monkeypatch, convolutions, tmp_path
+):
+    passes = count_filtering(monkeypatch, convolutions)
+    plans = count_plans(monkeypatch)
     tree = toy_tree(trials=2)
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(tree))
