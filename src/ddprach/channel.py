@@ -598,6 +598,10 @@ def synthesize_scenario_channel(
     arrival elevation, a uniform phase and a Doppler from a random arrival
     direction.  ``doppler_scale`` multiplies every tap Doppler; values above
     one emulate higher-mobility platforms without changing the geometry.
+
+    The delays are one-way: the model assumes a ground node on the UAV's
+    clock.  A real PRACH receiver measures a round trip, since the UE times
+    its preamble from the downlink it received (ROADMAP item 16).
     """
     rng = np.random.default_rng(seed)
     wavelength = SPEED_OF_LIGHT / carrier_hz

@@ -104,6 +104,9 @@ def _between(low, high):
 _ANY = (lambda v: True, "anything")
 _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+# a level in dB: 10**(x/10) stays finite, and so does received_power's
+# squared product of two such gains, 10**(4 * 300 / 10) = 1e120
+_DB = _between(-300.0, 300.0)
 
 # Allowed values by dotted path (list items and pair bounds share their
 # field's entry).  Numbers not listed must be positive; strings and booleans
@@ -115,14 +118,14 @@ _RULES = {
     "waveform.cp_len": _NON_NEGATIVE,
     "scenario.trajectory.count": _between(1, 100_000),
     "scenario.trajectory.speed_mps": _NON_NEGATIVE,
-    "scenario.antenna.g_rmax_db": _ANY,
+    "scenario.antenna.g_rmax_db": _DB,
     "scenario.tilt_deg": _ANY,
     "channel.source": _one_of(("synthetic", "taps_file")),
     "channel.nlos.count": _between(0, 64),
     "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,
-    "channel.nlos.relative_power_db_range": _ANY,
-    "channel.g_t_db": _ANY,
-    "noise.snr_db": _ANY,
+    "channel.nlos.relative_power_db_range": _DB,
+    "channel.g_t_db": _DB,
+    "noise.snr_db": _DB,
     "noise.noise_power_watts": _NON_NEGATIVE,
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
     "schemes": _one_of(MODULATIONS),

@@ -46,11 +46,14 @@ def error_cdf(errors) -> list[tuple[float, float]]:
 
 
 def rmse_los_bound(m: int, k: int, p_t_watts: float, h_squared: float) -> float:
-    """Lower bound on the LoS ranging RMSE.
+    """A formula shaped like a LoS ranging bound; not a bound in metres.
 
     ``sqrt( 6 / (4 pi M K (M^2 - 1) P_t) * 1 / |h|^2 )`` for M subcarriers,
     K symbols, transmit power P_t and squared channel gain |h|^2.  Scales as
-    ``1 / |h|``.
+    ``1 / |h|``.  It takes no noise power, no subcarrier spacing and no speed
+    of light, so it is not in metres and bounds no RMSE that a run reports;
+    no acceptance criterion calls it.  A ranging bound in metres is ROADMAP
+    item 11.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")

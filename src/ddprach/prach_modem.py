@@ -26,19 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dd_transform import (
-    DelayDopplerGrid,
-    TimeFrequencyGrid,
-    Waveform,
-    heisenberg_modulate,
-    isfft,
-    sfft,  # noqa: F401
-    wigner_demodulate,
-)
-from .units import SPEED_OF_LIGHT, dbm_to_watts
 # the receiver calls neither ``sfft`` nor ``circular_correlation``; both stay
 # importable from here because perfbench/tracer.py wraps them by name
-from .zc import CorrelationProfile, ZcSequence, circular_correlation, generate_zc  # noqa: F401
+from .dd_transform import Waveform, heisenberg_modulate, isfft, wigner_demodulate
+from .dd_transform import sfft  # noqa: F401
+from .units import SPEED_OF_LIGHT, dbm_to_watts
+from .zc import CorrelationProfile, circular_correlation, generate_zc  # noqa: F401
 
 __all__ = [
     "WaveformParams",
@@ -116,27 +109,21 @@ class ToaEstimate:
     refined_sample_delay: float | None = None  # sub-bin peak, if requested
 
 
-def build_preamble_grid(zc_seq: ZcSequence, params: WaveformParams) -> DelayDopplerGrid:
-    """Place the ZC sequence in the first ``n_zc`` delay bins of every row."""
-    if zc_seq.length > params.m:
-        raise ValueError(
-            f"ZC length {zc_seq.length} does not fit into {params.m} delay bins"
-        )
-    data = np.zeros((params.m, params.n), dtype=complex)
-    data[: zc_seq.length, :] = zc_seq.samples[:, None]
-    return DelayDopplerGrid(data)
+def build_preamble_grid(zc: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """The ``(m, n)`` delay-Doppler grid with ``zc`` in the first delay bins of every row."""
+    if zc.size > params.m:
+        raise ValueError(f"ZC length {zc.size} does not fit into {params.m} delay bins")
+    grid = np.zeros((params.m, params.n), dtype=complex)
+    grid[: zc.size, :] = zc[:, None]
+    return grid
 
 
 def transmit(params: WaveformParams) -> Waveform:
     """Generate the preamble waveform with mean power ``p_t_watts``."""
-    zc_seq = generate_zc(params.root, params.n_zc)
-    grid = build_preamble_grid(zc_seq, params)
-    if params.modulation == "otfs":
-        tf = isfft(grid, subcarrier_spacing=params.delta_f_hz)
-    else:
-        # same grid content read as (symbol, subcarrier) rows
-        tf = TimeFrequencyGrid(grid.data.T.copy(), subcarrier_spacing=params.delta_f_hz)
-    waveform = heisenberg_modulate(tf, params.n_dft, params.cp_len)
+    grid = build_preamble_grid(generate_zc(params.root, params.n_zc), params)
+    # ofdm reads the same grid content as (symbol, subcarrier) rows
+    tf = isfft(grid) if params.modulation == "otfs" else grid.T
+    waveform = heisenberg_modulate(tf, params.delta_f_hz, params.n_dft, params.cp_len)
     mean_power = float(np.mean(np.abs(waveform.samples) ** 2))
     waveform.samples = waveform.samples * math.sqrt(params.p_t_watts / mean_power)
     return waveform
@@ -175,7 +162,7 @@ def _reference_spectrum(root: int, n_zc: int, m: int, modulation: str) -> np.nda
     delay-Doppler receiver would read a 2-D peak instead (ROADMAP item 2).
     """
     spectrum = np.zeros(m, dtype=complex)
-    spectrum[:n_zc] = generate_zc(root, n_zc).samples
+    spectrum[:n_zc] = generate_zc(root, n_zc)
     if modulation == "otfs":
         spectrum = math.sqrt(m) * np.fft.fft(spectrum)
     spectrum = np.conj(spectrum)
@@ -183,13 +170,14 @@ def _reference_spectrum(root: int, n_zc: int, m: int, modulation: str) -> np.nda
     return spectrum
 
 
-def _combined_profile(tf: TimeFrequencyGrid, params: WaveformParams) -> CorrelationProfile:
+def _combined_profile(tf: np.ndarray, params: WaveformParams) -> CorrelationProfile:
     """Non-coherent sum of the per-symbol matched-filter output powers.
 
-    All ``n`` symbols go through one multiply and one IFFT pass.
+    All ``n`` symbols of the ``(n, m)`` grid ``tf`` go through one multiply
+    and one IFFT pass.
     """
     matched = _reference_spectrum(params.root, params.n_zc, params.m, params.modulation)
-    corr = np.fft.ifft(tf.data * matched, axis=1)
+    corr = np.fft.ifft(tf * matched, axis=1)
     values = np.sum(np.abs(corr) ** 2, axis=0)
     return CorrelationProfile(
         values=values,

@@ -14,33 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ZcSequence",
     "CorrelationProfile",
     "generate_zc",
     "circular_correlation",
 ]
-
-
-@dataclass(frozen=True)
-class ZcSequence:
-    """A generated Zadoff-Chu root sequence.
-
-    Attributes
-    ----------
-    root : int
-        Sequence root, coprime with ``length``.
-    length : int
-        Sequence length (odd prime for ideal CAZAC behaviour).
-    samples : np.ndarray
-        Complex unit-magnitude samples, shape ``(length,)``.
-    """
-
-    root: int
-    length: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +55,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def generate_zc(root: int, n_zc: int) -> ZcSequence:
+def generate_zc(root: int, n_zc: int) -> np.ndarray:
     """Generate a Zadoff-Chu root sequence.
 
     The sequence is ``a_q(n) = exp(-j 2 pi q [n(n+1)/2] / n_zc)`` for
@@ -95,7 +72,8 @@ def generate_zc(root: int, n_zc: int) -> ZcSequence:
 
     Returns
     -------
-    ZcSequence
+    np.ndarray
+        Read-only complex unit-magnitude samples, shape ``(n_zc,)``.
     """
     if n_zc < 3:
         raise ValueError(f"n_zc must be >= 3, got {n_zc}")
@@ -116,7 +94,8 @@ def generate_zc(root: int, n_zc: int) -> ZcSequence:
     n = np.arange(n_zc, dtype=float)
     # n(n+1)/2 is always an integer, so the phase is exact in double precision
     samples = np.exp(-2j * np.pi * root * (n * (n + 1) / 2.0) / n_zc)
-    return ZcSequence(root=root, length=n_zc, samples=samples)
+    samples.setflags(write=False)
+    return samples
 
 
 def circular_correlation(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:

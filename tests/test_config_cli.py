@@ -619,6 +619,15 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
             "sweep:\n  axis: speed_mps\n  values: [-5.0]\n",
             "sweep.values[0]",
         ),
+        # past the dB bound 10**(x/10) overflows a float mid-run
+        ("simulate", "noise: {snr_db: -4000.0}\n", "noise.snr_db"),
+        ("simulate", "channel: {g_t_db: 4000.0}\n", "channel.g_t_db"),
+        ("simulate", "scenario: {antenna: {g_rmax_db: 4000.0}}\n", "scenario.antenna.g_rmax_db"),
+        (
+            "simulate",
+            "channel: {nlos: {relative_power_db_range: [3000.0, 4000.0]}}\n",
+            "channel.nlos.relative_power_db_range",
+        ),
     ],
 )
 def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
@@ -627,6 +636,20 @@ def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
     err = capsys.readouterr().err
     assert "config error" in err
     assert where in err
+
+
+@pytest.mark.parametrize("db", [300.0, -300.0])
+@pytest.mark.parametrize("snr_db", [300.0, -300.0])
+def test_cli_db_bounds_run(tmp_path, capsys, db, snr_db):
+    # every dB field at its bound at once: the link budget stays finite
+    text = (
+        TOY_CONFIG.replace("snr_db: 10.0", f"snr_db: {snr_db}")
+        .replace("scenario:\n", f"scenario:\n  antenna: {{g_rmax_db: {db}}}\n")
+        + f"channel: {{g_t_db: {db}, nlos: {{relative_power_db_range: [{db}, {db}]}}}}\n"
+    )
+    config = write_toy_config(tmp_path, text=text)
+    rc = main(["simulate", "--config", config, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("digits, where", [(401, "waveform.delta_f_hz"), (5000, "invalid YAML")])

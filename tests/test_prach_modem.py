@@ -48,11 +48,11 @@ def test_grid_layout_default():
     params = WaveformParams()
     zc = generate_zc(params.root, params.n_zc)
     grid = build_preamble_grid(zc, params)
-    assert grid.data.shape == (1024, 4)
-    filled = grid.data[:139, :]
+    assert grid.shape == (1024, 4)
+    filled = grid[:139, :]
     assert np.allclose(np.abs(filled), 1.0, atol=1e-12)
-    assert np.all(grid.data[139:, :] == 0.0)
-    assert np.count_nonzero(grid.data) == 139 * 4
+    assert np.all(grid[139:, :] == 0.0)
+    assert np.count_nonzero(grid) == 139 * 4
 
 
 def test_grid_repeats_sequence_on_every_row():
@@ -60,13 +60,13 @@ def test_grid_repeats_sequence_on_every_row():
     zc = generate_zc(1, 5)
     grid = build_preamble_grid(zc, params)
     for k in range(3):
-        np.testing.assert_allclose(grid.data[:, k], zc.samples, atol=1e-12)
+        np.testing.assert_allclose(grid[:, k], zc, atol=1e-12)
 
 
 def test_grid_energy():
     params = WaveformParams()
     grid = build_preamble_grid(generate_zc(1, 139), params)
-    energy = np.sum(np.abs(grid.data) ** 2)
+    energy = np.sum(np.abs(grid) ** 2)
     assert energy == pytest.approx(4 * 139, rel=1e-12)
 
 
@@ -225,13 +225,13 @@ def row_correlation_oracle(rx, params):
     """Sum of per-row circular_correlation powers, one row at a time."""
     tf = wigner_demodulate(rx, params.m, params.n)
     reference = np.zeros(params.m, dtype=complex)
-    reference[: params.n_zc] = generate_zc(params.root, params.n_zc).samples
+    reference[: params.n_zc] = generate_zc(params.root, params.n_zc)
     if params.modulation == "otfs":
         dd = sfft(tf)
-        rows = [dd.data[:, k] for k in range(params.n)]
+        rows = [dd[:, k] for k in range(params.n)]
     else:
         reference = np.fft.ifft(reference)
-        rows = [np.fft.ifft(tf.data[k, :]) for k in range(params.n)]
+        rows = [np.fft.ifft(tf[k, :]) for k in range(params.n)]
     return sum(circular_correlation(row, reference).values for row in rows)
 
 

@@ -33,14 +33,14 @@ def direct_correlation_power(y, x_ref):
 
 def test_first_samples_root1():
     seq = generate_zc(1, 139)
-    assert seq.samples[0] == pytest.approx(1.0 + 0.0j)
+    assert seq[0] == pytest.approx(1.0 + 0.0j)
     # n(n+1)/2 = 1 at n=1
-    assert seq.samples[1] == pytest.approx(np.exp(-2j * np.pi / 139))
+    assert seq[1] == pytest.approx(np.exp(-2j * np.pi / 139))
 
 
 def test_unit_modulus():
     seq = generate_zc(1, 139)
-    assert np.max(np.abs(np.abs(seq.samples) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.abs(seq) - 1.0)) <= 1e-12
 
 
 def test_definition_matches_direct_evaluation():
@@ -48,7 +48,7 @@ def test_definition_matches_direct_evaluation():
     seq = generate_zc(q, n_zc)
     n = np.arange(n_zc)
     expected = np.exp(-2j * np.pi * q * (n * (n + 1) / 2.0) / n_zc)
-    assert np.allclose(seq.samples, expected, atol=1e-12)
+    assert np.allclose(seq, expected, atol=1e-12)
 
 
 def test_root_must_be_coprime():
@@ -76,7 +76,7 @@ def test_non_prime_length_warns():
 def test_sequence_is_immutable():
     seq = generate_zc(1, 139)
     with pytest.raises(ValueError):
-        seq.samples[0] = 0.0
+        seq[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_sequence_is_immutable():
 
 def test_autocorrelation_zero_lag_power():
     seq = generate_zc(1, 139)
-    profile = circular_correlation(seq.samples, seq.samples)
+    profile = circular_correlation(seq, seq)
     assert profile.values[0] == pytest.approx(139.0**2, rel=1e-6)
     assert profile.peak_lag == 0
 
@@ -93,7 +93,7 @@ def test_autocorrelation_zero_lag_power():
 @pytest.mark.parametrize("root", [1, 2, 25])
 def test_cazac_nonzero_lags(root):
     seq = generate_zc(root, 139)
-    profile = circular_correlation(seq.samples, seq.samples)
+    profile = circular_correlation(seq, seq)
     sidelobes = np.delete(profile.values, 0)
     assert np.max(sidelobes) <= 1e-9 * profile.values[0]
 
@@ -111,8 +111,8 @@ def test_matches_direct_oracle():
 def test_shift_to_lag_bijection():
     seq = generate_zc(2, 139)
     for shift in range(139):
-        delayed = np.roll(seq.samples, shift)  # delayed[n] = x[(n - shift) % L]
-        profile = circular_correlation(delayed, seq.samples)
+        delayed = np.roll(seq, shift)  # delayed[n] = x[(n - shift) % L]
+        profile = circular_correlation(delayed, seq)
         assert profile.peak_lag == shift
 
 
@@ -137,13 +137,13 @@ def test_length_mismatch_rejected():
 def test_dft_magnitude_flat():
     for root in (1, 2, 25):
         seq = generate_zc(root, 139)
-        spectrum = np.abs(np.fft.fft(seq.samples))
+        spectrum = np.abs(np.fft.fft(seq))
         assert np.ptp(spectrum) <= 1e-9 * np.max(spectrum)
 
 
 def test_mean_power_definition():
     seq = generate_zc(1, 139)
-    profile = circular_correlation(seq.samples, seq.samples)
+    profile = circular_correlation(seq, seq)
     assert profile.mean_power == pytest.approx(np.mean(profile.values), rel=1e-12)
     # one bin at N^2, the rest ~0: mean is N^2 / L = N
     assert profile.mean_power == pytest.approx(139.0, rel=1e-6)
@@ -153,4 +153,5 @@ def test_gcd_precondition_is_real_gcd():
     # 2 and 15 are coprime even though 15 is composite; only a warning
     with pytest.warns(UserWarning):
         seq = generate_zc(2, 15)
-    assert math.gcd(seq.root, seq.length) == 1
+    assert seq.shape == (15,)
+    assert math.gcd(2, seq.size) == 1
