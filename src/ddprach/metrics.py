@@ -35,14 +35,10 @@ def error_cdf(errors) -> list[tuple[float, float]]:
     """
     if len(errors) == 0:
         raise ValueError("error_cdf needs at least one error")
-    magnitudes = np.sort(np.abs(np.asarray(errors, dtype=float)))
-    n = magnitudes.size
-    points = []
-    for i, value in enumerate(magnitudes):
-        if i + 1 < n and magnitudes[i + 1] == value:
-            continue  # keep only the last (highest) step of duplicates
-        points.append((float(value), (i + 1) / n))
-    return points
+    magnitudes = np.abs(np.asarray(errors, dtype=float))
+    # one step per distinct value, at the share of errors up to and including it
+    values, counts = np.unique(magnitudes, return_counts=True)
+    return list(zip(values.tolist(), (np.cumsum(counts) / magnitudes.size).tolist()))
 
 
 def rmse_los_bound(m: int, k: int, p_t_watts: float, h_squared: float) -> float:

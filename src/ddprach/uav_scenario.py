@@ -2,10 +2,10 @@
 
 Models a rotary-wing UAV flying a straight, constant-height line over a
 ground target: per-point geometry (elevation angle to the target), the
-parabolic dB antenna pattern of the UAV-mounted panel, the speed-dependent
-airframe pitch (which tilts the antenna boresight), the rotary-wing
-propulsion power curve, and the closed-form count of trajectory points kept
-inside the antenna's first-null beamwidth.
+parabolic dB antenna pattern of the UAV-mounted panel (floored 30 dB below
+boresight), the speed-dependent airframe pitch (which tilts the antenna
+boresight), the rotary-wing propulsion power curve, and the closed-form
+count of trajectory points kept inside the antenna's first-null beamwidth.
 """
 
 import math
@@ -101,20 +101,26 @@ def build_trajectory(
     return points
 
 
+# front-to-back floor of the element pattern: A_max = SLA_V = 30 dB in
+# 3GPP TR 38.901, Table 7.3-1
+_MAX_ATTENUATION_DB = 30.0
+
+
 def antenna_gain(
     gamma_deg: float, theta_deg: float, tilt_deg: float, cfg: AntennaConfig
 ) -> float:
-    """Directional antenna gain in dB (parabolic pattern, no floor clamp).
+    """Directional antenna gain in dB (parabolic pattern with a 30 dB floor).
 
-    ``G = -12 (gamma / gamma_3dB)^2 - 12 ((theta - tilt) / theta_3dB)^2 + G_max``
+    ``G = G_max - min(12 (gamma / gamma_3dB)^2 + 12 ((theta - tilt) / theta_3dB)^2, 30)``
 
     ``gamma`` is the horizontal offset angle and ``theta`` the vertical angle
     of the path; tilting the airframe by ``tilt_deg`` moves the vertical
-    boresight.
+    boresight.  The floor keeps a path far off boresight at 30 dB below the
+    peak instead of letting the received power underflow to zero.
     """
-    horizontal = -12.0 * (gamma_deg / cfg.gamma_3db_deg) ** 2
-    vertical = -12.0 * ((theta_deg - tilt_deg) / cfg.theta_3db_deg) ** 2
-    return horizontal + vertical + cfg.g_rmax_db
+    horizontal = 12.0 * (gamma_deg / cfg.gamma_3db_deg) ** 2
+    vertical = 12.0 * ((theta_deg - tilt_deg) / cfg.theta_3db_deg) ** 2
+    return cfg.g_rmax_db - min(horizontal + vertical, _MAX_ATTENUATION_DB)
 
 
 def pitch_angle(v_x: float, cfg: AirframeConfig) -> tuple[float, float]:

@@ -9,37 +9,13 @@ received copy peak exactly at the propagation delay.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CorrelationProfile",
     "generate_zc",
     "circular_correlation",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Cyclic power delay profile of a received sequence.
-
-    Attributes
-    ----------
-    values : np.ndarray
-        Non-negative correlation powers, one per cyclic lag 0..L-1.
-    peak_lag : int
-        Lag of the maximum value (smallest lag on ties).
-    mean_power : float
-        Mean of ``values``, used to scale detection thresholds.
-    """
-
-    values: np.ndarray
-    peak_lag: int
-    mean_power: float
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 def _is_prime(n: int) -> bool:
@@ -98,13 +74,13 @@ def generate_zc(root: int, n_zc: int) -> np.ndarray:
     return samples
 
 
-def circular_correlation(received: np.ndarray, reference: np.ndarray) -> CorrelationProfile:
+def circular_correlation(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Cyclic cross-correlation power profile of two equal-length sequences.
 
     ``values[l] = | sum_n received[n] * conj(reference[(n - l) mod L]) |^2``
 
     The lag convention delays the reference, so a received copy that is a
-    cyclic delay of the reference by ``d`` samples produces ``peak_lag = d``
+    cyclic delay of the reference by ``d`` samples peaks at ``values[d]``
     and the time of arrival can be read off the peak directly.
 
     Parameters
@@ -114,7 +90,8 @@ def circular_correlation(received: np.ndarray, reference: np.ndarray) -> Correla
 
     Returns
     -------
-    CorrelationProfile
+    np.ndarray
+        Non-negative correlation powers ``values``, shape ``(L,)``.
     """
     y = np.asarray(received, dtype=complex)
     x = np.asarray(reference, dtype=complex)
@@ -128,9 +105,4 @@ def circular_correlation(received: np.ndarray, reference: np.ndarray) -> Correla
     if y.size == 0:
         raise ValueError("sequences must contain at least one sample")
     corr = np.fft.ifft(np.fft.fft(y) * np.conj(np.fft.fft(x)))
-    values = np.abs(corr) ** 2
-    return CorrelationProfile(
-        values=values,
-        peak_lag=int(np.argmax(values)),
-        mean_power=float(np.mean(values)),
-    )
+    return np.abs(corr) ** 2

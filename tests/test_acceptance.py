@@ -68,9 +68,9 @@ def test_c01_cazac_autocorrelation(report):
     for root in (1, 2, 25):
         zc = generate_zc(root, 139)
         profile = circular_correlation(zc, zc)
-        peak = profile.values[0]
+        peak = profile[0]
         worst_peak_err = max(worst_peak_err, abs(peak - 139.0**2) / 139.0**2)
-        worst_sidelobe = max(worst_sidelobe, profile.values[1:].max() / peak)
+        worst_sidelobe = max(worst_sidelobe, profile[1:].max() / peak)
     elapsed = time.perf_counter() - start
     ok = worst_sidelobe <= 1e-9 and worst_peak_err <= 1e-6 and elapsed < 1.0
     report(1, "cazac autocorrelation", ok,

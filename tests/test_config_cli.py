@@ -652,6 +652,20 @@ def test_cli_db_bounds_run(tmp_path, capsys, db, snr_db):
     assert rc == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["  tilt_deg: 1.0e+6\n", "  antenna: {theta_3db_deg: 0.001, gamma_3db_deg: 0.001}\n"],
+    ids=["far_tilt", "needle_beam"],
+)
+def test_cli_antenna_far_off_boresight_runs(tmp_path, capsys, scenario):
+    # the pattern's 30 dB floor keeps the received power above zero
+    text = TOY_CONFIG.replace("scenario:\n", "scenario:\n" + scenario)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert len((out / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+
+
 @pytest.mark.parametrize("digits, where", [(401, "waveform.delta_f_hz"), (5000, "invalid YAML")])
 def test_cli_huge_integer_exit_2(tmp_path, capsys, digits, where):
     text = "waveform:\n  delta_f_hz: " + "1" * digits + "\n"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ddprach import (
@@ -66,6 +67,25 @@ def test_cdf_reaches_one():
     assert points[-1][1] == 1.0
     probs = [p for _, p in points]
     assert all(b > a for a, b in zip(probs, probs[1:]))
+
+
+def loop_cdf(errors):
+    """The CDF's definition, one step at a time: the last of each run of ties."""
+    magnitudes = sorted(abs(float(e)) for e in errors)
+    n = len(magnitudes)
+    return [(value, (i + 1) / n) for i, value in enumerate(magnitudes)
+            if i + 1 == n or magnitudes[i + 1] != value]
+
+
+def test_cdf_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        size = int(rng.integers(1, 80))
+        # rounding makes ties, with both signs of the same magnitude
+        errors = np.round(rng.standard_normal(size) * 10.0, int(rng.integers(0, 2)))
+        points = error_cdf(errors)
+        assert points == loop_cdf(errors)
+        assert all(type(v) is float and type(p) is float for v, p in points)
 
 
 def test_cdf_empty_raises():

@@ -24,7 +24,7 @@ from ddprach import (
 from ddprach import prach_modem
 from ddprach.dd_transform import sfft, wigner_demodulate
 from ddprach.units import SPEED_OF_LIGHT
-from ddprach.zc import CorrelationProfile, circular_correlation, generate_zc
+from ddprach.zc import circular_correlation, generate_zc
 
 
 def toy_params(scheme="otfs", **kwargs):
@@ -123,8 +123,8 @@ def test_loopback_zero_delay(scheme):
     est = receive_and_estimate_toa(transmit(params), params)
     assert est.detected
     assert est.sample_delay == 0
-    assert est.profile.peak_lag == 0
-    assert est.profile.values[est.profile.peak_lag] >= est.threshold
+    assert int(np.argmax(est.profile)) == 0
+    assert est.profile[0] >= est.threshold
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
@@ -134,10 +134,10 @@ def test_integer_delay_readout(scheme):
     rx = apply_channel(transmit(params), single_tap(params, 6))
     est = receive_and_estimate_toa(rx, params)
     assert est.detected
-    assert est.profile.peak_lag == 3
+    assert int(np.argmax(est.profile)) == 3
     assert est.sample_delay == 6
     stride = params.n_dft / params.m
-    assert est.sample_delay == round(est.profile.peak_lag * stride)
+    assert est.sample_delay == round(int(np.argmax(est.profile)) * stride)
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
@@ -150,7 +150,7 @@ def test_early_peak_reads_as_negative_delay(scheme, size):
     rx = Waveform(np.roll(tx.samples, -stride), tx.sample_rate, tx.n_dft, tx.cp_len)
     est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
     assert est.detected
-    assert est.profile.peak_lag == params.m - 1
+    assert int(np.argmax(est.profile)) == params.m - 1
     assert est.sample_delay == -round(params.n_dft / params.m)
     assert est.refined_sample_delay < 0
 
@@ -160,38 +160,36 @@ def test_early_peak_reads_as_negative_delay(scheme, size):
 # ---------------------------------------------------------------------------
 
 def test_threshold_single_bin_example():
-    profile = CorrelationProfile(values=np.ones(1), peak_lag=0, mean_power=1.0)
-    assert detection_threshold(profile, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
+    assert detection_threshold(np.ones(1), math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_threshold_scales_with_profile_power():
     rng = np.random.default_rng(11)
     values = rng.standard_exponential(256)
-    base = CorrelationProfile(values=values, peak_lag=int(np.argmax(values)),
-                              mean_power=float(values.mean()))
-    scaled = CorrelationProfile(values=3.7 * values, peak_lag=base.peak_lag,
-                                mean_power=3.7 * base.mean_power)
-    assert detection_threshold(scaled, 1e-3) == pytest.approx(
-        3.7 * detection_threshold(base, 1e-3), rel=1e-12
+    assert detection_threshold(3.7 * values, 1e-3) == pytest.approx(
+        3.7 * detection_threshold(values, 1e-3), rel=1e-12
     )
 
 
 def test_threshold_grows_with_bin_count():
     rng = np.random.default_rng(5)
     values = rng.standard_exponential(4096)
-    small = CorrelationProfile(values=values[:64], peak_lag=0, mean_power=1.0)
-    large = CorrelationProfile(values=values, peak_lag=0, mean_power=1.0)
+    # both scaled to a mean of 1, so that only the bin count differs
+    small = values[:64] / values[:64].mean()
+    large = values / values.mean()
     assert detection_threshold(large, 1e-3) > detection_threshold(small, 1e-3)
 
 
 def test_threshold_input_validation():
-    profile = CorrelationProfile(values=np.ones(8), peak_lag=0, mean_power=1.0)
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            detection_threshold(profile, bad)
-    dead = CorrelationProfile(values=np.zeros(8), peak_lag=0, mean_power=0.0)
+            detection_threshold(np.ones(8), bad)
     with pytest.raises(ValueError):
-        detection_threshold(dead, 1e-3)
+        detection_threshold(np.zeros(8), 1e-3)
+    # a nonzero profile whose mean underflows is as undetectable; the
+    # receiver's miss test is therefore on the mean, not on any()
+    with pytest.raises(ValueError):
+        detection_threshold(np.array([5e-324, 0.0, 0.0, 0.0]), 1e-3)
 
 
 def test_false_alarm_rate_monte_carlo():
@@ -202,13 +200,17 @@ def test_false_alarm_rate_monte_carlo():
     for _ in range(10):
         block = rng.standard_exponential((trials // 10, length))
         for row in block:
-            profile = CorrelationProfile(
-                values=row, peak_lag=int(np.argmax(row)),
-                mean_power=float(row.mean()),
-            )
-            hits += bool(row.max() >= detection_threshold(profile, target))
+            hits += bool(row.max() >= detection_threshold(row, target))
     # 10 expected; binomial 3-sigma band is roughly [1, 20]
     assert 1 <= hits <= 30
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_profile_is_read_only(scheme):
+    params = toy_params(scheme)
+    est = receive_and_estimate_toa(transmit(params), params)
+    with pytest.raises(ValueError):
+        est.profile[0] = 0.0
 
 
 def test_all_zero_rx_not_detected():
@@ -232,7 +234,7 @@ def row_correlation_oracle(rx, params):
     else:
         reference = np.fft.ifft(reference)
         rows = [np.fft.ifft(tf[k, :]) for k in range(params.n)]
-    return sum(circular_correlation(row, reference).values for row in rows)
+    return sum(circular_correlation(row, reference) for row in rows)
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
@@ -256,9 +258,10 @@ def test_batched_profile_matches_row_oracle(scheme, size):
     rx = add_awgn(apply_channel(transmit(params), channel), 3.0, seed=5)
     est = receive_and_estimate_toa(rx, params)
     oracle = row_correlation_oracle(rx, params)
-    assert np.allclose(est.profile.values, oracle, rtol=1e-12, atol=1e-12 * oracle.max())
-    assert est.profile.peak_lag == int(np.argmax(oracle))
-    assert est.profile.mean_power == pytest.approx(float(np.mean(oracle)), rel=1e-12)
+    assert est.profile.shape == (params.m,)
+    assert np.allclose(est.profile, oracle, rtol=1e-12, atol=1e-12 * oracle.max())
+    assert int(np.argmax(est.profile)) == int(np.argmax(oracle))
+    assert np.mean(est.profile) == pytest.approx(float(np.mean(oracle)), rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
@@ -277,7 +280,7 @@ def test_receiver_runs_without_sfft(scheme, monkeypatch):
     assert after.sample_delay == before.sample_delay
     assert after.refined_sample_delay == before.refined_sample_delay
     assert after.threshold == before.threshold
-    assert np.array_equal(after.profile.values, before.profile.values)
+    assert np.array_equal(after.profile, before.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +395,7 @@ def test_range_input_validation():
 # ---------------------------------------------------------------------------
 
 def _dummy_profile():
-    return CorrelationProfile(values=np.ones(4), peak_lag=0, mean_power=1.0)
+    return np.ones(4)
 
 
 def test_resolve_range_miss():

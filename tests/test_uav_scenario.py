@@ -31,15 +31,21 @@ def test_gain_3db_widths():
     assert antenna_gain(32.5, 5.0 + 32.5, 5.0, cfg) == pytest.approx(10.0 - 6.0)
 
 
-def test_gain_no_floor_clamp():
+def test_gain_floor_caps_attenuation_at_30_db():
+    # TR 38.901 Table 7.3-1: the parabolic pattern is cut at A_max = 30 dB;
+    # uncapped, the first path would read -122.9 dB
     cfg = AntennaConfig()
-    value = antenna_gain(180.0, 120.0, 0.0, cfg)
-    expected = (
-        -12.0 * (180.0 / cfg.gamma_3db_deg) ** 2
-        - 12.0 * (120.0 / cfg.theta_3db_deg) ** 2
-        + cfg.g_rmax_db
+    assert antenna_gain(180.0, 120.0, 0.0, cfg) == cfg.g_rmax_db - 30.0
+    assert antenna_gain(0.0, 1.0e6, 0.0, cfg) == cfg.g_rmax_db - 30.0
+    # just inside the floor the pattern is still parabolic
+    assert antenna_gain(0.0, 29.0**0.5 / 12.0**0.5 * 65.0, 0.0, cfg) == pytest.approx(
+        cfg.g_rmax_db - 29.0
     )
-    assert value == pytest.approx(expected)
+    # the channel passes gamma = 0; the README default's worst case, the
+    # overhead point at zero tilt, is 23 dB down: the floor never binds there
+    assert antenna_gain(0.0, 90.0, 0.0, cfg) == pytest.approx(
+        cfg.g_rmax_db - 12.0 * (90.0 / 65.0) ** 2
+    )
 
 
 def test_gain_argmax_at_tilt():
