@@ -5,7 +5,7 @@ shift; applying the channel evaluates
 
 ``y(t) = sum_i  g_i * exp(j 2 pi nu_i (t - tau_i)) * x(t - tau_i)``
 
-at the waveform sample instants.  Sub-sample delays are realized with a
+at the sample instants.  Sub-sample delays are realized with a
 64-tap Kaiser-windowed sinc interpolator.  The module also covers AWGN
 injection (SNR-relative or absolute noise power), the free-space link
 budget, tap-file I/O and a synthetic scenario channel built from the
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dd_transform import Waveform
 from .metrics import read_rows, write_rows
+from .prach_modem import WaveformParams
 from .uav_scenario import AntennaConfig, TrajectoryPoint, antenna_gain
 from .units import SPEED_OF_LIGHT
 
@@ -116,25 +116,25 @@ class FrameBuffers:
     to the next.
 
     ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write into these
-    arrays when given ``buffers=``; the ``Waveform`` they return views
-    ``frames``, so it holds only until the next call on the same buffers.
-    The buffers keep the sample array and framing of ``waveform``: the first
-    ``apply_channel`` on them plans that array's rows, later ones reuse the
-    plan, and ``apply_channel`` on another array or framing raises
-    ``ValueError``.  They also keep, per tap position, the whole filtered
-    output of each row span last made there, uncut, and the delay in samples
-    it was made for; a later pass whose tap at that position has the same
-    delay in samples reuses it, and each pass cuts it to the delayed frame.
-    The array must not change while the buffers serve it.  One object serves
-    one thread at a time; the experiment runners make one per process of a
-    run, so ``--threads K`` holds K sets, one in each forked worker process.
+    arrays when given ``buffers=``; the array they return is ``frames``, so
+    it holds only until the next call on the same buffers.  The buffers keep
+    ``samples``: the first ``apply_channel`` on them plans its rows for the
+    framing's period ``n_dft + cp_len``, later ones reuse the plan, and one
+    on another array or period raises ``ValueError``.  They also keep, per
+    tap position, the whole filtered output of each row span last made there,
+    uncut, and the delay in samples it was made for; a later pass whose tap
+    at that position has the same delay in samples reuses it, and each pass
+    cuts it to the delayed frame.  The array must not change while the
+    buffers serve it.  One object serves one thread at a time; the
+    experiment runners make one per process of a run, so ``--threads K``
+    holds K sets, one in each forked worker process.
     """
 
-    def __init__(self, waveform: Waveform):
-        shape = waveform.samples.shape
+    def __init__(self, samples: np.ndarray):
+        shape = samples.shape
         n = shape[-1]
-        self.samples = waveform.samples                # the array they serve
-        self.period = waveform.n_dft + waveform.cp_len
+        self.samples = samples                         # the array they serve
+        self.period = None                             # its framing's period, once planned
         self.rows = None                               # its row plan, once made
         self.taps = []                                 # _FilteredTap per tap position
         self.frames = np.empty(shape, dtype=complex)  # the output stack
@@ -207,36 +207,39 @@ def _row_plan(x: np.ndarray, period: int) -> list:
 
 
 def apply_channel(
-    waveform: Waveform,
+    params: WaveformParams,
     realization: ChannelRealization,
+    samples,
     buffers: FrameBuffers | None = None,
-) -> Waveform:
-    """Run a waveform through the tapped delay-line channel (no noise).
+) -> np.ndarray:
+    """Run samples through the tapped delay-line channel (no noise).
 
-    ``waveform.samples`` is one frame ``(L,)`` or a stack ``(S, L)`` of frames
-    sharing the framing; every row goes through the same taps and matches a
-    single-frame call exactly.  Integer tap delays are exact shifts;
+    ``samples``, read as complex, is one frame ``(L,)`` or a stack ``(S, L)``
+    of frames; of their framing, ``params``, the channel reads ``sample_rate``
+    and the period ``n_dft + cp_len``.  Every row goes through the same taps
+    and matches a single-frame call exactly.  Integer tap delays are exact shifts;
     fractional parts use the Kaiser-windowed sinc interpolator.  Each delayed
     frame keeps the input length (tail truncated, head zero-filled).  Only
     the span between a row's first and last nonzero sample is filtered, so
     the work per row scales with that span; a span that repeats bit for bit
     every ``n_dft + cp_len`` samples is filtered over one period and its
-    edges only, with the same output.  With ``buffers``, made from this
-    waveform's array and framing, the result is written into
-    ``buffers.frames``, and a tap whose delay in samples equals the one the
-    buffers last filtered at its position reuses those filtered spans (see
-    :class:`FrameBuffers`).
+    edges only, with the same output.  With ``buffers``, made from this very
+    array, the result is written into ``buffers.frames``, and a tap whose
+    delay in samples equals the one the buffers last filtered at its
+    position reuses those filtered spans (see :class:`FrameBuffers`).
     """
-    x = waveform.samples
-    fs = waveform.sample_rate
+    x = np.asarray(samples, dtype=complex)
+    fs = params.sample_rate
+    period = params.n_dft + params.cp_len
     n = x.shape[-1]
     delays = [_delay_samples(tap, fs, n) for tap in realization.taps]
     if buffers is None:
-        buffers = FrameBuffers(waveform)
-    elif buffers.samples is not x or buffers.period != waveform.n_dft + waveform.cp_len:
+        buffers = FrameBuffers(x)
+    elif buffers.samples is not x or buffers.period not in (None, period):
         raise ValueError("the buffers were made from another array or framing")
     if buffers.rows is None:
-        buffers.rows = _row_plan(x, buffers.period)
+        buffers.rows = _row_plan(x, period)
+        buffers.period = period
     buffers.frames.fill(0)
     out = buffers.frames.reshape(-1, n)
     for index, (tap, delay) in enumerate(zip(realization.taps, delays)):
@@ -246,7 +249,7 @@ def apply_channel(
         if filtered.delay != delay:
             _filter_tap(filtered, delay, buffers.rows)
         _add_tap(out, filtered, tap, fs, buffers)
-    return _wrap(buffers.frames, waveform)
+    return buffers.frames
 
 
 def _repeats(span: np.ndarray, period: int) -> bool:
@@ -374,45 +377,45 @@ def _doppler_phasor(tap: ChannelTap, fs: float, grid: np.ndarray) -> np.ndarray:
 
 
 def add_awgn(
-    waveform: Waveform,
+    samples,
     snr_db: float | None,
     seed=None,
     buffers: FrameBuffers | None = None,
     noise: np.ndarray | None = None,
-) -> Waveform:
+) -> np.ndarray:
     """Add circular complex white Gaussian noise at a target SNR.
 
     The noise variance is scaled to the measured mean power of the input,
     row by row for a ``(S, L)`` stack, and the noise is added by
     :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
-    ``+inf`` returns the waveform unchanged (noiseless); NaN and ``-inf``
+    ``+inf`` returns a copy of the samples (noiseless); NaN and ``-inf``
     raise ``ValueError``.  ``seed``, ``buffers`` and ``noise`` are used as in
     :func:`add_noise_power`.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    buffers = _load(buffers, waveform)
-    loaded = _wrap(buffers.frames, waveform)
+    buffers = _load(buffers, samples)
     if snr_db is None or snr_db == math.inf:
-        return loaded
+        return buffers.frames
     power = np.abs(buffers.frames, out=buffers.power)
     signal_power = np.mean(np.square(power, out=power), axis=-1)
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return add_noise_power(loaded, noise_power, seed, buffers, noise)
+    return add_noise_power(buffers.frames, noise_power, seed, buffers, noise)
 
 
 def add_noise_power(
-    waveform: Waveform,
+    samples,
     noise_power_watts,
     seed=None,
     buffers: FrameBuffers | None = None,
     noise: np.ndarray | None = None,
-) -> Waveform:
+) -> np.ndarray:
     """Add circular complex white Gaussian noise of absolute mean power.
 
-    ``noise_power_watts`` is one power for every row or one per row of a
+    ``samples``, read as complex, is one ``(L,)`` frame or an ``(S, L)``
+    stack.  ``noise_power_watts`` is one power for every row or one per row of a
     ``(S, L)`` stack; each must be finite and ``>= 0``.  One ``(L,)`` unit
     noise row, drawn from ``seed`` unless given as ``noise`` (from
     :func:`draw_unit_noise`), is scaled to each row's power and added, so
@@ -423,7 +426,7 @@ def add_noise_power(
     noise_power = np.asarray(noise_power_watts, dtype=float)
     if not np.all(np.isfinite(noise_power)) or np.any(noise_power < 0):
         raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
-    buffers = _load(buffers, waveform)
+    buffers = _load(buffers, samples)
     n = buffers.unit.size
     if noise is None:
         noise = draw_unit_noise(seed, buffers)
@@ -436,7 +439,7 @@ def add_noise_power(
     for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
         # keep the operand order row_scale * noise, as for the phasor above
         row += np.multiply(row_scale, noise, out=buffers.delayed)
-    return _wrap(buffers.frames, waveform)
+    return buffers.frames
 
 
 def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
@@ -454,21 +457,16 @@ def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
     return buffers.unit
 
 
-def _load(buffers: FrameBuffers | None, waveform: Waveform) -> FrameBuffers:
-    """Buffers whose ``frames`` hold a copy of ``waveform.samples``."""
+def _load(buffers: FrameBuffers | None, samples) -> FrameBuffers:
+    """Buffers whose ``frames`` hold a complex copy of ``samples``."""
+    x = np.asarray(samples, dtype=complex)
     if buffers is None:
-        buffers = FrameBuffers(waveform)
-    elif buffers.frames.shape != waveform.samples.shape:
-        raise ValueError(
-            f"buffers hold frames of shape {buffers.frames.shape}, got {waveform.samples.shape}"
-        )
-    if waveform.samples is not buffers.frames:
-        np.copyto(buffers.frames, waveform.samples)
+        buffers = FrameBuffers(x)
+    elif buffers.frames.shape != x.shape:
+        raise ValueError(f"buffers hold frames of shape {buffers.frames.shape}, got {x.shape}")
+    if x is not buffers.frames:
+        np.copyto(buffers.frames, x)
     return buffers
-
-
-def _wrap(samples: np.ndarray, waveform: Waveform) -> Waveform:
-    return Waveform(samples, waveform.sample_rate, waveform.n_dft, waveform.cp_len)
 
 
 def received_power(

@@ -111,13 +111,16 @@ _DB = _between(-300.0, 300.0)
 # Allowed values by dotted path (list items and pair bounds share their
 # field's entry).  Numbers not listed must be positive; strings and booleans
 # not listed are free.  The sizes and counts that set a run's work and memory
-# have upper bounds, so that a run that cannot finish fails at parse time.
+# have upper bounds, so that a run that cannot finish fails at parse time,
+# and physical quantities their physical ranges, past which a run overflows.
 _RULES = {
     "waveform.n_dft": _between(1, 65_536),
     "waveform.n": _between(1, 1_024),
     "waveform.cp_len": _NON_NEGATIVE,
     "scenario.trajectory.count": _between(1, 100_000),
-    "scenario.trajectory.speed_mps": _NON_NEGATIVE,
+    "scenario.carrier_hz": _between(3.0, 3.0e12),  # the ITU radio spectrum
+    # the Doppler v f_c / c is a law for v below light's speed
+    "scenario.trajectory.speed_mps": _between(0.0, SPEED_OF_LIGHT),
     "scenario.antenna.g_rmax_db": _DB,
     "scenario.tilt_deg": _ANY,
     "channel.source": _one_of(("synthetic", "taps_file")),
@@ -125,6 +128,8 @@ _RULES = {
     "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,
     "channel.nlos.relative_power_db_range": _DB,
     "channel.g_t_db": _DB,
+    # 1e6 already takes a 300 m/s flight to light speed
+    "channel.doppler_scale": (lambda v: 0 < v <= 1e6, "in (0, 1e6]"),
     "noise.snr_db": _DB,
     "noise.noise_power_watts": _NON_NEGATIVE,
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
@@ -261,6 +266,16 @@ def parse_config(tree) -> ExperimentConfig:
         if low > high:
             raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
     if channel.source == "synthetic":
+        # the link budget (lambda / 4 pi d)^2 is a far-field law: it passes
+        # unity at d < lambda / 4 pi and overflows as d, at least the
+        # height, goes to zero
+        wavelength = SPEED_OF_LIGHT / cfg.scenario.carrier_hz
+        height = cfg.scenario.trajectory.height_m
+        if height < wavelength:
+            raise ConfigError(
+                f"scenario.trajectory.height_m: must be at least one wavelength, "
+                f"c / carrier_hz = {wavelength} m, got {height}"
+            )
         _check_tap_delays(cfg)
     return cfg
 

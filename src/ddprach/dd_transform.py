@@ -8,49 +8,21 @@ with the inverse symplectic finite Fourier transform (ISFFT) and back with
 the SFFT.  Both transforms use the symmetric unitary normalization
 ``1/sqrt(M N)`` so the pair is exactly inverse and energy-preserving.
 
-The Heisenberg transform (time-frequency grid to waveform) and its Wigner
+The Heisenberg transform (time-frequency grid to samples) and its Wigner
 inverse are discretized as cyclic-prefix OFDM with rectangular pulses: each
 grid row is one OFDM symbol whose M active subcarriers occupy the first M
-bins of an ``n_dft``-point spectrum.
+bins of an ``n_dft``-point spectrum.  The samples are a plain array, framed
+by the caller's ``WaveformParams``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Waveform",
     "isfft",
     "sfft",
     "heisenberg_modulate",
     "wigner_demodulate",
 ]
-
-
-@dataclass
-class Waveform:
-    """Sampled baseband waveform with its framing metadata.
-
-    Attributes
-    ----------
-    samples : np.ndarray
-        Complex baseband samples, shape ``(L,)``; the channel functions also
-        accept an ``(S, L)`` stack of frames sharing this framing.
-    sample_rate : float
-        Samples per second (``delta_f_hz * n_dft``).
-    n_dft : int
-        DFT size used per OFDM symbol.
-    cp_len : int
-        Cyclic prefix length in samples.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-    n_dft: int
-    cp_len: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
 
 
 def isfft(grid: np.ndarray) -> np.ndarray:
@@ -82,16 +54,14 @@ def sfft(grid: np.ndarray) -> np.ndarray:
     return isfft(grid)
 
 
-def heisenberg_modulate(
-    grid: np.ndarray, delta_f_hz: float, n_dft: int, cp_len: int
-) -> Waveform:
-    """Modulate an ``(n, m)`` time-frequency grid to a CP-OFDM waveform.
+def heisenberg_modulate(grid: np.ndarray, n_dft: int, cp_len: int) -> np.ndarray:
+    """Modulate an ``(n, m)`` time-frequency grid to CP-OFDM samples.
 
     Per symbol, the M subcarrier values fill bins ``0..M-1`` of an
     ``n_dft``-bin spectrum (guard bins zero); a unitary IDFT produces the
     symbol body and the last ``cp_len`` body samples are prepended as the
-    cyclic prefix.  The output concatenates the N symbols, giving
-    ``N * (n_dft + cp_len)`` samples at ``delta_f_hz * n_dft`` samples/s.
+    cyclic prefix.  The output concatenates the N symbols into one array of
+    ``N * (n_dft + cp_len)`` samples.
     """
     n_sym, m = grid.shape
     if n_dft < m:
@@ -102,29 +72,25 @@ def heisenberg_modulate(
     spectrum[:, :m] = grid
     body = np.fft.ifft(spectrum, axis=1, norm="ortho")
     frames = np.concatenate([body[:, n_dft - cp_len:], body], axis=1)
-    return Waveform(
-        samples=frames.reshape(-1),
-        sample_rate=delta_f_hz * n_dft,
-        n_dft=n_dft,
-        cp_len=cp_len,
-    )
+    return frames.reshape(-1)
 
 
-def wigner_demodulate(waveform: Waveform, m: int, n: int) -> np.ndarray:
-    """Demodulate a CP-OFDM waveform back to an ``(n, m)`` time-frequency grid.
+def wigner_demodulate(samples, n_dft: int, cp_len: int, m: int, n: int) -> np.ndarray:
+    """Demodulate CP-OFDM samples back to an ``(n, m)`` time-frequency grid.
 
     Inverse of :func:`heisenberg_modulate`: per symbol the cyclic prefix is
     stripped, the body is DFT'd (unitary) and the first ``m`` bins are kept.
+    ``samples`` is read as complex.
     """
-    n_dft, cp_len = waveform.n_dft, waveform.cp_len
+    samples = np.asarray(samples, dtype=complex)
     if m > n_dft:
         raise ValueError(f"m ({m}) must be <= n_dft ({n_dft})")
     frame_len = n_dft + cp_len
     expected = n * frame_len
-    if waveform.samples.size != expected:
+    if samples.size != expected:
         raise ValueError(
-            f"waveform framing mismatch: got {waveform.samples.size} samples, "
+            f"framing mismatch: got {samples.size} samples, "
             f"expected {expected} for {n} symbols of {frame_len}"
         )
-    frames = waveform.samples.reshape(n, frame_len)
+    frames = samples.reshape(n, frame_len)
     return np.fft.fft(frames[:, cp_len:], axis=1, norm="ortho")[:, :m]

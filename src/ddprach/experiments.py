@@ -21,7 +21,9 @@ share an item's tap delays, so they filter each tap once.  Seeds for the
 channel draw and the noise draw are derived by hashing the master seed
 together with the item indices, so results depend neither on the execution
 order nor on K; all schemes and sweep values of an item share the channel
-and noise seeds, making comparisons paired.
+and noise seeds, making comparisons paired.  The preamble stack is a
+plain ``(schemes, frame_len)`` array; each sweep value frames it with its
+own ``WaveformParams``.
 """
 
 import os
@@ -44,7 +46,6 @@ from .channel import (
     synthesize_scenario_channel,
 )
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig
-from .dd_transform import Waveform
 from .metrics import ResultRecord, error_cdf, rmse
 from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
 from .uav_scenario import (
@@ -93,7 +94,6 @@ class _Setup(NamedTuple):
     tilt: float
     trajectory: list
     params: dict
-    stacked: Waveform   # the run's (schemes, L) preamble stack at this value's rate
 
 
 def _run_grid(
@@ -118,8 +118,7 @@ def _run_grid(
     # one channel pass and one noise draw per item serve all schemes, which
     # keeps the comparison paired; no sweep axis changes the samples, so the
     # stack serves every value
-    tx = [transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes]
-    stack = np.stack([w.samples for w in tx])
+    stack = np.stack([transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes])
     setups = []
     for swept in cfgs:
         spec = swept.scenario.trajectory
@@ -129,13 +128,12 @@ def _run_grid(
                 _resolve_tilt(swept),
                 build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps),
                 {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
-                Waveform(stack, swept.waveform.sample_rate, tx[0].n_dft, tx[0].cp_len),
             )
         )
     file_taps = None
     if cfg.channel.source == "taps_file":
         file_taps = load_taps(cfg.channel.taps_path)
-        durations = [s.stacked.samples.shape[-1] / s.stacked.sample_rate for s in setups]
+        durations = [s.cfg.waveform.frame_len / s.cfg.waveform.sample_rate for s in setups]
         for point_idx in range(cfg.scenario.trajectory.count):
             if point_idx not in file_taps:
                 raise TapFileError(f"taps file has no rows for point {point_idx}")
@@ -149,7 +147,7 @@ def _run_grid(
     count = cfg.scenario.trajectory.count
     k = min(workers, count)
     ranges = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
-    parts = _fork_map(partial(_run_points, cfg, setups, file_taps), ranges)
+    parts = _fork_map(partial(_run_points, cfg, setups, stack, file_taps), ranges)
     return [
         (setup.cfg, [record for part in parts for record in part[i]])
         for i, setup in enumerate(setups)
@@ -157,13 +155,13 @@ def _run_grid(
 
 
 def _run_points(
-    cfg: ExperimentConfig, setups: list[_Setup], file_taps, points: range
+    cfg: ExperimentConfig, setups: list[_Setup], stack: np.ndarray, file_taps, points: range
 ) -> list[list[ResultRecord]]:
     """One record list per setup over the work items of ``points``, in
     canonical order."""
     noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
     # one set of buffers, and the one row plan they make, serves every item
-    buffers = FrameBuffers(setups[0].stacked)
+    buffers = FrameBuffers(stack)
     runs = [[] for _ in setups]
     for point_idx in points:
         for trial in range(cfg.trials):
@@ -259,7 +257,7 @@ def _run_config(
     ``realization`` is the item's channel from the taps file (``None``:
     synthesize it from ``channel_seed``), ``noise`` the item's unit noise row
     (``None`` for a noiseless run) and ``buffers`` the run's
-    :class:`FrameBuffers`.
+    :class:`FrameBuffers`, made from its preamble stack.
     """
     cfg = setup.cfg
     if realization is None:
@@ -273,16 +271,17 @@ def _run_config(
             g_t_db=cfg.channel.g_t_db,
             doppler_scale=cfg.channel.doppler_scale,
         )
-    rx = apply_channel(setup.stacked, realization, buffers=buffers)
+    # positional: the benchmark's tracer reads args[0] and args[1]
+    rx = apply_channel(cfg.waveform, realization, buffers.samples, buffers=buffers)
     if cfg.noise.noise_power_watts is not None:
         rx = add_noise_power(rx, cfg.noise.noise_power_watts, buffers=buffers, noise=noise)
     else:
         rx = add_awgn(rx, cfg.noise.snr_db, buffers=buffers, noise=noise)
     records = []
-    for scheme, samples in zip(cfg.schemes, rx.samples):
+    for scheme, samples in zip(cfg.schemes, rx):
         params = setup.params[scheme]
         estimate = receive_and_estimate_toa(
-            Waveform(samples, rx.sample_rate, rx.n_dft, rx.cp_len),
+            samples,
             params,
             target_pfa=cfg.detection.target_pfa,
             interpolate_peak=cfg.detection.interpolate_peak,

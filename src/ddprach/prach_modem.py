@@ -33,7 +33,7 @@ import numpy as np
 
 # the receiver calls neither ``sfft`` nor ``circular_correlation``; both stay
 # importable from here because perfbench/tracer.py wraps them by name
-from .dd_transform import Waveform, heisenberg_modulate, isfft, wigner_demodulate
+from .dd_transform import heisenberg_modulate, isfft, wigner_demodulate
 from .dd_transform import sfft  # noqa: F401
 from .units import SPEED_OF_LIGHT, dbm_to_watts
 from .zc import circular_correlation, generate_zc  # noqa: F401
@@ -54,7 +54,7 @@ MODULATIONS = ("otfs", "ofdm")
 
 @dataclass
 class WaveformParams:
-    """Preamble and framing parameters."""
+    """Preamble parameters, and the one framing of its sample array."""
 
     delta_f_hz: float = 15e3     # subcarrier spacing [Hz]
     n_dft: int = 2048            # DFT size per OFDM symbol
@@ -123,15 +123,14 @@ def build_preamble_grid(zc: np.ndarray, params: WaveformParams) -> np.ndarray:
     return grid
 
 
-def transmit(params: WaveformParams) -> Waveform:
-    """Generate the preamble waveform with mean power ``p_t_watts``."""
+def transmit(params: WaveformParams) -> np.ndarray:
+    """The ``(frame_len,)`` preamble samples with mean power ``p_t_watts``."""
     grid = build_preamble_grid(generate_zc(params.root, params.n_zc), params)
     # ofdm reads the same grid content as (symbol, subcarrier) rows
     tf = isfft(grid) if params.modulation == "otfs" else grid.T
-    waveform = heisenberg_modulate(tf, params.delta_f_hz, params.n_dft, params.cp_len)
-    mean_power = float(np.mean(np.abs(waveform.samples) ** 2))
-    waveform.samples = waveform.samples * math.sqrt(params.p_t_watts / mean_power)
-    return waveform
+    samples = heisenberg_modulate(tf, params.n_dft, params.cp_len)
+    mean_power = float(np.mean(np.abs(samples) ** 2))
+    return samples * math.sqrt(params.p_t_watts / mean_power)
 
 
 def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
@@ -195,15 +194,16 @@ def _combined_profile(tf: np.ndarray, params: WaveformParams) -> np.ndarray:
 
 
 def receive_and_estimate_toa(
-    rx: Waveform,
+    samples,
     params: WaveformParams,
     target_pfa: float = 1e-3,
     interpolate_peak: bool = False,
 ) -> ToaEstimate:
     """Detect the preamble and estimate its time of arrival.
 
-    Demodulates, applies the matched filter to every symbol, combines the
-    correlation powers non-coherently and compares the peak
+    Demodulates ``samples``, one frame framed as ``params`` says, applies
+    the matched filter to every symbol, combines the correlation powers
+    non-coherently and compares the peak
     against :func:`detection_threshold`.  The peak delay bin ``b`` is read
     as the lag ``b``, or as ``b - m`` when it lies past the CP
     (``b > cp_len * m / n_dft``) and within one main lobe of the profile's
@@ -213,7 +213,7 @@ def receive_and_estimate_toa(
     lag to a sub-bin position (``refined_sample_delay``); the integer
     read-out is unchanged.
     """
-    tf = wigner_demodulate(rx, params.m, params.n)
+    tf = wigner_demodulate(samples, params.n_dft, params.cp_len, params.m, params.n)
     values = _combined_profile(tf, params)
     # a miss is a zero mean, not an all-zero profile: a mean can underflow
     if float(np.mean(values)) == 0.0:

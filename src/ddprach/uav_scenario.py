@@ -104,6 +104,9 @@ def build_trajectory(
 # front-to-back floor of the element pattern: A_max = SLA_V = 30 dB in
 # 3GPP TR 38.901, Table 7.3-1
 _MAX_ATTENUATION_DB = 30.0
+# an angle at twice its 3 dB width alone attenuates 48 dB, past the floor:
+# capping the ratio there changes no gain and keeps its square finite
+_MAX_WIDTH_RATIO = 2.0
 
 
 def antenna_gain(
@@ -116,10 +119,11 @@ def antenna_gain(
     ``gamma`` is the horizontal offset angle and ``theta`` the vertical angle
     of the path; tilting the airframe by ``tilt_deg`` moves the vertical
     boresight.  The floor keeps a path far off boresight at 30 dB below the
-    peak instead of letting the received power underflow to zero.
+    peak instead of letting the received power underflow to zero, and no
+    tilt or beamwidth overflows it.
     """
-    horizontal = 12.0 * (gamma_deg / cfg.gamma_3db_deg) ** 2
-    vertical = 12.0 * ((theta_deg - tilt_deg) / cfg.theta_3db_deg) ** 2
+    ratios = (gamma_deg / cfg.gamma_3db_deg, (theta_deg - tilt_deg) / cfg.theta_3db_deg)
+    horizontal, vertical = (12.0 * min(abs(r), _MAX_WIDTH_RATIO) ** 2 for r in ratios)
     return cfg.g_rmax_db - min(horizontal + vertical, _MAX_ATTENUATION_DB)
 
 

@@ -17,7 +17,6 @@ from ddprach import (
     ChannelRealization,
     ChannelTap,
     FrameBuffers,
-    Waveform,
     WaveformParams,
     add_awgn,
     add_noise_power,
@@ -102,13 +101,13 @@ def test_c02_transform_round_trips(report):
             np.max(np.abs(back - data)) / np.max(np.abs(data)),
         )
 
-        n_dft, cp = 2 * m, 2 * m // 8
-        wf = heisenberg_modulate(tf, 15e3, n_dft, cp)
+        framing = WaveformParams(n_dft=2 * m, m=m, n=n, n_zc=13)  # cp_len = n_dft // 8
+        samples = heisenberg_modulate(tf, framing.n_dft, framing.cp_len)
         ideal = ChannelRealization(
             0, 0.0, [ChannelTap(gain=1.0, delay_s=0.0, doppler_hz=0.0)], True
         )
-        for received in (wf, apply_channel(wf, ideal)):
-            rx_dd = sfft(wigner_demodulate(received, m, n))
+        for received in (samples, apply_channel(framing, ideal, samples)):
+            rx_dd = sfft(wigner_demodulate(received, framing.n_dft, framing.cp_len, m, n))
             worst_modem = max(
                 worst_modem,
                 np.max(np.abs(rx_dd - data)) / np.max(np.abs(data)),
@@ -144,7 +143,7 @@ def test_c03_noiseless_exact_delays(report):
             for delay in range(0, 32, 2):  # every bin-aligned delay under the CP
                 cases += 1
                 tap = ChannelTap(gain=1.0, delay_s=delay / fs, doppler_hz=0.0)
-                rx = apply_channel(tx, ChannelRealization(0, 0.0, [tap], True))
+                rx = apply_channel(params, ChannelRealization(0, 0.0, [tap], True), tx)
                 est = receive_and_estimate_toa(rx, params)
                 exact += est.detected and est.sample_delay == delay
     elapsed = time.perf_counter() - start
@@ -186,13 +185,10 @@ def test_c04_resolution_law(report):
 def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
     """Paired two-scheme runs over a 3-tap channel at SNR 5 dB."""
     params = {s: WaveformParams(modulation=s) for s in ("otfs", "ofdm")}
-    tx = [transmit(params[s]) for s in params]
     # both schemes share one channel pass and one noise draw per trial
-    stacked = Waveform(
-        np.stack([w.samples for w in tx]), tx[0].sample_rate, tx[0].n_dft, tx[0].cp_len
-    )
+    stack = np.stack([transmit(params[s]) for s in params])
     # one set of buffers plans the stacked rows once for all trials
-    buffers = FrameBuffers(stacked)
+    buffers = FrameBuffers(stack)
     fs = params["otfs"].sample_rate
     doppler = eps * params["otfs"].delta_f_hz
     errors = {s: [] for s in params}
@@ -210,14 +206,10 @@ def _doppler_stats(master_seed: int, eps: float, trials: int) -> dict:
         true_d = range_from_toa(d0, 15e3, 2048)
         realization = ChannelRealization(0, true_d, taps, True)
         noise_seed = np.random.SeedSequence([master_seed, 2, trial])
-        rx = apply_channel(stacked, realization, buffers=buffers)
+        rx = apply_channel(params["otfs"], realization, stack, buffers=buffers)
         rx = add_awgn(rx, 5.0, noise_seed, buffers=buffers)
-        for scheme, samples in zip(params, rx.samples):
-            est = receive_and_estimate_toa(
-                Waveform(samples, rx.sample_rate, rx.n_dft, rx.cp_len),
-                params[scheme],
-                target_pfa=1e-3,
-            )
+        for scheme, samples in zip(params, rx):
+            est = receive_and_estimate_toa(samples, params[scheme], target_pfa=1e-3)
             if not est.detected:
                 continue
             detected[scheme] += 1
@@ -308,7 +300,7 @@ def test_c07_los_bound_slope(report):
     rmses = []
     for h2 in h2_values:
         tap = ChannelTap(math.sqrt(h2), true_delay / fs, 0.0)
-        rx0 = apply_channel(tx, ChannelRealization(0, true_d, [tap], True))
+        rx0 = apply_channel(params, ChannelRealization(0, true_d, [tap], True), tx)
         errors = []
         for trial in range(200):
             rx = add_noise_power(rx0, sigma2,

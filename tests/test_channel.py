@@ -1,6 +1,7 @@
 """Tapped delay-Doppler channel, AWGN, received power, and tap file I/O."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from ddprach import (
     ChannelRealization,
     ChannelTap,
     TapFileError,
-    Waveform,
     WaveformParams,
     add_awgn,
     add_noise_power,
@@ -25,10 +25,14 @@ from ddprach import channel
 from ddprach.uav_scenario import AntennaConfig, TrajectoryPoint
 
 FS = 1e6  # test sample rate, Hz
+# framing of the plain test rows: FS samples/s and a 64-sample period, which
+# no random row repeats, so their spans are filtered whole
+PARAMS = WaveformParams(delta_f_hz=FS / 64, n_dft=64, m=32, n_zc=31, cp_len=0)
 
 
-def make_waveform(samples, fs=FS):
-    return Waveform(np.asarray(samples, dtype=complex), fs, n_dft=0, cp_len=0)
+def framing(n_dft, cp_len):
+    """Preamble framing of ``n_dft + cp_len``-sample symbols at 15 kHz spacing."""
+    return WaveformParams(n_dft=n_dft, cp_len=cp_len, m=n_dft // 2, n_zc=13)
 
 
 def bandlimited_noise(n, seed, occupancy=0.7):
@@ -52,30 +56,30 @@ def fd_fractional_delay(x, delay_samples):
 # ---------------------------------------------------------------------------
 
 def test_identity_tap():
-    wf = make_waveform(bandlimited_noise(256, seed=0))
+    x = bandlimited_noise(256, seed=0)
     ch = ChannelRealization(0, 1.0, [ChannelTap(1.0, 0.0, 0.0)])
-    out = apply_channel(wf, ch)
-    assert np.allclose(out.samples, wf.samples, atol=1e-12)
+    out = apply_channel(PARAMS, ch, x)
+    assert np.allclose(out, x, atol=1e-12)
 
 
 def test_integer_delay_is_exact_shift():
-    wf = make_waveform(bandlimited_noise(256, seed=1))
+    x = bandlimited_noise(256, seed=1)
     ch = ChannelRealization(0, 1.0, [ChannelTap(1.0, 7.0 / FS, 0.0)])
-    out = apply_channel(wf, ch)
-    assert np.allclose(out.samples[:7], 0.0, atol=1e-12)
-    assert np.allclose(out.samples[7:], wf.samples[:-7], atol=1e-12)
+    out = apply_channel(PARAMS, ch, x)
+    assert np.allclose(out[:7], 0.0, atol=1e-12)
+    assert np.allclose(out[7:], x[:-7], atol=1e-12)
 
 
 def test_fractional_delay_matches_fd_oracle():
     n = 4096
     x = bandlimited_noise(n, seed=2)
     delay = 11.37  # samples
-    wf = make_waveform(x)
-    out = apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, delay / FS, 0.0)]))
+    ch = ChannelRealization(0, 1.0, [ChannelTap(1.0, delay / FS, 0.0)])
+    out = apply_channel(PARAMS, ch, x)
     expected = fd_fractional_delay(x, delay)
     # compare away from the edges (linear vs cyclic semantics, kernel tails)
     lo, hi = 64, n - 64
-    err = np.linalg.norm(out.samples[lo:hi] - expected[lo:hi])
+    err = np.linalg.norm(out[lo:hi] - expected[lo:hi])
     ref = np.linalg.norm(expected[lo:hi])
     assert err / ref < 1e-3
 
@@ -84,10 +88,9 @@ def test_doppler_phase_rotation():
     n = 512
     x = bandlimited_noise(n, seed=3)
     nu = 1234.5  # Hz
-    wf = make_waveform(x)
-    out = apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 0.0, nu)]))
+    out = apply_channel(PARAMS, ChannelRealization(0, 1.0, [ChannelTap(1.0, 0.0, nu)]), x)
     t = np.arange(n) / FS
-    assert np.allclose(out.samples, x * np.exp(2j * np.pi * nu * t), atol=1e-10)
+    assert np.allclose(out, x * np.exp(2j * np.pi * nu * t), atol=1e-10)
 
 
 def test_doppler_phase_anchored_at_delay():
@@ -95,38 +98,37 @@ def test_doppler_phase_anchored_at_delay():
     n = 512
     x = bandlimited_noise(n, seed=4)
     nu, d = 2000.0, 9
-    wf = make_waveform(x)
     out = apply_channel(
-        wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, d / FS, nu)])
+        PARAMS, ChannelRealization(0, 1.0, [ChannelTap(1.0, d / FS, nu)]), x
     )
     t = np.arange(n) / FS
     expected = np.zeros(n, dtype=complex)
     expected[d:] = x[:-d] * np.exp(2j * np.pi * nu * (t[d:] - d / FS))
-    assert np.allclose(out.samples, expected, atol=1e-10)
+    assert np.allclose(out, expected, atol=1e-10)
 
 
 def test_two_taps_superpose():
     x = bandlimited_noise(512, seed=5)
-    wf = make_waveform(x)
     t1 = ChannelTap(0.8 - 0.1j, 3.0 / FS, 500.0)
     t2 = ChannelTap(0.3 + 0.4j, 11.5 / FS, -300.0)
-    both = apply_channel(wf, ChannelRealization(0, 1.0, [t1, t2]))
-    one = apply_channel(wf, ChannelRealization(0, 1.0, [t1]))
-    two = apply_channel(wf, ChannelRealization(0, 1.0, [t2]))
-    assert np.allclose(both.samples, one.samples + two.samples, atol=1e-12)
+    both = apply_channel(PARAMS, ChannelRealization(0, 1.0, [t1, t2]), x)
+    one = apply_channel(PARAMS, ChannelRealization(0, 1.0, [t1]), x)
+    two = apply_channel(PARAMS, ChannelRealization(0, 1.0, [t2]), x)
+    assert np.allclose(both, one + two, atol=1e-12)
 
 
 def test_energy_preserved_single_unit_tap():
     x = bandlimited_noise(1024, seed=6)
-    wf = make_waveform(x)
-    out = apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 0.0, 0.0)]))
-    assert np.sum(np.abs(out.samples) ** 2) == pytest.approx(
+    unit = ChannelRealization(0, 1.0, [ChannelTap(1.0, 0.0, 0.0)])
+    out = apply_channel(PARAMS, unit, x)
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(
         np.sum(np.abs(x) ** 2), rel=1e-9
     )
     # delayed tap: loss bounded by the truncated tail
     d = 25
-    out_d = apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, d / FS, 0.0)]))
-    lost = np.sum(np.abs(x) ** 2) - np.sum(np.abs(out_d.samples) ** 2)
+    delayed = ChannelRealization(0, 1.0, [ChannelTap(1.0, d / FS, 0.0)])
+    out_d = apply_channel(PARAMS, delayed, x)
+    lost = np.sum(np.abs(x) ** 2) - np.sum(np.abs(out_d) ** 2)
     assert 0.0 <= lost <= d * np.max(np.abs(x)) ** 2 + 1e-9
 
 
@@ -136,8 +138,8 @@ def test_shift_covariance_zero_doppler():
     ch = ChannelRealization(0, 1.0, [ChannelTap(0.9, 13.25 / FS, 0.0)])
     s = 20
     shifted_in = np.concatenate([np.zeros(s), x[:-s]])
-    a = apply_channel(make_waveform(shifted_in), ch).samples
-    b = apply_channel(make_waveform(x), ch).samples
+    a = apply_channel(PARAMS, ch, shifted_in)
+    b = apply_channel(PARAMS, ch, x)
     b_shifted = np.concatenate([np.zeros(s), b[:-s]])
     # interior only: the shifted input lacks the original's final s samples
     sl = slice(s + 64, -(s + 64))
@@ -145,9 +147,9 @@ def test_shift_covariance_zero_doppler():
 
 
 def test_delay_beyond_frame_rejected():
-    wf = make_waveform(np.ones(64))
+    ch = ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)])
     with pytest.raises(ValueError):
-        apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)]))
+        apply_channel(PARAMS, ch, np.ones(64))
 
 
 STACK_TAPS = {
@@ -166,18 +168,20 @@ STACK_TAPS = {
 def test_stacked_rows_equal_single_calls(kind):
     rows = np.stack([bandlimited_noise(256, seed=s) for s in (20, 21, 22)])
     ch = ChannelRealization(0, 1.0, STACK_TAPS[kind])
-    stacked = apply_channel(make_waveform(rows), ch)
-    assert stacked.samples.shape == rows.shape
-    for row, out in zip(rows, stacked.samples):
-        assert np.array_equal(out, apply_channel(make_waveform(row), ch).samples)
+    stacked = apply_channel(PARAMS, ch, rows)
+    assert stacked.shape == rows.shape
+    for row, out in zip(rows, stacked):
+        assert np.array_equal(out, apply_channel(PARAMS, ch, row))
 
 
 def test_stacked_delay_range_still_checked():
-    wf = make_waveform(np.ones((2, 64)))
+    rows = np.ones((2, 64))
+    late = ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)])
     with pytest.raises(ValueError, match="exceeds the frame duration"):
-        apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, 65.0 / FS, 0.0)]))
+        apply_channel(PARAMS, late, rows)
+    early = ChannelRealization(0, 1.0, [ChannelTap(1.0, -1.0 / FS, 0.0)])
     with pytest.raises(ValueError, match=">= 0"):
-        apply_channel(wf, ChannelRealization(0, 1.0, [ChannelTap(1.0, -1.0 / FS, 0.0)]))
+        apply_channel(PARAMS, early, rows)
 
 
 def seed_formula_channel(rows, taps, fs=FS):
@@ -249,7 +253,7 @@ def test_span_trimmed_channel_matches_seed_formula(case):
     rows, taps = TRIM_CASES[case]
     rows = np.stack(rows)
     ch = ChannelRealization(0, 1.0, taps)
-    got = apply_channel(make_waveform(rows), ch).samples
+    got = apply_channel(PARAMS, ch, rows)
     expected = seed_formula_channel(rows, ch.taps)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     for row, out in zip(rows, got):
@@ -257,13 +261,12 @@ def test_span_trimmed_channel_matches_seed_formula(case):
             assert not out.any()
 
 
-def _reference_apply(waveform, realization):
+def _reference_apply(params, realization, x):
     """Oracle: ``apply_channel`` before periodic rows were filtered once.
 
     Every row's whole nonzero span goes through one convolution per tap.
     """
-    x = waveform.samples
-    fs = waveform.sample_rate
+    fs = params.sample_rate
     n = x.shape[-1]
     delays = [
         (tap, *channel._tap_delay(channel._delay_samples(tap, fs, n))) for tap in realization.taps
@@ -280,7 +283,7 @@ def _reference_apply(waveform, realization):
         parts = np.concatenate((span.real, channel._INTERP_GAP, span.imag))
         for tap, n0, kernel in delays:
             _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs)
-    return Waveform(out.reshape(x.shape), fs, waveform.n_dft, waveform.cp_len)
+    return out.reshape(x.shape)
 
 
 def _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs):
@@ -303,7 +306,7 @@ def _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs):
 
 def preamble_rows(**framing):
     """The ``otfs`` and ``ofdm`` preambles of one framing, as a stack."""
-    rows = [transmit(WaveformParams(modulation=m, **framing)).samples for m in ("otfs", "ofdm")]
+    rows = [transmit(WaveformParams(modulation=m, **framing)) for m in ("otfs", "ofdm")]
     return np.stack(rows)
 
 
@@ -358,10 +361,10 @@ PERIODIC_CASES = {
 @pytest.mark.parametrize("case", sorted(PERIODIC_CASES))
 def test_periodic_rows_match_reference_bit_for_bit(case):
     rows, n_dft, cp_len, taps = PERIODIC_CASES[case]
-    wf = Waveform(np.stack(rows), 15e3 * n_dft, n_dft, cp_len)
+    params, rows = framing(n_dft, cp_len), np.stack(rows)
     ch = ChannelRealization(0, 1.0, taps)
-    got = apply_channel(wf, ch).samples
-    expected = _reference_apply(wf, ch).samples
+    got = apply_channel(params, ch, rows)
+    expected = _reference_apply(params, ch, rows)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -384,15 +387,14 @@ def test_one_convolution_per_row_span_per_tap(tap, convolutions):
     # the README default's otfs row, filtered whole, and its ofdm row, whose
     # head and tail share one operand
     rows, n_dft, cp_len, _ = PERIODIC_CASES["default_preambles"]
-    wf = Waveform(rows, 15e3 * n_dft, n_dft, cp_len)
-    apply_channel(wf, ChannelRealization(0, 1.0, [tap]))
+    apply_channel(framing(n_dft, cp_len), ChannelRealization(0, 1.0, [tap]), rows)
     assert len(convolutions) == 2
 
 
-def dirty_buffers(waveform):
-    """Buffers for ``waveform`` whose every own array holds NaN, so stale
+def dirty_buffers(samples):
+    """Buffers for ``samples`` whose every own array holds NaN, so stale
     contents would show."""
-    buffers = channel.FrameBuffers(waveform)
+    buffers = channel.FrameBuffers(samples)
     for name, value in vars(buffers).items():
         if isinstance(value, np.ndarray) and name != "samples":
             value.fill(np.nan)
@@ -404,13 +406,13 @@ def same_bits(a, b):
 
 
 STACK_ROWS = np.stack([bandlimited_noise(256, seed=s) for s in (20, 21, 22)])
-# case -> (waveform, taps): the oracle cases above, on one row and on stacks
+# case -> (params, samples, taps): the oracle cases above, on one row and on stacks
 BUFFER_CASES = {
-    **{f"single_{kind}": (make_waveform(STACK_ROWS[0]), taps) for kind, taps in STACK_TAPS.items()},
-    **{f"stack_{kind}": (make_waveform(STACK_ROWS), taps) for kind, taps in STACK_TAPS.items()},
-    **{f"trim_{case}": (make_waveform(np.stack(rows)), taps) for case, (rows, taps) in TRIM_CASES.items()},
+    **{f"single_{kind}": (PARAMS, STACK_ROWS[0], taps) for kind, taps in STACK_TAPS.items()},
+    **{f"stack_{kind}": (PARAMS, STACK_ROWS, taps) for kind, taps in STACK_TAPS.items()},
+    **{f"trim_{case}": (PARAMS, np.stack(rows), taps) for case, (rows, taps) in TRIM_CASES.items()},
     **{
-        f"periodic_{case}": (Waveform(np.stack(rows), 15e3 * n_dft, n_dft, cp_len), taps)
+        f"periodic_{case}": (framing(n_dft, cp_len), np.stack(rows), taps)
         for case, (rows, n_dft, cp_len, taps) in PERIODIC_CASES.items()
     },
 }
@@ -418,32 +420,32 @@ BUFFER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
 def test_buffered_channel_matches_fresh_call(case):
-    wf, taps = BUFFER_CASES[case]
+    params, x, taps = BUFFER_CASES[case]
     ch = ChannelRealization(0, 1.0, taps)
-    buffers = dirty_buffers(wf)
-    got = apply_channel(wf, ch, buffers=buffers)
-    assert got.samples is buffers.frames
-    assert same_bits(got.samples, apply_channel(wf, ch).samples)
+    buffers = dirty_buffers(x)
+    got = apply_channel(params, ch, x, buffers=buffers)
+    assert got is buffers.frames
+    assert same_bits(got, apply_channel(params, ch, x))
 
 
 def test_buffered_channel_calls_do_not_leak_state():
-    wf = BUFFER_CASES["periodic_default_preambles"][0]
+    params, x, _ = BUFFER_CASES["periodic_default_preambles"]
     # the second channel reaches fewer samples than the first: a stale tail
     # of the first output would show
     first = ChannelRealization(0, 1.0, DEFAULT_TAPS)
-    second = ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 7.25 / wf.sample_rate, 640.0)])
-    buffers = dirty_buffers(wf)
+    second = ChannelRealization(1, 1.0, [ChannelTap(0.5 - 0.1j, 7.25 / params.sample_rate, 640.0)])
+    buffers = dirty_buffers(x)
     for ch in (first, second, first):
-        got = apply_channel(wf, ch, buffers=buffers)
-        assert same_bits(got.samples, apply_channel(wf, ch).samples)
+        got = apply_channel(params, ch, x, buffers=buffers)
+        assert same_bits(got, apply_channel(params, ch, x))
 
 
 @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
 def test_planned_channel_matches_unplanned_call(case, convolutions):
-    wf, taps = BUFFER_CASES[case]
-    fs = wf.sample_rate
-    buffers = dirty_buffers(wf)
-    assert buffers.samples is wf.samples and buffers.rows is None
+    params, x, taps = BUFFER_CASES[case]
+    fs = params.sample_rate
+    buffers = dirty_buffers(x)
+    assert buffers.samples is x and buffers.rows is None and buffers.period is None
     # one set of buffers serves passes that reuse the row plan of the first
     # and, where a tap's delay in samples is unchanged, its filtered spans
     a = ChannelRealization(0, 1.0, taps)
@@ -458,44 +460,46 @@ def test_planned_channel_matches_unplanned_call(case, convolutions):
         [ChannelTap(0.4 - 0.2j, 3.0 / fs, 640.0)]
         + [ChannelTap(t.gain, t.delay_s + 0.5 / fs, t.doppler_hz) for t in taps],
     )
-    other_rate = Waveform(wf.samples, 0.5 * fs, wf.n_dft, wf.cp_len)
+    other_rate = replace(params, delta_f_hz=0.5 * params.delta_f_hz)
     plans = []
-    # pass -> (channel, waveform, filters as much as a fresh call (True), not
+    # pass -> (channel, params, filters as much as a fresh call (True), not
     # at all (False) or not counted (None)); a's second pass, a hit right
     # after a hit, shows a stored copy that the pass before it changed
-    for ch, w, filters_all in [
-        (a, wf, True), (b, wf, False), (a, wf, False), (c, wf, True), (a, wf, True),
-        (a, other_rate, None),
+    for ch, p, filters_all in [
+        (a, params, True), (b, params, False), (a, params, False), (c, params, True),
+        (a, params, True), (a, other_rate, None),
     ]:
-        expected = apply_channel(w, ch).samples
+        expected = apply_channel(p, ch, x)
         fresh = len(convolutions)
         convolutions.clear()
-        assert same_bits(apply_channel(w, ch, buffers=buffers).samples, expected)
+        assert same_bits(apply_channel(p, ch, x, buffers=buffers), expected)
         if filters_all is not None:
             assert len(convolutions) == (fresh if filters_all else 0)
         convolutions.clear()
         plans.append(buffers.rows)
     assert all(plan is plans[0] for plan in plans)
+    assert buffers.period == params.n_dft + params.cp_len
     assert len(buffers.taps) == len(c.taps)
 
 
 def test_buffers_from_another_array_or_framing_raise():
-    wf = BUFFER_CASES["periodic_toy_preambles_n4"][0]
+    params, x, _ = BUFFER_CASES["periodic_toy_preambles_n4"]
     ch = ChannelRealization(0, 1.0, TOY_TAPS)
-    buffers = channel.FrameBuffers(wf)
-    copy = Waveform(wf.samples.copy(), wf.sample_rate, wf.n_dft, wf.cp_len)
-    reframed = Waveform(wf.samples, wf.sample_rate, wf.n_dft, wf.cp_len + 1)
-    # the buffers' own output stack as the input: it can never be overwritten
-    # while it is read
-    buffers.frames[...] = wf.samples
-    own_output = Waveform(buffers.frames, wf.sample_rate, wf.n_dft, wf.cp_len)
-    first_row = Waveform(wf.samples[:1], wf.sample_rate, wf.n_dft, wf.cp_len)
-    other_shape = channel.FrameBuffers(first_row)
-    for other, other_buffers in [
-        (copy, buffers), (reframed, buffers), (own_output, buffers), (wf, other_shape),
+    buffers = channel.FrameBuffers(x)
+    # the first pass plans the rows and records the framing's period
+    apply_channel(params, ch, x, buffers=buffers)
+    reframed = replace(params, cp_len=params.cp_len + 1)
+    other_shape = channel.FrameBuffers(x[:1])
+    for other_params, other, other_buffers in [
+        (params, x.copy(), buffers),
+        (reframed, x, buffers),
+        # the buffers' own output stack as the input: it can never be
+        # overwritten while it is read
+        (params, buffers.frames, buffers),
+        (params, x, other_shape),
     ]:
         with pytest.raises(ValueError, match="another array or framing"):
-            apply_channel(other, ch, buffers=other_buffers)
+            apply_channel(other_params, ch, other, buffers=other_buffers)
 
 
 def test_plan_skips_all_zero_rows():
@@ -505,9 +509,9 @@ def test_plan_skips_all_zero_rows():
 
 
 NOISE_CALLS = {
-    "awgn": lambda wf, **kw: add_awgn(wf, 5.0, seed=np.random.SeedSequence([1, 2]), **kw),
-    "awgn_noiseless": lambda wf, **kw: add_awgn(wf, None, seed=1, **kw),
-    "noise_power": lambda wf, **kw: add_noise_power(wf, 0.3, seed=np.random.SeedSequence([3]), **kw),
+    "awgn": lambda x, **kw: add_awgn(x, 5.0, seed=np.random.SeedSequence([1, 2]), **kw),
+    "awgn_noiseless": lambda x, **kw: add_awgn(x, None, seed=1, **kw),
+    "noise_power": lambda x, **kw: add_noise_power(x, 0.3, seed=np.random.SeedSequence([3]), **kw),
 }
 NOISE_ROWS = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
 
@@ -517,19 +521,19 @@ NOISE_ROWS = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(
 @pytest.mark.parametrize("in_place", [False, True], ids=["copied", "in_place"])
 def test_buffered_noise_matches_fresh_call(call, rows, in_place):
     add = NOISE_CALLS[call]
-    expected = add(make_waveform(rows)).samples
-    buffers = dirty_buffers(make_waveform(rows))
+    expected = add(rows)
+    buffers = dirty_buffers(rows)
     if in_place:
         # the input is the buffers' own frame stack, as after apply_channel
         buffers.frames[...] = rows
-        wf = make_waveform(buffers.frames)
+        x = buffers.frames
     else:
-        wf = make_waveform(rows.copy())
-    got = add(wf, buffers=buffers)
-    assert got.samples is buffers.frames
-    assert same_bits(got.samples, expected)
+        x = rows.copy()
+    got = add(x, buffers=buffers)
+    assert got is buffers.frames
+    assert same_bits(got, expected)
     if not in_place:
-        assert np.array_equal(wf.samples, rows)
+        assert np.array_equal(x, rows)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -537,7 +541,7 @@ def test_noise_draw_is_real_then_imaginary_draw(seed):
     # one 2L draw split in halves is the a + 1j*b of two L draws, bit for bit
     rng = np.random.default_rng(seed)
     expected = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    got = add_noise_power(make_waveform(np.zeros(300)), 2.0, seed=seed).samples
+    got = add_noise_power(np.zeros(300), 2.0, seed=seed)
     assert same_bits(got, expected)
 
 
@@ -546,31 +550,31 @@ def test_drawn_noise_row_matches_seeded_call(rows):
     def seed():
         return np.random.SeedSequence([5, 2, 1, 0])
 
-    buffers = dirty_buffers(make_waveform(rows))
+    buffers = dirty_buffers(rows)
     unit = draw_unit_noise(seed(), buffers)
     assert unit is buffers.unit
-    expected = add_noise_power(make_waveform(np.zeros(rows.shape[-1])), 2.0, seed=seed())
-    assert same_bits(unit, expected.samples)
+    expected = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed())
+    assert same_bits(unit, expected)
     # the drawn row serves several calls on the same buffers; none redraws it
     for _ in range(2):
         for add in (
-            lambda **kw: add_awgn(make_waveform(rows), 5.0, **kw),
-            lambda **kw: add_noise_power(make_waveform(rows), 0.3, **kw),
+            lambda **kw: add_awgn(rows, 5.0, **kw),
+            lambda **kw: add_noise_power(rows, 0.3, **kw),
         ):
-            expected = add(seed=seed()).samples
-            assert same_bits(add(noise=unit).samples, expected)
-            assert same_bits(add(noise=unit, buffers=buffers).samples, expected)
+            expected = add(seed=seed())
+            assert same_bits(add(noise=unit), expected)
+            assert same_bits(add(noise=unit, buffers=buffers), expected)
 
 
 def test_noise_row_checked():
-    wf = make_waveform(NOISE_ROWS)
-    unit = draw_unit_noise(1, channel.FrameBuffers(wf))
+    x = NOISE_ROWS
+    unit = draw_unit_noise(1, channel.FrameBuffers(x))
     with pytest.raises(ValueError, match="not both"):
-        add_awgn(wf, 5.0, seed=1, noise=unit)
+        add_awgn(x, 5.0, seed=1, noise=unit)
     with pytest.raises(ValueError, match="shape"):
-        add_noise_power(wf, 0.3, noise=unit[:-1])
+        add_noise_power(x, 0.3, noise=unit[:-1])
     with pytest.raises(ValueError, match="shape"):
-        add_awgn(wf, 5.0, seed=1, buffers=channel.FrameBuffers(make_waveform(NOISE_ROWS[0])))
+        add_awgn(x, 5.0, seed=1, buffers=channel.FrameBuffers(NOISE_ROWS[0]))
 
 
 def test_taps_sorted_by_delay():
@@ -604,81 +608,77 @@ def test_los_tag_margin():
 # ---------------------------------------------------------------------------
 
 def test_awgn_infinite_snr_passthrough():
-    wf = make_waveform(bandlimited_noise(128, seed=8))
-    assert np.array_equal(add_awgn(wf, math.inf, seed=1).samples, wf.samples)
-    assert np.array_equal(add_awgn(wf, None, seed=1).samples, wf.samples)
+    x = bandlimited_noise(128, seed=8)
+    assert np.array_equal(add_awgn(x, math.inf, seed=1), x)
+    assert np.array_equal(add_awgn(x, None, seed=1), x)
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
 def test_awgn_rejects_nan_and_minus_infinity(snr_db):
     # -inf asks for infinite noise and NaN for nothing defined: neither may
     # pass the waveform through noiseless or return NaN samples
-    wf = make_waveform(bandlimited_noise(128, seed=8))
+    x = bandlimited_noise(128, seed=8)
     with pytest.raises(ValueError, match="snr_db"):
-        add_awgn(wf, snr_db, seed=1)
+        add_awgn(x, snr_db, seed=1)
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, -0.1, [0.3, math.nan]])
 def test_noise_power_rejects_non_finite_and_negative(power):
     # a scalar or per-row power, bad in any row, never yields non-finite frames
-    wf = make_waveform(NOISE_ROWS)
     with pytest.raises(ValueError, match="noise power"):
-        add_noise_power(wf, power, seed=1)
+        add_noise_power(NOISE_ROWS, power, seed=1)
 
 
 def test_awgn_empirical_snr():
     n = 1_000_000
     rng = np.random.default_rng(9)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    wf = make_waveform(x)
-    out = add_awgn(wf, 0.0, seed=10)
-    noise = out.samples - x
+    out = add_awgn(x, 0.0, seed=10)
+    noise = out - x
     snr_db = 10 * np.log10(np.mean(np.abs(x) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(snr_db) <= 0.1
 
 
 def test_awgn_deterministic():
-    wf = make_waveform(bandlimited_noise(256, seed=11))
-    a = add_awgn(wf, 5.0, seed=42)
-    b = add_awgn(wf, 5.0, seed=42)
-    assert np.array_equal(a.samples, b.samples)
+    x = bandlimited_noise(256, seed=11)
+    a = add_awgn(x, 5.0, seed=42)
+    b = add_awgn(x, 5.0, seed=42)
+    assert np.array_equal(a, b)
 
 
 def test_awgn_zero_power_rejected():
-    wf = make_waveform(np.zeros(16))
+    x = np.zeros(16)
     with pytest.raises(ValueError):
-        add_awgn(wf, 10.0, seed=0)
+        add_awgn(x, 10.0, seed=0)
 
 
 def test_absolute_noise_power():
     n = 500_000
-    wf = make_waveform(np.zeros(n) + 1.0)
-    out = add_noise_power(wf, 0.25, seed=12)
-    noise_power = np.mean(np.abs(out.samples - wf.samples) ** 2)
+    x = np.zeros(n) + 1.0
+    out = add_noise_power(x, 0.25, seed=12)
+    noise_power = np.mean(np.abs(out - x) ** 2)
     assert noise_power == pytest.approx(0.25, rel=0.01)
 
 
 def test_stacked_noise_rows_equal_single_calls():
     # rows of different power: add_awgn scales per row, one draw is shared
     rows = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
-    stack = make_waveform(rows)
-    awgn = add_awgn(stack, 5.0, seed=np.random.SeedSequence([1, 2]))
-    absolute = add_noise_power(stack, 0.3, seed=np.random.SeedSequence([1, 2]))
+    awgn = add_awgn(rows, 5.0, seed=np.random.SeedSequence([1, 2]))
+    absolute = add_noise_power(rows, 0.3, seed=np.random.SeedSequence([1, 2]))
     for i, row in enumerate(rows):
-        single = make_waveform(row)
-        expected = add_awgn(single, 5.0, seed=np.random.SeedSequence([1, 2])).samples
-        assert np.array_equal(awgn.samples[i], expected)
-        expected = add_noise_power(single, 0.3, seed=np.random.SeedSequence([1, 2])).samples
-        assert np.array_equal(absolute.samples[i], expected)
+        expected = add_awgn(row, 5.0, seed=np.random.SeedSequence([1, 2]))
+        assert np.array_equal(awgn[i], expected)
+        expected = add_noise_power(row, 0.3, seed=np.random.SeedSequence([1, 2]))
+        assert np.array_equal(absolute[i], expected)
     # both rows carry the same unit noise draw
-    unit = (awgn.samples - rows) / np.sqrt(np.mean(np.abs(rows) ** 2, axis=1))[:, None]
+    unit = (awgn - rows) / np.sqrt(np.mean(np.abs(rows) ** 2, axis=1))[:, None]
     assert np.allclose(unit[0], unit[1], atol=1e-12)
 
 
 def test_stacked_awgn_rejects_an_all_zero_row():
-    wf = make_waveform(np.stack([np.ones(16), np.zeros(16)]))
+    x = np.stack([np.ones(16), np.zeros(16)])
     with pytest.raises(ValueError):
-        add_awgn(wf, 10.0, seed=0)
+        add_awgn(x, 10.0, seed=0)
 
 
 # ---------------------------------------------------------------------------

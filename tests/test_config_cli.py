@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import yaml
 import pytest
 
@@ -628,6 +629,28 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
             "channel: {nlos: {relative_power_db_range: [3000.0, 4000.0]}}\n",
             "channel.nlos.relative_power_db_range",
         ),
+        # past light speed v**2 overflows pitch_angle mid-run
+        (
+            "simulate",
+            "scenario: {trajectory: {speed_mps: 1.0e+200}}\n",
+            "scenario.trajectory.speed_mps",
+        ),
+        (
+            "speed-tradeoff",
+            "sweep:\n  axis: speed_mps\n  values: [10.0, 1.0e+200]\n",
+            "sweep.values[1]",
+        ),
+        # nearer than a wavelength the free-space link budget overflows
+        (
+            "simulate",
+            "scenario: {trajectory: {height_m: 1.0e-300}}\n",
+            "scenario.trajectory.height_m",
+        ),
+        # outside the radio spectrum the link budget is NaN or zero
+        ("simulate", "scenario: {carrier_hz: 1.0e-300}\n", "scenario.carrier_hz"),
+        ("simulate", "scenario: {carrier_hz: 1.0e+300}\n", "scenario.carrier_hz"),
+        # the Doppler phase overflows to NaN
+        ("simulate", "channel: {doppler_scale: 1.0e+306}\n", "channel.doppler_scale"),
     ],
 )
 def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
@@ -654,8 +677,14 @@ def test_cli_db_bounds_run(tmp_path, capsys, db, snr_db):
 
 @pytest.mark.parametrize(
     "scenario",
-    ["  tilt_deg: 1.0e+6\n", "  antenna: {theta_3db_deg: 0.001, gamma_3db_deg: 0.001}\n"],
-    ids=["far_tilt", "needle_beam"],
+    [
+        "  tilt_deg: 1.0e+6\n",
+        "  antenna: {theta_3db_deg: 0.001, gamma_3db_deg: 0.001}\n",
+        # past these the pattern's square overflowed before its ratio was capped
+        "  tilt_deg: 1.0e+200\n",
+        "  antenna: {theta_3db_deg: 1.0e-200, gamma_3db_deg: 1.0e-200}\n",
+    ],
+    ids=["far_tilt", "needle_beam", "farthest_tilt", "finest_needle_beam"],
 )
 def test_cli_antenna_far_off_boresight_runs(tmp_path, capsys, scenario):
     # the pattern's 30 dB floor keeps the received power above zero
@@ -664,6 +693,65 @@ def test_cli_antenna_far_off_boresight_runs(tmp_path, capsys, scenario):
     rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text), "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
     assert len((out / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+
+
+def test_cli_tilt_sweep_far_off_boresight_runs(tmp_path, capsys):
+    text = TOY_CONFIG + "sweep:\n  axis: tilt_deg\n  values: [0.0, 1.0e+200]\n"
+    out = tmp_path / "run"
+    rc = main(["tilt-sweep", "--config", write_toy_config(tmp_path, text=text), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert len((out / "tilt_sweep.csv").read_text().splitlines()) == 1 + 2
+
+
+# the carrier, speed, Doppler factor and height at their bounds
+LIGHT_SPEED = "299792458.0"
+BOUND_RUNS = {
+    # the lowest carrier: a 1e8 m wavelength, so a flyover that high, and a
+    # frame at 1 Hz spacing, also for every sweep value, long enough for its
+    # delay
+    "lowest_carrier": (
+        "simulate",
+        TOY_CONFIG.replace("waveform:\n", "waveform:\n  delta_f_hz: 1.0\n")
+        .replace("scenario:\n", "scenario:\n  carrier_hz: 3.0\n")
+        .replace("height_m: 30.0", "height_m: 1.0e+8")
+        + "sweep: {values: [1.0]}\n",
+    ),
+    "highest_carrier_light_speed_largest_doppler_scale": (
+        "simulate",
+        TOY_CONFIG.replace("scenario:\n", "scenario:\n  carrier_hz: 3.0e+12\n")
+        .replace("speed_mps: 10.0", "speed_mps: " + LIGHT_SPEED)
+        + "channel: {doppler_scale: 1.0e+6}\n",
+    ),
+    "speed_sweep_to_light_speed": (
+        "speed-tradeoff",
+        TOY_CONFIG.replace("scenario:\n", "scenario:\n  carrier_hz: 3.0e+12\n")
+        + "channel: {doppler_scale: 1.0e+6}\n"
+        + "sweep:\n  axis: speed_mps\n  values: [0.0, " + LIGHT_SPEED + "]\n",
+    ),
+    # one wavelength at the default 1775 MHz carrier
+    "height_of_one_wavelength": (
+        "simulate",
+        TOY_CONFIG.replace("height_m: 30.0", "height_m: 0.16889715943661973"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_RUNS))
+def test_cli_numeric_bounds_run(tmp_path, capsys, case):
+    command, text = BOUND_RUNS[case]
+    rc = main([command, "--config", write_toy_config(tmp_path, text=text), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_far_field_bound_is_one_wavelength():
+    wavelength = 299792458.0 / 1775e6
+    tree = {"scenario": {"trajectory": {"height_m": wavelength}}}
+    assert parse_config(tree).scenario.trajectory.height_m == wavelength
+    tree["scenario"]["trajectory"]["height_m"] = float(np.nextafter(wavelength, 0.0))
+    with pytest.raises(ConfigError, match="scenario.trajectory.height_m: must be at least one"):
+        parse_config(tree)
+    # a taps file sets the channel itself: no link budget, no bound
+    parse_config(dict(tree, channel={"source": "taps_file", "taps_path": "taps.csv"}))
 
 
 @pytest.mark.parametrize("digits, where", [(401, "waveform.delta_f_hz"), (5000, "invalid YAML")])

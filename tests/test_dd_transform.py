@@ -8,7 +8,7 @@ round-trip properties.
 import numpy as np
 import pytest
 
-from ddprach import Waveform, heisenberg_modulate, isfft, sfft, wigner_demodulate
+from ddprach import heisenberg_modulate, isfft, sfft, wigner_demodulate
 
 
 def isfft_oracle(data):
@@ -123,61 +123,59 @@ def test_linearity():
 # ---------------------------------------------------------------------------
 
 def test_dc_subcarrier_constant_samples():
-    wf = heisenberg_modulate(np.array([[1.0 + 0.0j]]), 15e3, n_dft=8, cp_len=0)
-    assert wf.samples.size == 8
-    assert np.allclose(np.abs(wf.samples), np.abs(wf.samples[0]), atol=1e-12)
-    assert np.allclose(wf.samples, wf.samples[0], atol=1e-12)
+    samples = heisenberg_modulate(np.array([[1.0 + 0.0j]]), n_dft=8, cp_len=0)
+    assert samples.size == 8
+    assert np.allclose(np.abs(samples), np.abs(samples[0]), atol=1e-12)
+    assert np.allclose(samples, samples[0], atol=1e-12)
 
 
 def test_modem_round_trip():
     rng = np.random.default_rng(21)
     data = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-    wf = heisenberg_modulate(data, 15e3, n_dft=32, cp_len=8)
-    back = wigner_demodulate(wf, m=16, n=4)
+    samples = heisenberg_modulate(data, n_dft=32, cp_len=8)
+    back = wigner_demodulate(samples, 32, 8, m=16, n=4)
     assert np.allclose(back, data, rtol=1e-9, atol=1e-9)
 
 
 def test_frame_length():
-    wf = heisenberg_modulate(np.ones((4, 16), dtype=complex), 15e3, n_dft=32, cp_len=8)
-    assert wf.samples.size == 4 * (32 + 8)
-    assert wf.sample_rate == 15e3 * 32
+    samples = heisenberg_modulate(np.ones((4, 16), dtype=complex), n_dft=32, cp_len=8)
+    assert samples.shape == (4 * (32 + 8),)
 
 
 def test_cyclic_delay_phase_ramp():
     """A whole-sample cyclic delay (within the CP) rotates each subcarrier."""
     rng = np.random.default_rng(33)
     data = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
-    wf = heisenberg_modulate(data, 15e3, n_dft=32, cp_len=8)
+    samples = heisenberg_modulate(data, n_dft=32, cp_len=8)
     for d in (1, 3, 7):
-        delayed = Waveform(
-            np.roll(wf.samples, d), wf.sample_rate, wf.n_dft, wf.cp_len
-        )
-        shifted = wigner_demodulate(delayed, m=16, n=1)
+        shifted = wigner_demodulate(np.roll(samples, d), 32, 8, m=16, n=1)
         ramp = np.exp(-2j * np.pi * np.arange(16) * d / 32)
         assert np.allclose(shifted[0], data[0] * ramp, rtol=1e-9, atol=1e-9)
 
 
 def test_all_zero_waveform():
-    wf = heisenberg_modulate(np.zeros((2, 8), dtype=complex), 15e3, n_dft=16, cp_len=2)
-    grid = wigner_demodulate(wf, m=8, n=2)
+    samples = heisenberg_modulate(np.zeros((2, 8), dtype=complex), n_dft=16, cp_len=2)
+    grid = wigner_demodulate(samples, 16, 2, m=8, n=2)
     assert grid.shape == (2, 8)
     assert np.all(grid == 0)
 
 
 def test_framing_mismatch_rejected():
-    wf = heisenberg_modulate(np.ones((4, 16), dtype=complex), 15e3, n_dft=32, cp_len=8)
-    with pytest.raises(ValueError):
-        wigner_demodulate(wf, m=16, n=3)
+    samples = heisenberg_modulate(np.ones((4, 16), dtype=complex), n_dft=32, cp_len=8)
+    with pytest.raises(ValueError, match="framing mismatch"):
+        wigner_demodulate(samples, 32, 8, m=16, n=3)
+    with pytest.raises(ValueError, match="framing mismatch"):
+        wigner_demodulate(samples, 32, 7, m=16, n=4)
 
 
 def test_n_dft_must_cover_subcarriers():
     with pytest.raises(ValueError):
-        heisenberg_modulate(np.ones((1, 16), dtype=complex), 15e3, n_dft=8, cp_len=0)
+        heisenberg_modulate(np.ones((1, 16), dtype=complex), n_dft=8, cp_len=0)
 
 
 def test_full_chain_identity():
     """sfft . wigner . heisenberg . isfft is the identity on the DD grid."""
     data = random_grid(16, 4, seed=44)
-    wf = heisenberg_modulate(isfft(data), 15e3, n_dft=32, cp_len=8)
-    back = sfft(wigner_demodulate(wf, m=16, n=4))
+    samples = heisenberg_modulate(isfft(data), n_dft=32, cp_len=8)
+    back = sfft(wigner_demodulate(samples, 32, 8, m=16, n=4))
     assert np.allclose(back, data, rtol=1e-9, atol=1e-9)

@@ -10,7 +10,6 @@ from ddprach import (
     ChannelRealization,
     ChannelTap,
     ToaEstimate,
-    Waveform,
     WaveformParams,
     add_awgn,
     apply_channel,
@@ -82,11 +81,11 @@ def test_grid_rejects_oversized_sequence():
 
 def test_transmit_frame_length_and_power():
     params = toy_params(cp_len=8)
-    wf = transmit(params)
-    assert wf.samples.size == 4 * (32 + 8)
-    assert wf.n_dft == 32 and wf.cp_len == 8
-    assert wf.sample_rate == pytest.approx(15e3 * 32)
-    mean_power = np.mean(np.abs(wf.samples) ** 2)
+    samples = transmit(params)
+    assert samples.shape == (params.frame_len,) == (4 * (32 + 8),)
+    assert samples.dtype == complex
+    assert params.sample_rate == pytest.approx(15e3 * 32)
+    mean_power = np.mean(np.abs(samples) ** 2)
     assert mean_power == pytest.approx(params.p_t_watts, rel=1e-9)
 
 
@@ -103,17 +102,17 @@ def test_preamble_structure(params):
     channel interpolator filters just that span of the OTFS frame.
     """
     symbol = params.n_dft + params.cp_len
-    otfs = transmit(replace(params, modulation="otfs")).samples
+    otfs = transmit(replace(params, modulation="otfs"))
     assert otfs[:symbol].any()
     assert not otfs[symbol:].any()
-    ofdm = transmit(replace(params, modulation="ofdm")).samples.reshape(params.n, symbol)
+    ofdm = transmit(replace(params, modulation="ofdm")).reshape(params.n, symbol)
     for row in ofdm[1:]:
         assert np.array_equal(row, ofdm[0])
 
 
 def test_transmit_schemes_differ():
-    a = transmit(toy_params("otfs")).samples
-    b = transmit(toy_params("ofdm")).samples
+    a = transmit(toy_params("otfs"))
+    b = transmit(toy_params("ofdm"))
     assert np.max(np.abs(a - b)) > 1e-3 * np.max(np.abs(a))
 
 
@@ -131,7 +130,7 @@ def test_loopback_zero_delay(scheme):
 def test_integer_delay_readout(scheme):
     # m = 16 delay bins over n_dft = 32 -> 2 waveform samples per bin
     params = toy_params(scheme)
-    rx = apply_channel(transmit(params), single_tap(params, 6))
+    rx = apply_channel(params, single_tap(params, 6), transmit(params))
     est = receive_and_estimate_toa(rx, params)
     assert est.detected
     assert int(np.argmax(est.profile)) == 3
@@ -146,13 +145,41 @@ def test_early_peak_reads_as_negative_delay(scheme, size):
     """A frame one bin early peaks at bin m - 1, the lag -1."""
     params = toy_params(scheme, **size)
     stride = params.n_dft // params.m
-    tx = transmit(params)
-    rx = Waveform(np.roll(tx.samples, -stride), tx.sample_rate, tx.n_dft, tx.cp_len)
+    rx = np.roll(transmit(params), -stride)
     est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
     assert est.detected
     assert int(np.argmax(est.profile)) == params.m - 1
     assert est.sample_delay == -round(params.n_dft / params.m)
     assert est.refined_sample_delay < 0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "list"])
+def test_entry_points_read_samples_as_complex128(kind):
+    """The channel, the noise and the receiver read their samples as
+    ``np.asarray(x, dtype=complex)``: a real, single-precision or list input
+    gives the bits of that complex128 copy."""
+    params = toy_params("ofdm")  # periodic rows: the channel's copying path too
+    tx = transmit(params)
+    x = {"float64": tx.real, "float32": tx.real.astype(np.float32), "list": tx.tolist()}[kind]
+    copy = np.asarray(x, dtype=complex)
+    channel = ChannelRealization(
+        0, 0.0,
+        [ChannelTap(0.9, 3.4 / params.sample_rate, 700.0),
+         ChannelTap(0.3j, 6.0 / params.sample_rate, 0.0)],
+    )
+    assert same_bits(apply_channel(params, channel, x), apply_channel(params, channel, copy))
+    assert same_bits(add_awgn(x, 5.0, seed=3), add_awgn(copy, 5.0, seed=3))
+    got = receive_and_estimate_toa(x, params, interpolate_peak=True)
+    expected = receive_and_estimate_toa(copy, params, interpolate_peak=True)
+    assert same_bits(got.profile, expected.profile)
+    assert (got.detected, got.sample_delay, got.threshold, got.refined_sample_delay) == (
+        expected.detected, expected.sample_delay, expected.threshold,
+        expected.refined_sample_delay,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +242,7 @@ def test_profile_is_read_only(scheme):
 
 def test_all_zero_rx_not_detected():
     params = toy_params()
-    rx = Waveform(np.zeros(params.frame_len, dtype=complex),
-                  params.sample_rate, params.n_dft, params.cp_len)
+    rx = np.zeros(params.frame_len, dtype=complex)
     est = receive_and_estimate_toa(rx, params)
     assert not est.detected
     assert est.threshold == math.inf
@@ -225,7 +251,7 @@ def test_all_zero_rx_not_detected():
 
 def row_correlation_oracle(rx, params):
     """Sum of per-row circular_correlation powers, one row at a time."""
-    tf = wigner_demodulate(rx, params.m, params.n)
+    tf = wigner_demodulate(rx, params.n_dft, params.cp_len, params.m, params.n)
     reference = np.zeros(params.m, dtype=complex)
     reference[: params.n_zc] = generate_zc(params.root, params.n_zc)
     if params.modulation == "otfs":
@@ -255,7 +281,7 @@ def test_batched_profile_matches_row_oracle(scheme, size):
         [ChannelTap(1.0, 3.4 / params.sample_rate, 700.0),
          ChannelTap(0.5j, 6.0 / params.sample_rate, -300.0)],
     )
-    rx = add_awgn(apply_channel(transmit(params), channel), 3.0, seed=5)
+    rx = add_awgn(apply_channel(params, channel, transmit(params)), 3.0, seed=5)
     est = receive_and_estimate_toa(rx, params)
     oracle = row_correlation_oracle(rx, params)
     assert est.profile.shape == (params.m,)
@@ -268,7 +294,7 @@ def test_batched_profile_matches_row_oracle(scheme, size):
 def test_receiver_runs_without_sfft(scheme, monkeypatch):
     """The matched filter replaces the SFFT: the estimate never needs it."""
     params = toy_params(scheme)
-    rx = add_awgn(apply_channel(transmit(params), single_tap(params, 6.6)), 20.0, seed=9)
+    rx = add_awgn(apply_channel(params, single_tap(params, 6.6), transmit(params)), 20.0, seed=9)
     before = receive_and_estimate_toa(rx, params, interpolate_peak=True)
 
     def no_sfft(grid):
@@ -293,7 +319,7 @@ def test_detection_rate_under_doppler():
     for scheme in ("otfs", "ofdm"):
         params = toy_params(scheme)
         rx0 = apply_channel(
-            transmit(params), single_tap(params, 4, doppler_hz=0.3 * params.delta_f_hz)
+            params, single_tap(params, 4, doppler_hz=0.3 * params.delta_f_hz), transmit(params)
         )
         hits = 0
         for trial in range(200):
@@ -316,7 +342,7 @@ def test_peak_bias_with_multipath_and_doppler():
             ChannelTap(gain=10 ** (-3 / 20), delay_s=64.1 / fs, doppler_hz=nu),
             ChannelTap(gain=10 ** (-6 / 20), delay_s=67.2 / fs, doppler_hz=nu),
         ]
-        rx = apply_channel(transmit(params), ChannelRealization(0, 0.0, taps, True))
+        rx = apply_channel(params, ChannelRealization(0, 0.0, taps, True), transmit(params))
         est = receive_and_estimate_toa(rx, params)
         assert est.detected
         delays[scheme] = est.sample_delay
@@ -330,7 +356,7 @@ def test_peak_bias_with_multipath_and_doppler():
 
 def test_refined_delay_near_integer_bin():
     params = WaveformParams()
-    rx = apply_channel(transmit(params), single_tap(params, 60))
+    rx = apply_channel(params, single_tap(params, 60), transmit(params))
     est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
     assert est.detected
     assert est.refined_sample_delay is not None
@@ -346,8 +372,7 @@ def test_refined_delay_absent_by_default():
 
 def test_refined_delay_absent_on_miss():
     params = toy_params()
-    rx = Waveform(np.zeros(params.frame_len, dtype=complex),
-                  params.sample_rate, params.n_dft, params.cp_len)
+    rx = np.zeros(params.frame_len, dtype=complex)
     est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
     assert not est.detected
     assert est.refined_sample_delay is None
