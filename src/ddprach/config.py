@@ -15,7 +15,7 @@ import yaml
 
 from .channel import NlosSpec
 from .prach_modem import MODULATIONS, WaveformParams
-from .uav_scenario import AirframeConfig, AntennaConfig
+from .uav_scenario import AirframeConfig, AntennaConfig, trajectory_point
 from .units import SPEED_OF_LIGHT
 
 __all__ = [
@@ -107,6 +107,9 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 # a level in dB: 10**(x/10) stays finite, and so does received_power's
 # squared product of two such gains, 10**(4 * 300 / 10) = 1e120
 _DB = _between(-300.0, 300.0)
+# a rotor speed, which propulsion_power squares into a divisor: up to light's,
+# and (v / it)^2 stays finite for every flight speed v up to light's
+_ROTOR_SPEED = _between(1.0e-100, SPEED_OF_LIGHT)
 
 # Allowed values by dotted path (list items and pair bounds share their
 # field's entry).  Numbers not listed must be positive; strings and booleans
@@ -117,11 +120,16 @@ _RULES = {
     "waveform.n_dft": _between(1, 65_536),
     "waveform.n": _between(1, 1_024),
     "waveform.cp_len": _NON_NEGATIVE,
+    # every dB field at its bound multiplies the received power by 1e120 and an
+    # SNR of -300 dB adds 1e30 times that as noise: such runs stay finite to 1e125 W
+    "waveform.p_t_watts": (lambda v: 0 < v <= 1e100, "in (0, 1e100]"),
     "scenario.trajectory.count": _between(1, 100_000),
     "scenario.carrier_hz": _between(3.0, 3.0e12),  # the ITU radio spectrum
     # the Doppler v f_c / c is a law for v below light's speed
     "scenario.trajectory.speed_mps": _between(0.0, SPEED_OF_LIGHT),
     "scenario.antenna.g_rmax_db": _DB,
+    "scenario.airframe.tip_speed_mps": _ROTOR_SPEED,
+    "scenario.airframe.induced_velocity_mps": _ROTOR_SPEED,
     "scenario.tilt_deg": _ANY,
     "channel.source": _one_of(("synthetic", "taps_file")),
     "channel.nlos.count": _between(0, 64),
@@ -283,14 +291,14 @@ def parse_config(tree) -> ExperimentConfig:
 def _check_tap_delays(cfg: ExperimentConfig) -> None:
     """Reject a synthetic channel whose latest tap can fall past the frame.
 
-    The latest tap is the line of sight from the trajectory's far end (the
-    distance and delay as ``synthesize_scenario_channel`` computes them)
-    plus the largest NLoS excess delay; the frame lasts ``frame_len`` samples
+    The latest tap is the line of sight from the trajectory's far end, its
+    last point as ``uav_scenario`` places it (the distance and delay as
+    ``synthesize_scenario_channel`` computes them), plus the largest NLoS
+    excess delay; the frame lasts ``frame_len`` samples
     at ``delta_f_hz * n_dft``, checked at every spacing a command may run.
     """
     spec, nlos, waveform = cfg.scenario.trajectory, cfg.channel.nlos, cfg.waveform
-    far_offset = (spec.count - 1 - (spec.count - 1) // 2) * spec.dp_m
-    delay = math.hypot(far_offset, spec.height_m) / SPEED_OF_LIGHT
+    delay = trajectory_point(spec.count - 1, **asdict(spec)).distance_m / SPEED_OF_LIGHT
     if nlos is not None and nlos.count:
         delay += nlos.excess_delay_range_s[1]
     spacings = [("waveform.delta_f_hz", waveform.delta_f_hz)]

@@ -51,6 +51,7 @@ from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
 from .uav_scenario import (
     build_trajectory,
     los_point_count,
+    overhead_index,
     pitch_angle,
     propulsion_power,
 )
@@ -98,9 +99,9 @@ class _Setup(NamedTuple):
 
 def _run_grid(
     cfg: ExperimentConfig, axis: str | None = None, workers: int = 1
-) -> list[tuple[ExperimentConfig, list[ResultRecord]]]:
-    """``(swept_cfg, records)`` for each value of ``cfg.sweep`` along ``axis``,
-    or the one pair ``(cfg, records)`` when ``axis`` is None.
+) -> list[tuple[_Setup, list[ResultRecord]]]:
+    """``(setup, records)`` for each value of ``cfg.sweep`` along ``axis``
+    (``setup.cfg`` is the swept config), or the one pair when ``axis`` is None.
 
     Each record list runs points x trials x schemes in canonical order.  A
     work item is one (point, trial): it draws its unit noise once and runs
@@ -149,7 +150,7 @@ def _run_grid(
     ranges = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
     parts = _fork_map(partial(_run_points, cfg, setups, stack, file_taps), ranges)
     return [
-        (setup.cfg, [record for part in parts for record in part[i]])
+        (setup, [record for part in parts for record in part[i]])
         for i, setup in enumerate(setups)
     ]
 
@@ -338,11 +339,11 @@ CDF_HEADER = ["scheme", "delta_f_hz", "abs_error_m", "cdf"]
 def run_cdf_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Error-CDF rows per (scheme, subcarrier spacing), keyed by :data:`CDF_HEADER`."""
     rows = []
-    for swept, records in _run_grid(cfg, "delta_f_hz", workers):
+    for setup, records in _run_grid(cfg, "delta_f_hz", workers):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
-                delta_f = swept.waveform.delta_f_hz
+                delta_f = setup.cfg.waveform.delta_f_hz
                 rows += [
                     dict(zip(CDF_HEADER, (scheme, delta_f, abscissa, probability)))
                     for abscissa, probability in error_cdf(errors)
@@ -354,28 +355,27 @@ def run_speed_tradeoff(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE versus speed next to tilt and propulsion power."""
     return [
         {
-            "speed_mps": swept.scenario.trajectory.speed_mps,
-            "tilt_deg": _resolve_tilt(swept),
+            "speed_mps": setup.cfg.scenario.trajectory.speed_mps,
+            "tilt_deg": setup.tilt,
             "power_w": propulsion_power(
-                swept.scenario.trajectory.speed_mps, cfg.scenario.airframe
+                setup.cfg.scenario.trajectory.speed_mps, cfg.scenario.airframe
             ),
             **_rmse_columns(cfg, records),
         }
-        for swept, records in _run_grid(cfg, "speed_mps", workers)
+        for setup, records in _run_grid(cfg, "speed_mps", workers)
     ]
 
 
 def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE and LoS point counts versus forced antenna tilt."""
     spec = cfg.scenario.trajectory
-    trajectory = build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps)
     fnb = cfg.scenario.antenna.fnb_deg
-    p0 = (len(trajectory) - 1) // 2
+    p0 = overhead_index(spec.count)
     rows = []
-    for swept, records in _run_grid(cfg, "tilt_deg", workers):
-        tilt = swept.scenario.tilt_deg
+    for setup, records in _run_grid(cfg, "tilt_deg", workers):
+        tilt = setup.tilt
         # per-point main-lobe test: off-boresight angle within the first null
-        geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
+        geometric = sum(1 for p in setup.trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
         try:
             last_los = los_point_count(spec.height_m, spec.dp_m, fnb, tilt, p0)
         except ValueError:

@@ -1,7 +1,6 @@
-"""Ranging error statistics: RMSE, LoS bound, CDF, and the one CSV writer and reader."""
+"""Ranging error statistics: RMSE, CDF, and the one CSV writer and reader."""
 
 import csv
-import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -12,7 +11,6 @@ __all__ = [
     "RESULTS_HEADER",
     "rmse",
     "error_cdf",
-    "rmse_los_bound",
     "read_rows",
     "write_rows",
     "write_results_csv",
@@ -39,25 +37,6 @@ def error_cdf(errors) -> list[tuple[float, float]]:
     # one step per distinct value, at the share of errors up to and including it
     values, counts = np.unique(magnitudes, return_counts=True)
     return list(zip(values.tolist(), (np.cumsum(counts) / magnitudes.size).tolist()))
-
-
-def rmse_los_bound(m: int, k: int, p_t_watts: float, h_squared: float) -> float:
-    """A formula shaped like a LoS ranging bound; not a bound in metres.
-
-    ``sqrt( 6 / (4 pi M K (M^2 - 1) P_t) * 1 / |h|^2 )`` for M subcarriers,
-    K symbols, transmit power P_t and squared channel gain |h|^2.  Scales as
-    ``1 / |h|``.  It takes no noise power, no subcarrier spacing and no speed
-    of light, so it is not in metres and bounds no RMSE that a run reports;
-    no acceptance criterion calls it.  A ranging bound in metres is ROADMAP
-    item 11.
-    """
-    if m < 2 or k < 1:
-        raise ValueError("need m >= 2 and k >= 1")
-    if p_t_watts <= 0 or h_squared <= 0:
-        raise ValueError("p_t_watts and h_squared must be positive")
-    return math.sqrt(
-        6.0 / (4.0 * math.pi * m * k * (m**2 - 1) * p_t_watts) / h_squared
-    )
 
 
 # ---------------------------------------------------------------------------

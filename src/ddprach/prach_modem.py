@@ -36,7 +36,8 @@ import numpy as np
 from .dd_transform import heisenberg_modulate, isfft, wigner_demodulate
 from .dd_transform import sfft  # noqa: F401
 from .units import SPEED_OF_LIGHT, dbm_to_watts
-from .zc import circular_correlation, generate_zc  # noqa: F401
+from .zc import check_root, generate_zc
+from .zc import circular_correlation  # noqa: F401
 
 __all__ = [
     "WaveformParams",
@@ -77,14 +78,7 @@ class WaveformParams:
             raise ValueError("n must be >= 1")
         if not 3 <= self.n_zc <= self.m:
             raise ValueError(f"need 3 <= n_zc <= m, got n_zc={self.n_zc}, m={self.m}")
-        # the checks of generate_zc, made here so that a config fails at parse time
-        if not 1 <= self.root < self.n_zc:
-            raise ValueError(f"need 1 <= root < n_zc, got root={self.root}, n_zc={self.n_zc}")
-        if math.gcd(self.root, self.n_zc) != 1:
-            raise ValueError(
-                f"root and n_zc must be coprime, got gcd({self.root}, {self.n_zc}) = "
-                f"{math.gcd(self.root, self.n_zc)}"
-            )
+        check_root(self.root, self.n_zc)
         if not 0 <= self.cp_len <= self.n_dft:
             raise ValueError("cp_len must be in [0, n_dft]")
         if self.modulation not in MODULATIONS:

@@ -71,34 +71,39 @@ class TrajectoryPoint:
         return math.hypot(self.horizontal_offset_m, self.height_m)
 
 
+def overhead_index(count: int) -> int:
+    """Index of the overhead point (elevation 90 degrees) of a ``count``-point
+    pass; an even count puts its extra point past it: the far end is the last."""
+    return (count - 1) // 2
+
+
+def trajectory_point(
+    index: int, height_m: float, dp_m: float, count: int, speed_mps: float
+) -> TrajectoryPoint:
+    """Point ``index`` of the pass that :func:`build_trajectory` samples."""
+    offset = (index - overhead_index(count)) * dp_m
+    return TrajectoryPoint(
+        index=index,
+        height_m=height_m,
+        horizontal_offset_m=offset,
+        speed_mps=speed_mps,
+        elevation_deg=math.degrees(math.atan2(height_m, abs(offset))),
+    )
+
+
 def build_trajectory(
     height_m: float, dp_m: float, count: int, speed_mps: float
 ) -> list[TrajectoryPoint]:
     """Sample a straight constant-height pass over the target at the origin.
 
     Points are spaced ``dp_m`` apart along the x axis and centred so that the
-    overhead point (minimum distance, elevation 90 degrees) has index
-    ``(count - 1) // 2``.
+    overhead point has index :func:`overhead_index` ``(count)``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if dp_m <= 0 or height_m <= 0:
         raise ValueError("dp_m and height_m must be positive")
-    p0 = (count - 1) // 2
-    points = []
-    for i in range(count):
-        offset = (i - p0) * dp_m
-        elevation = math.degrees(math.atan2(height_m, abs(offset)))
-        points.append(
-            TrajectoryPoint(
-                index=i,
-                height_m=height_m,
-                horizontal_offset_m=offset,
-                speed_mps=speed_mps,
-                elevation_deg=elevation,
-            )
-        )
-    return points
+    return [trajectory_point(i, height_m, dp_m, count, speed_mps) for i in range(count)]
 
 
 # front-to-back floor of the element pattern: A_max = SLA_V = 30 dB in
@@ -138,11 +143,11 @@ def pitch_angle(v_x: float, cfg: AirframeConfig) -> tuple[float, float]:
     """
     if v_x < 0:
         raise ValueError("v_x must be >= 0")
-    if v_x == 0.0:
+    drag = cfg.air_density_kgpm3 * cfg.drag_coefficient * cfg.swept_area_m2 * v_x**2
+    if drag == 0.0:  # hover, or a speed whose square underflows: x is infinite
         return 90.0, 0.0
-    drag = cfg.air_density_kgpm3 * cfg.drag_coefficient * cfg.swept_area_m2
     weight = cfg.mass_kg * cfg.gravity_mps2
-    x = weight / (drag * v_x**2)
+    x = weight / drag
     # sqrt(x^2 + 1) - x, written to avoid cancellation for large x
     arg = 1.0 / (math.sqrt(x * x + 1.0) + x)
     theta_xi = math.degrees(math.acos(arg))

@@ -31,6 +31,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_root(root: int, n_zc: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= root < n_zc`` and the two are coprime.
+
+    The one statement of the root rule: :func:`generate_zc` runs it, and so
+    does ``WaveformParams``, so that a config fails at parse time.
+    """
+    if not 1 <= root < n_zc:
+        raise ValueError(f"need 1 <= root < n_zc, got root={root}, n_zc={n_zc}")
+    if math.gcd(root, n_zc) != 1:
+        raise ValueError(
+            f"root and n_zc must be coprime, got gcd({root}, {n_zc}) = "
+            f"{math.gcd(root, n_zc)}"
+        )
+
+
 def generate_zc(root: int, n_zc: int) -> np.ndarray:
     """Generate a Zadoff-Chu root sequence.
 
@@ -53,13 +68,7 @@ def generate_zc(root: int, n_zc: int) -> np.ndarray:
     """
     if n_zc < 3:
         raise ValueError(f"n_zc must be >= 3, got {n_zc}")
-    if not 1 <= root < n_zc:
-        raise ValueError(f"root must satisfy 1 <= root < n_zc, got root={root}")
-    if math.gcd(root, n_zc) != 1:
-        raise ValueError(
-            f"root and n_zc must be coprime, got gcd({root}, {n_zc}) = "
-            f"{math.gcd(root, n_zc)}"
-        )
+    check_root(root, n_zc)
     if not _is_prime(n_zc):
         warnings.warn(
             f"n_zc = {n_zc} is not prime; the cyclic autocorrelation of the "

@@ -651,6 +651,20 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
         ("simulate", "scenario: {carrier_hz: 1.0e+300}\n", "scenario.carrier_hz"),
         # the Doppler phase overflows to NaN
         ("simulate", "channel: {doppler_scale: 1.0e+306}\n", "channel.doppler_scale"),
+        # |x|^2 of the transmitted preamble overflows to inf, its noise to NaN
+        ("simulate", "waveform: {p_t_watts: 1.0e+308}\n", "waveform.p_t_watts"),
+        # propulsion_power's squared rotor speeds underflow to a zero divisor
+        # or overflow
+        *(
+            (
+                "speed-tradeoff",
+                f"scenario: {{airframe: {{{name}: {value}}}}}\n"
+                "sweep: {axis: speed_mps, values: [10.0]}\n",
+                f"scenario.airframe.{name}",
+            )
+            for name in ("tip_speed_mps", "induced_velocity_mps")
+            for value in ("1.0e-300", "1.0e+300", "1.0e+308")
+        ),
     ],
 )
 def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
@@ -733,6 +747,28 @@ BOUND_RUNS = {
         "simulate",
         TOY_CONFIG.replace("height_m: 30.0", "height_m: 0.16889715943661973"),
     ),
+    # the largest transmit power with every dB field at its bound and the
+    # noise 300 dB above the signal
+    "largest_transmit_power_at_every_db_bound": (
+        "simulate",
+        TOY_CONFIG.replace("waveform:\n", "waveform:\n  p_t_watts: 1.0e+100\n")
+        .replace("snr_db: 10.0", "snr_db: -300.0")
+        .replace("scenario:\n", "scenario:\n  antenna: {g_rmax_db: 300.0}\n")
+        + "channel: {g_t_db: 300.0, nlos: {relative_power_db_range: [300.0, 300.0]}}\n",
+    ),
+    # both rotor speeds at either bound, over flight speeds up to light's
+    **{
+        f"rotor_speeds_{end}_speed_sweep_to_light_speed": (
+            "speed-tradeoff",
+            TOY_CONFIG.replace(
+                "scenario:\n",
+                f"scenario:\n  airframe: {{tip_speed_mps: {value}, "
+                f"induced_velocity_mps: {value}}}\n",
+            )
+            + "sweep:\n  axis: speed_mps\n  values: [0.0, 10.0, " + LIGHT_SPEED + "]\n",
+        )
+        for end, value in (("lowest", "1.0e-100"), ("at_light", LIGHT_SPEED))
+    },
 }
 
 
@@ -797,3 +833,60 @@ def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys):
     assert rc == 2
     assert "sweep.axis" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _numeric_leaves(node, path=()):
+    """``(path, value)`` of every int or float leaf of a config tree, list
+    items included; a path is the keys and list indices that reach it."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def _with_leaf(sparse, full, path, value):
+    """``sparse`` with the leaf at ``path`` set to ``value``; a key that
+    ``sparse`` lacks on the way is taken from ``full``, the same config with
+    every key."""
+    if not path:
+        return value
+    head = path[0]
+    copy = list(sparse) if isinstance(sparse, list) else dict(sparse)
+    inner = sparse[head] if isinstance(sparse, list) or head in sparse else full[head]
+    copy[head] = _with_leaf(inner, full[head], path[1:], value)
+    return copy
+
+
+def test_cli_every_numeric_leaf_at_extreme_magnitudes_exits_0_or_2(tmp_path, capsys):
+    # the toy config with one point, one trial and one speed value, so that
+    # both commands read every leaf of its canonical tree; each run's file is
+    # the toy file with one leaf set, since parsing the whole tree would take
+    # most of the time
+    text = (
+        TOY_CONFIG.replace("count: 3", "count: 1").replace("trials: 2", "trials: 1")
+        + "sweep: {axis: speed_mps, values: [10.0]}\n"
+    )
+    toy = yaml.safe_load(text)
+    tree = yaml.safe_load(serialize_config(load_config(write_toy_config(tmp_path, text=text))))
+    leaves = list(_numeric_leaves(tree))
+    assert len(leaves) > 30
+    config, out = tmp_path / "leaf.yaml", str(tmp_path / "out")
+    failures = []
+    for path, default in leaves:
+        for magnitude in (0.0, 1.0e300, -1.0e300, 1.0e-300, 1.0e308):
+            # an integer field gets the integer nearest to the magnitude
+            value = int(magnitude) if isinstance(default, int) else magnitude
+            config.write_text(yaml.safe_dump(_with_leaf(toy, tree, path, value)))
+            for command in ("simulate", "speed-tradeoff"):
+                try:
+                    rc = main([command, "--config", str(config), "--out", out])
+                except Exception as exc:  # a traceback is the failure this test looks for
+                    rc = repr(exc)
+                if rc not in (0, 2):
+                    failures.append((".".join(map(str, path)), value, command, rc))
+    capsys.readouterr()
+    assert not failures, "\n".join(map(str, failures))

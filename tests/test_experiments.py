@@ -124,6 +124,32 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_README_DEFAULT_SHA256
 
 
+# the CSV of the benchmark's other two workloads at seed 0, the README default
+# with the overrides below: command, file name, overrides, --threads and
+# SHA-256, recorded before the sweep runners read the grid's set-ups
+GOLDEN_BENCHMARK_SWEEPS = {
+    "cdf-sweep-los": (
+        "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
+        "4c65723eab5f185568b9800e087d77dad13af7c936837fd97b989a9a74f2ec6b",
+    ),
+    "speed-tradeoff-2t": (
+        "speed-tradeoff", "speed_tradeoff.csv",
+        {"sweep": {"axis": "speed_mps", "values": [5.0, 10.0, 15.0, 20.0]}}, 2,
+        "4e3425a1065f1271bbacb2f49b51e84e81e00e88f7ded281d057ef38d5b1f863",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCHMARK_SWEEPS))
+def test_benchmark_sweep_csv_matches_golden_digest(tmp_path, capsys, name):
+    command, filename, tree, threads, digest = GOLDEN_BENCHMARK_SWEEPS[name]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    argv = [command, "--config", str(config), "--out", str(tmp_path), "--threads", str(threads)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
+
+
 def test_schemes_share_channel_and_noise():
     """Per-(point, trial) draws do not depend on the scheme under test."""
     both = parse_config(toy_tree())
@@ -388,8 +414,8 @@ def test_sweep_records_equal_runs_of_each_value_alone(axis, values):
     tree = toy_tree(detection={"interpolate_peak": True}, sweep={"axis": axis, "values": values})
     cfg = parse_config(tree)
     assert cfg.channel.nlos is not None
-    for swept, records in experiments._run_grid(cfg, axis):
-        alone = run_simulate(swept)
+    for setup, records in experiments._run_grid(cfg, axis):
+        alone = run_simulate(setup.cfg)
         assert len(records) == len(alone) == 3 * 2 * 2
         for record, expected in zip(records, alone):
             assert vars(record) == vars(expected)

@@ -1,4 +1,4 @@
-"""Error statistics, the LoS RMSE bound and results-CSV round trips."""
+"""Error statistics and results-CSV round trips."""
 
 import math
 
@@ -10,7 +10,6 @@ from ddprach import (
     error_cdf,
     read_results_csv,
     rmse,
-    rmse_los_bound,
     write_results_csv,
 )
 from ddprach.metrics import RESULTS_HEADER
@@ -91,41 +90,6 @@ def test_cdf_matches_loop_reference():
 def test_cdf_empty_raises():
     with pytest.raises(ValueError):
         error_cdf([])
-
-
-# ---------------------------------------------------------------------------
-# LoS RMSE bound
-# ---------------------------------------------------------------------------
-
-def test_bound_unit_example():
-    # sqrt(6 / (4 pi * 2 * 1 * 3 * 1)) = sqrt(1 / (4 pi)) = 0.2820947918
-    assert rmse_los_bound(2, 1, 1.0, 1.0) == pytest.approx(0.28209479, abs=1e-6)
-
-
-def test_bound_double_evaluation():
-    m, k, p_t, h2 = 1024, 4, 0.1995262314968880, 1e-12
-    expected = math.sqrt(6.0 / (4.0 * math.pi * m * k * (m**2 - 1) * p_t * h2))
-    assert rmse_los_bound(m, k, p_t, h2) == pytest.approx(expected, rel=1e-12)
-
-
-def test_bound_scales_inversely_with_gain():
-    base = rmse_los_bound(1024, 4, 0.2, 1e-12)
-    assert rmse_los_bound(1024, 4, 0.2, 4e-12) == pytest.approx(base / 2.0, rel=1e-12)
-
-
-def test_bound_shrinks_with_aperture():
-    assert rmse_los_bound(2048, 4, 0.2, 1e-12) < rmse_los_bound(1024, 4, 0.2, 1e-12)
-
-
-def test_bound_validation():
-    with pytest.raises(ValueError):
-        rmse_los_bound(1, 4, 0.2, 1e-12)
-    with pytest.raises(ValueError):
-        rmse_los_bound(1024, 0, 0.2, 1e-12)
-    with pytest.raises(ValueError):
-        rmse_los_bound(1024, 4, 0.0, 1e-12)
-    with pytest.raises(ValueError):
-        rmse_los_bound(1024, 4, 0.2, 0.0)
 
 
 # ---------------------------------------------------------------------------

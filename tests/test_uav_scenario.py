@@ -73,6 +73,13 @@ def test_pitch_at_hover():
     assert theta_v == 0.0
 
 
+@pytest.mark.parametrize("v", [1.0e-300, 5e-324])
+def test_pitch_at_a_speed_whose_square_underflows_is_hover(v):
+    # v**2 is 0.0 here: the drag ratio is infinite, as at hover
+    assert v > 0.0 and v**2 == 0.0
+    assert pitch_angle(v, AirframeConfig()) == (90.0, 0.0)
+
+
 def test_pitch_monotone_in_speed():
     cfg = AirframeConfig()
     tilts = [pitch_angle(v, cfg)[1] for v in np.linspace(0.5, 30.0, 60)]
