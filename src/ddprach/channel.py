@@ -32,7 +32,6 @@ __all__ = [
     "apply_channel",
     "add_awgn",
     "add_noise_power",
-    "draw_unit_noise",
     "received_power",
     "load_taps",
     "save_taps",
@@ -117,7 +116,10 @@ class FrameBuffers:
 
     ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write into these
     arrays when given ``buffers=``; the array they return is ``frames``, so
-    it holds only until the next call on the same buffers.  The buffers keep
+    it holds only until the next call on the same buffers.  They keep the
+    unit noise row last drawn, in ``unit``, and the ``SeedSequence`` it was
+    drawn from, in ``seed``; a noise call given that very object reuses the
+    row, and any other seed draws it anew.  The buffers keep
     ``samples``: the first ``apply_channel`` on them plans its rows for the
     framing's period ``n_dft + cp_len``, later ones reuse the plan, and one
     on another array or period raises ``ValueError``.  They also keep, per
@@ -145,6 +147,7 @@ class FrameBuffers:
         self.phasors = np.empty((-(-n // _PHASOR_BLOCK), _PHASOR_BLOCK), dtype=complex)
         self.draws = np.empty(2 * n)                   # real draws, then imaginary
         self.unit = np.empty(n, dtype=complex)         # the unit noise row
+        self.seed = None                               # the SeedSequence unit was drawn from
         self.power = np.empty(shape)                   # |x|^2 of the stack
 
 
@@ -381,16 +384,15 @@ def add_awgn(
     snr_db: float | None,
     seed=None,
     buffers: FrameBuffers | None = None,
-    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add circular complex white Gaussian noise at a target SNR.
 
     The noise variance is scaled to the measured mean power of the input,
     row by row for a ``(S, L)`` stack, and the noise is added by
     :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
-    ``+inf`` returns a copy of the samples (noiseless); NaN and ``-inf``
-    raise ``ValueError``.  ``seed``, ``buffers`` and ``noise`` are used as in
-    :func:`add_noise_power`.
+    ``+inf`` returns a copy of the samples (noiseless) and draws nothing;
+    NaN and ``-inf`` raise ``ValueError``.  ``seed`` and ``buffers`` are
+    used as in :func:`add_noise_power`.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
@@ -402,7 +404,7 @@ def add_awgn(
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return add_noise_power(buffers.frames, noise_power, seed, buffers, noise)
+    return add_noise_power(buffers.frames, noise_power, seed, buffers)
 
 
 def add_noise_power(
@@ -410,51 +412,40 @@ def add_noise_power(
     noise_power_watts,
     seed=None,
     buffers: FrameBuffers | None = None,
-    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add circular complex white Gaussian noise of absolute mean power.
 
     ``samples``, read as complex, is one ``(L,)`` frame or an ``(S, L)``
     stack.  ``noise_power_watts`` is one power for every row or one per row of a
     ``(S, L)`` stack; each must be finite and ``>= 0``.  One ``(L,)`` unit
-    noise row, drawn from ``seed`` unless given as ``noise`` (from
-    :func:`draw_unit_noise`), is scaled to each row's power and added, so
-    each row equals a single-frame call with the same seed.  With
+    noise row, drawn from ``seed``, is scaled to each row's power and added,
+    so each row equals a single-frame call with the same seed.  With
     ``buffers`` the noise is added in place onto ``buffers.frames``, after
-    copying the input there unless it already is that array.
+    copying the input there unless it already is that array; a ``seed`` that
+    is the very ``SeedSequence`` the buffers last drew from reuses their
+    row, bit for bit a new draw's.  ``None`` draws fresh entropy, an ``int``
+    the same bits again and a ``Generator`` its next values.
     """
     noise_power = np.asarray(noise_power_watts, dtype=float)
     if not np.all(np.isfinite(noise_power)) or np.any(noise_power < 0):
         raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
     buffers = _load(buffers, samples)
-    n = buffers.unit.size
-    if noise is None:
-        noise = draw_unit_noise(seed, buffers)
-    elif seed is not None:
-        raise ValueError("give the noise as a seed or as a drawn row, not both")
-    elif noise.shape != (n,):
-        raise ValueError(f"the noise row must have shape {(n,)}, got {noise.shape}")
+    noise, n = buffers.unit, buffers.unit.size
+    # default_rng leaves a SeedSequence as it was, so the row of the very one
+    # the buffers last drew from is still theirs; any other seed draws
+    if not (seed is buffers.seed and isinstance(seed, np.random.SeedSequence)):
+        # one standard_normal draw of 2L values: the L real parts, then the
+        # L imaginary parts
+        draws = np.random.default_rng(seed).standard_normal(out=buffers.draws)
+        noise.real = draws[:n]
+        noise.imag = draws[n:]
+        buffers.seed = seed
     scale = np.sqrt(noise_power / 2.0)
     rows = buffers.frames.reshape(-1, n)
     for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
         # keep the operand order row_scale * noise, as for the phasor above
         row += np.multiply(row_scale, noise, out=buffers.delayed)
     return buffers.frames
-
-
-def draw_unit_noise(seed, buffers: FrameBuffers) -> np.ndarray:
-    """Draw the unit noise row of ``seed`` into ``buffers.unit`` and return it.
-
-    Real and imaginary parts are standard normal: one ``standard_normal``
-    draw of ``2L`` values gives the ``L`` real parts, then the ``L``
-    imaginary parts.  :func:`add_noise_power` scales this row, so a row
-    drawn once serves any number of noise calls (``noise=``).
-    """
-    n = buffers.unit.size
-    draws = np.random.default_rng(seed).standard_normal(out=buffers.draws)
-    buffers.unit.real = draws[:n]
-    buffers.unit.imag = draws[n:]
-    return buffers.unit
 
 
 def _load(buffers: FrameBuffers | None, samples) -> FrameBuffers:

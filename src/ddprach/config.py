@@ -8,14 +8,16 @@ their dotted path so typos cannot silently fall back to defaults.
 """
 
 import math
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
-from .channel import NlosSpec
+from .channel import NlosSpec, received_power
 from .prach_modem import MODULATIONS, WaveformParams
-from .uav_scenario import AirframeConfig, AntennaConfig, trajectory_point
+from .uav_scenario import AirframeConfig, AntennaConfig, pitch_angle, propulsion_power
+from .uav_scenario import MAX_ATTENUATION_DB, trajectory_point
 from .units import SPEED_OF_LIGHT
 
 __all__ = [
@@ -273,6 +275,7 @@ def parse_config(tree) -> ExperimentConfig:
         low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
         if low > high:
             raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
+    _check_airframe(cfg)
     if channel.source == "synthetic":
         # the link budget (lambda / 4 pi d)^2 is a far-field law: it passes
         # unity at d < lambda / 4 pi and overflows as d, at least the
@@ -284,8 +287,42 @@ def parse_config(tree) -> ExperimentConfig:
                 f"scenario.trajectory.height_m: must be at least one wavelength, "
                 f"c / carrier_hz = {wavelength} m, got {height}"
             )
+        # the weakest received power, the line of sight from the far end at
+        # the antenna's floor, must be a normal double: the frame's mean
+        # |x|^2 is that power, and below it underflows, to zero at last
+        spec, antenna = cfg.scenario.trajectory, cfg.scenario.antenna
+        weakest = received_power(
+            cfg.waveform.p_t_watts,
+            wavelength,
+            trajectory_point(spec.count - 1, **asdict(spec)).distance_m,
+            channel.g_t_db,
+            antenna.g_rmax_db - MAX_ATTENUATION_DB,
+        )
+        if weakest < sys.float_info.min:
+            raise ConfigError(
+                f"the link budget: the weakest received power is {weakest} W, below "
+                f"{sys.float_info.min} W; raise waveform.p_t_watts, channel.g_t_db "
+                f"or scenario.antenna.g_rmax_db"
+            )
         _check_tap_delays(cfg)
     return cfg
+
+
+def _check_airframe(cfg: ExperimentConfig) -> None:
+    """Reject an airframe whose tilt or propulsion power is not finite at a
+    speed the run flies, the trajectory's or a ``speed_mps`` sweep value's:
+    fields physical one by one can overflow these laws together."""
+    speeds = [cfg.scenario.trajectory.speed_mps]
+    if cfg.sweep.axis == "speed_mps":
+        speeds += cfg.sweep.values
+    for speed in speeds:
+        tilt = pitch_angle(speed, cfg.scenario.airframe)[1]
+        power = propulsion_power(speed, cfg.scenario.airframe)
+        if not (math.isfinite(tilt) and math.isfinite(power)):
+            raise ConfigError(
+                f"scenario.airframe: at {speed} m/s the tilt is {tilt} deg and the "
+                f"propulsion power {power} W; both must be finite"
+            )
 
 
 def _check_tap_delays(cfg: ExperimentConfig) -> None:

@@ -41,7 +41,6 @@ from .channel import (
     add_awgn,
     add_noise_power,
     apply_channel,
-    draw_unit_noise,
     load_taps,
     synthesize_scenario_channel,
 )
@@ -104,12 +103,13 @@ def _run_grid(
     (``setup.cfg`` is the swept config), or the one pair when ``axis`` is None.
 
     Each record list runs points x trials x schemes in canonical order.  A
-    work item is one (point, trial): it draws its unit noise once and runs
-    every value on it.  The channel and noise seeds do not depend on the
-    swept value, so every value sees the same physical channels and the same
-    noise draw, and the comparison is paired.  The points run in
-    ``min(workers, count)`` processes over contiguous ranges (see
-    :func:`_fork_map`); one worker runs them all in this process.
+    work item is one (point, trial): it passes its noise seed to every value,
+    and the run's buffers draw that seed's unit noise row once.  The channel
+    and noise seeds do not depend on the swept value, so every value sees the
+    same physical channels and the same noise draw, and the comparison is
+    paired.  The points run in ``min(workers, count)`` processes over
+    contiguous ranges (see :func:`_fork_map`); one worker runs them all in
+    this process.
     """
     cfgs = [cfg]
     if axis is not None:
@@ -160,19 +160,15 @@ def _run_points(
 ) -> list[list[ResultRecord]]:
     """One record list per setup over the work items of ``points``, in
     canonical order."""
-    noisy = cfg.noise.snr_db is not None or cfg.noise.noise_power_watts is not None
     # one set of buffers, and the one row plan they make, serves every item
     buffers = FrameBuffers(stack)
     runs = [[] for _ in setups]
     for point_idx in points:
         for trial in range(cfg.trials):
-            # buffers.unit holds this row until the item's last value has used it
-            noise = None
-            if noisy:
-                seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
-                noise = draw_unit_noise(seed, buffers)
             # default_rng leaves a SeedSequence as it was, so every value
-            # draws the same taps from this one
+            # draws the same taps and noise from these; the buffers draw the
+            # noise row of this very noise seed once
+            noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
             realization = channel_seed = None
             if file_taps is None:
                 channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
@@ -180,7 +176,7 @@ def _run_points(
                 realization = file_taps[point_idx]
             for setup, records in zip(setups, runs):
                 records += _run_config(
-                    setup, point_idx, realization, channel_seed, noise, buffers
+                    setup, point_idx, realization, channel_seed, noise_seed, buffers
                 )
     return runs
 
@@ -251,14 +247,15 @@ def _child(fn, item, write_fd: int):
 
 
 def _run_config(
-    setup: _Setup, point_idx: int, realization, channel_seed, noise, buffers
+    setup: _Setup, point_idx: int, realization, channel_seed, noise_seed, buffers
 ) -> list[ResultRecord]:
     """The records of one work item under one swept config, one per scheme.
 
     ``realization`` is the item's channel from the taps file (``None``:
-    synthesize it from ``channel_seed``), ``noise`` the item's unit noise row
-    (``None`` for a noiseless run) and ``buffers`` the run's
-    :class:`FrameBuffers`, made from its preamble stack.
+    synthesize it from ``channel_seed``), ``noise_seed`` the item's noise
+    ``SeedSequence`` and ``buffers`` the run's :class:`FrameBuffers`, made
+    from its preamble stack, which draw that seed's unit noise row on the
+    item's first noise call and reuse it on the others.
     """
     cfg = setup.cfg
     if realization is None:
@@ -275,9 +272,9 @@ def _run_config(
     # positional: the benchmark's tracer reads args[0] and args[1]
     rx = apply_channel(cfg.waveform, realization, buffers.samples, buffers=buffers)
     if cfg.noise.noise_power_watts is not None:
-        rx = add_noise_power(rx, cfg.noise.noise_power_watts, buffers=buffers, noise=noise)
+        rx = add_noise_power(rx, cfg.noise.noise_power_watts, noise_seed, buffers)
     else:
-        rx = add_awgn(rx, cfg.noise.snr_db, buffers=buffers, noise=noise)
+        rx = add_awgn(rx, cfg.noise.snr_db, noise_seed, buffers)
     records = []
     for scheme, samples in zip(cfg.schemes, rx):
         params = setup.params[scheme]

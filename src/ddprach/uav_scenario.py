@@ -108,7 +108,7 @@ def build_trajectory(
 
 # front-to-back floor of the element pattern: A_max = SLA_V = 30 dB in
 # 3GPP TR 38.901, Table 7.3-1
-_MAX_ATTENUATION_DB = 30.0
+MAX_ATTENUATION_DB = 30.0
 # an angle at twice its 3 dB width alone attenuates 48 dB, past the floor:
 # capping the ratio there changes no gain and keeps its square finite
 _MAX_WIDTH_RATIO = 2.0
@@ -129,7 +129,7 @@ def antenna_gain(
     """
     ratios = (gamma_deg / cfg.gamma_3db_deg, (theta_deg - tilt_deg) / cfg.theta_3db_deg)
     horizontal, vertical = (12.0 * min(abs(r), _MAX_WIDTH_RATIO) ** 2 for r in ratios)
-    return cfg.g_rmax_db - min(horizontal + vertical, _MAX_ATTENUATION_DB)
+    return cfg.g_rmax_db - min(horizontal + vertical, MAX_ATTENUATION_DB)
 
 
 def pitch_angle(v_x: float, cfg: AirframeConfig) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from ddprach import (
     add_awgn,
     add_noise_power,
     apply_channel,
-    draw_unit_noise,
     load_taps,
     received_power,
     save_taps,
@@ -546,33 +545,52 @@ def test_noise_draw_is_real_then_imaginary_draw(seed):
 
 
 @pytest.mark.parametrize("rows", [NOISE_ROWS, NOISE_ROWS[1]], ids=["stack", "single"])
-def test_drawn_noise_row_matches_seeded_call(rows):
+def test_drawn_noise_row_matches_seeded_call(rows, rng_seeds):
     def seed():
         return np.random.SeedSequence([5, 2, 1, 0])
 
+    adds = (
+        lambda s, **kw: add_awgn(rows, 5.0, s, **kw),
+        lambda s, **kw: add_noise_power(rows, 0.3, s, **kw),
+    )
+    expected = [add(seed()) for add in adds]
+    unit = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed())
     buffers = dirty_buffers(rows)
-    unit = draw_unit_noise(seed(), buffers)
-    assert unit is buffers.unit
-    expected = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed())
-    assert same_bits(unit, expected)
-    # the drawn row serves several calls on the same buffers; none redraws it
+    shared = seed()
+    rng_seeds.clear()
+    # the same SeedSequence on the same buffers serves several calls, bit for
+    # bit a fresh call's, and draws once
     for _ in range(2):
-        for add in (
-            lambda **kw: add_awgn(rows, 5.0, **kw),
-            lambda **kw: add_noise_power(rows, 0.3, **kw),
-        ):
-            expected = add(seed=seed())
-            assert same_bits(add(noise=unit), expected)
-            assert same_bits(add(noise=unit, buffers=buffers), expected)
+        for add, fresh in zip(adds, expected):
+            assert same_bits(add(shared, buffers=buffers), fresh)
+    assert rng_seeds == [shared]
+    assert same_bits(buffers.unit, unit)
+    # an equal-entropy but different SeedSequence draws again, the same bits
+    other = seed()
+    assert same_bits(adds[0](other, buffers=buffers), expected[0])
+    assert rng_seeds == [shared, other]
+    # None and a Generator draw on every call: fresh entropy, or the
+    # generator's next values
+    reference = np.random.default_rng(7)
+    draws = [adds[1](reference).copy() for _ in range(2)]
+    assert not np.array_equal(*draws)
+    rng_seeds.clear()
+    first, second = (adds[1](None, buffers=buffers).copy() for _ in range(2))
+    assert not np.array_equal(first, second)
+    generator = np.random.default_rng(7)
+    for fresh in draws:
+        assert same_bits(adds[1](generator, buffers=buffers), fresh)
+    assert rng_seeds == [None, None, generator, generator]
+    # an int draws the same bits again, and so does the shared seed after
+    # other seeds
+    rng_seeds.clear()
+    assert same_bits(adds[1](3, buffers=buffers).copy(), adds[1](3, buffers=buffers))
+    assert same_bits(adds[0](shared, buffers=buffers), expected[0])
+    assert rng_seeds == [3, 3, shared]
 
 
 def test_noise_row_checked():
     x = NOISE_ROWS
-    unit = draw_unit_noise(1, channel.FrameBuffers(x))
-    with pytest.raises(ValueError, match="not both"):
-        add_awgn(x, 5.0, seed=1, noise=unit)
-    with pytest.raises(ValueError, match="shape"):
-        add_noise_power(x, 0.3, noise=unit[:-1])
     with pytest.raises(ValueError, match="shape"):
         add_awgn(x, 5.0, seed=1, buffers=channel.FrameBuffers(NOISE_ROWS[0]))
 

@@ -1,6 +1,9 @@
 """Config parsing/validation, canonical YAML form and the CLI entry point."""
 
+import csv
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from ddprach import (
     ConfigError,
     load_config,
     parse_config,
+    received_power,
     serialize_config,
 )
 from ddprach import cli
@@ -665,6 +669,39 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
             for name in ("tip_speed_mps", "induced_velocity_mps")
             for value in ("1.0e-300", "1.0e+300", "1.0e+308")
         ),
+        # pitch_angle's weight and drag both overflow: a NaN tilt
+        *(
+            (
+                command,
+                "scenario: {airframe: {mass_kg: 1.0e+308, air_density_kgpm3: 1.0e+308}}\n"
+                "sweep: {axis: speed_mps, values: [10.0]}\n",
+                "scenario.airframe",
+            )
+            for command in ("simulate", "speed-tradeoff")
+        ),
+        # propulsion_power's parasite term overflows to inf
+        *(
+            (
+                "speed-tradeoff",
+                f"scenario: {{airframe: {{{name}: 1.0e+308}}}}\n"
+                "sweep: {axis: speed_mps, values: [10.0]}\n",
+                "scenario.airframe",
+            )
+            for name in (
+                "air_density_kgpm3",
+                "fuselage_drag_ratio",
+                "rotor_disc_area_m2",
+                "rotor_solidity",
+            )
+        ),
+        # the received frame underflows to zero
+        (
+            "simulate",
+            "waveform: {p_t_watts: 1.0e-300}\n"
+            "scenario: {antenna: {g_rmax_db: -300.0}}\n"
+            "channel: {g_t_db: -300.0}\n",
+            "the link budget",
+        ),
     ],
 )
 def test_cli_bad_number_exit_2(tmp_path, capsys, command, text, where):
@@ -779,6 +816,24 @@ def test_cli_numeric_bounds_run(tmp_path, capsys, case):
     assert rc == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin, rc", [(1.0001, 0), (0.9999, 2)])
+def test_cli_link_budget_bound_is_the_smallest_normal_power(tmp_path, capsys, margin, rc):
+    # the toy pass's far end, one 0.5 m step past overhead, with every gain at
+    # its lowest bound and the antenna at its floor 30 dB below boresight
+    far = math.hypot(30.0, 0.5)
+    weakest = received_power(1.0, 299792458.0 / 1775e6, far, -300.0, -330.0)
+    p_t = margin * sys.float_info.min / weakest
+    text = (
+        TOY_CONFIG.replace("waveform:\n", f"waveform:\n  p_t_watts: {p_t!r}\n")
+        .replace("scenario:\n", "scenario:\n  antenna: {g_rmax_db: -300.0}\n")
+        + "channel: {g_t_db: -300.0}\n"
+    )
+    assert main(["simulate", "--config", write_toy_config(tmp_path, text=text),
+                 "--out", str(tmp_path)]) == rc
+    err = capsys.readouterr().err
+    assert ("the link budget" in err) == (rc == 2), err
+
+
 def test_far_field_bound_is_one_wavelength():
     wavelength = 299792458.0 / 1775e6
     tree = {"scenario": {"trajectory": {"height_m": wavelength}}}
@@ -861,6 +916,19 @@ def _with_leaf(sparse, full, path, value):
     return copy
 
 
+def _numeric_cells_finite(path) -> bool:
+    """True if every cell of the CSV at ``path`` that reads as a number is finite."""
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    if not math.isfinite(float(cell)):
+                        return False
+                except ValueError:
+                    pass  # a header, a scheme or an empty cell
+    return True
+
+
 def test_cli_every_numeric_leaf_at_extreme_magnitudes_exits_0_or_2(tmp_path, capsys):
     # the toy config with one point, one trial and one speed value, so that
     # both commands read every leaf of its canonical tree; each run's file is
@@ -881,11 +949,16 @@ def test_cli_every_numeric_leaf_at_extreme_magnitudes_exits_0_or_2(tmp_path, cap
             # an integer field gets the integer nearest to the magnitude
             value = int(magnitude) if isinstance(default, int) else magnitude
             config.write_text(yaml.safe_dump(_with_leaf(toy, tree, path, value)))
-            for command in ("simulate", "speed-tradeoff"):
+            for command, written in (
+                ("simulate", "results.csv"),
+                ("speed-tradeoff", "speed_tradeoff.csv"),
+            ):
                 try:
                     rc = main([command, "--config", str(config), "--out", out])
                 except Exception as exc:  # a traceback is the failure this test looks for
                     rc = repr(exc)
+                if rc == 0 and not _numeric_cells_finite(tmp_path / "out" / written):
+                    rc = f"a non-finite cell in {written}"
                 if rc not in (0, 2):
                     failures.append((".".join(map(str, path)), value, command, rc))
     capsys.readouterr()

@@ -248,15 +248,9 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
     assert calls["apply"] == [(2, cfg.waveform.frame_len)] * items
 
 
-def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
-    calls = {"draw": [], "apply": [], "transmit": []}
-    real_draw, real_apply, real_transmit = (
-        experiments.draw_unit_noise, experiments.apply_channel, experiments.transmit,
-    )
-
-    def draw(seed, buffers):
-        calls["draw"].append(tuple(seed.entropy))
-        return real_draw(seed, buffers)
+def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch, rng_seeds):
+    calls = {"apply": [], "transmit": []}
+    real_apply, real_transmit = experiments.apply_channel, experiments.transmit
 
     def apply(params, realization, samples, **kwargs):
         calls["apply"].append((params.sample_rate, id(samples)))
@@ -266,7 +260,6 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
         calls["transmit"].append(params.modulation)
         return real_transmit(params)
 
-    monkeypatch.setattr(experiments, "draw_unit_noise", draw)
     monkeypatch.setattr(experiments, "apply_channel", apply)
     plans = count_plans(monkeypatch)
     monkeypatch.setattr(experiments, "transmit", transmit)
@@ -274,8 +267,16 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch):
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
     run_cdf_sweep(cfg)
     items = [(point, trial) for point in range(3) for trial in range(2)]
-    stream = experiments._NOISE_STREAM
-    assert calls["draw"] == [(cfg.seed, stream, point, trial) for point, trial in items]
+    # the channel's default_rng makes one generator per unit noise row drawn
+    # and one per synthesized channel
+    entropy = [tuple(seed.entropy) for seed in rng_seeds]
+    for stream, per_item in [
+        (experiments._NOISE_STREAM, 1),
+        (experiments._CHANNEL_STREAM, len(values)),
+    ]:
+        drawn = [(cfg.seed, stream, point, trial) for point, trial in items for _ in range(per_item)]
+        assert [e for e in entropy if e[1] == stream] == drawn
+    assert len(entropy) == len(items) * (1 + len(values))
     # every value of an item in turn, all on one shared stack
     rates = [value * cfg.waveform.n_dft for value in values]
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)

@@ -473,3 +473,31 @@ def test_params_validation():
         WaveformParams(modulation="qam")
     with pytest.raises(ValueError):
         WaveformParams(p_t_watts=0.0)
+
+
+def binomial_upper_bound(trials: int, p: float, confidence: float) -> int:
+    """The smallest ``k`` with ``P(X > k) <= 1 - confidence`` for ``X ~ B(trials, p)``."""
+    cumulative = 0.0
+    for k in range(trials + 1):
+        cumulative += math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k)
+        if 1.0 - cumulative <= 1.0 - confidence:
+            return k
+    return trials
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_noise_only_alarms_within_target_pfa(scheme):
+    # the documented conservatism: the Gamma(n) bins and the peak in the mean
+    # keep the delivered rate at or below target_pfa; ROADMAP item 3 makes
+    # this band two-sided
+    params = WaveformParams(modulation=scheme)  # the README default waveform
+    frames, target = 400, 0.05
+    rng = np.random.default_rng([2026, 5])
+    alarms = 0
+    for _ in range(frames):
+        noise = rng.standard_normal(2 * params.frame_len).view(complex)
+        alarms += receive_and_estimate_toa(noise, params, target_pfa=target).detected
+    bound = binomial_upper_bound(frames, target, 0.999)
+    print(f"{scheme}: {alarms} of {frames} noise-only frames alarmed at target_pfa {target}, "
+          f"bound {bound}")
+    assert alarms <= bound
