@@ -491,6 +491,11 @@ TAPS_HEADER = [
     "doppler_hz",
 ]
 
+# the largest dB level, of a config field or a taps-file gain: 10**(x/10)
+# stays finite, and so does received_power's squared product of two such
+# gains, 10**(4 * 300 / 10) = 1e120
+MAX_DB = 300.0
+
 
 def load_taps(path) -> dict[int, ChannelRealization]:
     """Load per-point channel taps from CSV (one row per tap).
@@ -498,10 +503,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     Columns: ``point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz``.
     Rows are grouped by ``point_index``; taps are sorted by delay and the
     LoS tag is derived from the tap powers.  Malformed rows, including
-    negative point indices, non-finite numbers, gains that are zero in
-    linear terms (which :func:`save_taps` cannot store either) and a
-    ``true_distance_m`` other than the one on the point's earlier rows,
-    raise :class:`TapFileError` with the offending line number.
+    negative point indices, non-finite numbers, a ``gain_db`` outside the
+    config's dB range ``[-MAX_DB, MAX_DB]`` and a ``true_distance_m`` other
+    than the one on the point's earlier rows, raise :class:`TapFileError`
+    with the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
@@ -519,11 +524,12 @@ def load_taps(path) -> dict[int, ChannelRealization]:
             raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
         if delay < 0:
             raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
-        gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
-        if gain == 0.0:
+        if not -MAX_DB <= gain_db <= MAX_DB:
             raise TapFileError(
-                f"{path}: line {line_no}: gain {gain_db} dB is zero as a linear amplitude"
+                f"{path}: line {line_no}: gain {gain_db} dB is outside "
+                f"[{-MAX_DB}, {MAX_DB}]"
             )
+        gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
         if distances.setdefault(point, distance) != distance:
             raise TapFileError(
                 f"{path}: line {line_no}: point {point}: true_distance_m {distance} "
@@ -540,7 +546,8 @@ def save_taps(path, realizations) -> None:
     """Write channel realizations to CSV in the canonical column order.
 
     Accepts either an iterable of :class:`ChannelRealization` or the
-    point-indexed mapping that :func:`load_taps` returns.
+    point-indexed mapping that :func:`load_taps` returns.  A tap gain outside
+    the dB range that :func:`load_taps` reads raises ``ValueError``.
     """
     if isinstance(realizations, dict):
         realizations = realizations.values()
@@ -548,12 +555,15 @@ def save_taps(path, realizations) -> None:
     for real in sorted(realizations, key=lambda r: r.point_index):
         for tap in real.taps:
             amplitude = abs(tap.gain)
-            if amplitude == 0.0:
-                raise ValueError("cannot store a zero-gain tap in dB")
+            gain_db = 20.0 * math.log10(amplitude) if amplitude else -math.inf
+            if not -MAX_DB <= gain_db <= MAX_DB:
+                raise ValueError(
+                    f"cannot store a tap gain of {gain_db} dB, outside [{-MAX_DB}, {MAX_DB}]"
+                )
             cells = (
                 real.point_index,
                 real.true_distance_m,
-                20.0 * math.log10(amplitude),
+                gain_db,
                 cmath.phase(tap.gain),
                 tap.delay_s,
                 tap.doppler_hz,
@@ -574,7 +584,6 @@ def synthesize_scenario_channel(
     nlos: NlosSpec | None = None,
     seed=None,
     g_t_db: float = 0.0,
-    doppler_scale: float = 1.0,
 ) -> ChannelRealization:
     """Build a channel realization from the flyover geometry.
 
@@ -585,8 +594,7 @@ def synthesize_scenario_channel(
     tap adds a random excess delay, a random reflection loss relative to
     free space at its own path length, an antenna gain drawn at a random
     arrival elevation, a uniform phase and a Doppler from a random arrival
-    direction.  ``doppler_scale`` multiplies every tap Doppler; values above
-    one emulate higher-mobility platforms without changing the geometry.
+    direction.
 
     The delays are one-way: the model assumes a ground node on the UAV's
     clock.  A real PRACH receiver measures a round trip, since the UE times
@@ -598,7 +606,7 @@ def synthesize_scenario_channel(
     tau0 = distance / SPEED_OF_LIGHT
     # velocity is +x; path direction from UAV towards the target
     radial_speed = point.speed_mps * (-point.horizontal_offset_m / distance)
-    doppler0 = radial_speed * carrier_hz / SPEED_OF_LIGHT * doppler_scale
+    doppler0 = radial_speed * carrier_hz / SPEED_OF_LIGHT
 
     def path_amplitude(path_m: float, elevation: float) -> float:
         g_r_db = antenna_gain(0.0, elevation, tilt_deg, antenna)
@@ -622,7 +630,6 @@ def synthesize_scenario_channel(
                 * math.cos(rng.uniform(0.0, np.pi))
                 * carrier_hz
                 / SPEED_OF_LIGHT
-                * doppler_scale
             )
             taps.append(ChannelTap(amplitude * cmath.exp(1j * phase), tau0 + excess, doppler))
     return ChannelRealization(point.index, distance, taps)

@@ -9,7 +9,9 @@ tilt-sweep      ranging RMSE and LoS point counts vs forced antenna tilt
 validate-config parse + echo the canonical form of a config file
 
 Exit codes: 0 success, 2 config error, 3 data error (e.g. malformed taps
-file).  All outputs are CSVs written under ``--out`` (default: cwd).
+file); any other error, such as a worker process that died, is a bug and
+ends in a traceback.  All outputs are CSVs written under ``--out`` (default:
+cwd).
 """
 
 import argparse
@@ -160,6 +162,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ChildProcessError:
+        raise  # a worker process that died is a bug, though an OSError
     except (TapFileError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -5,16 +5,19 @@ names.  The dataclasses below, and the library dataclasses they nest, are the
 schema: one walk over their fields parses and checks a tree, and ``asdict``
 gives the canonical form.  Unknown keys anywhere in the tree are rejected with
 their dotted path so typos cannot silently fall back to defaults.
+:func:`flights` lists the configurations a run flies, the config and each
+sweep value's, with their tilt and propulsion power; the parse checks the
+rules that depend on them once over that list.
 """
 
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .channel import NlosSpec, received_power
+from .channel import MAX_DB, NlosSpec, received_power
 from .prach_modem import MODULATIONS, WaveformParams
 from .uav_scenario import AirframeConfig, AntennaConfig, pitch_angle, propulsion_power
 from .uav_scenario import MAX_ATTENUATION_DB, trajectory_point
@@ -23,7 +26,7 @@ from .units import SPEED_OF_LIGHT
 __all__ = [
     "ConfigError", "TrajectorySpec", "ScenarioConfig", "ChannelConfig",
     "NoiseConfig", "DetectionConfig", "SweepConfig", "ExperimentConfig",
-    "load_config", "parse_config", "serialize_config",
+    "flights", "load_config", "parse_config", "serialize_config",
 ]
 
 # sweep axis -> dotted path of the field it sweeps (whose range the values obey)
@@ -60,7 +63,6 @@ class ChannelConfig:
     source: str = "synthetic"      # "synthetic" | "taps_file"
     taps_path: str | None = None
     nlos: NlosSpec | None = field(default_factory=NlosSpec)
-    doppler_scale: float = 1.0
     g_t_db: float = 10.0           # ground transmitter boresight gain
 
 
@@ -106,9 +108,7 @@ def _between(low, high):
 _ANY = (lambda v: True, "anything")
 _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-# a level in dB: 10**(x/10) stays finite, and so does received_power's
-# squared product of two such gains, 10**(4 * 300 / 10) = 1e120
-_DB = _between(-300.0, 300.0)
+_DB = _between(-MAX_DB, MAX_DB)
 # a rotor speed, which propulsion_power squares into a divisor: up to light's,
 # and (v / it)^2 stays finite for every flight speed v up to light's
 _ROTOR_SPEED = _between(1.0e-100, SPEED_OF_LIGHT)
@@ -138,8 +138,6 @@ _RULES = {
     "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,
     "channel.nlos.relative_power_db_range": _DB,
     "channel.g_t_db": _DB,
-    # 1e6 already takes a 300 m/s flight to light speed
-    "channel.doppler_scale": (lambda v: 0 < v <= 1e6, "in (0, 1e6]"),
     "noise.snr_db": _DB,
     "noise.noise_power_watts": _NON_NEGATIVE,
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
@@ -275,7 +273,7 @@ def parse_config(tree) -> ExperimentConfig:
         low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
         if low > high:
             raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
-    _check_airframe(cfg)
+    flown = flights(cfg)
     if channel.source == "synthetic":
         # the link budget (lambda / 4 pi d)^2 is a far-field law: it passes
         # unity at d < lambda / 4 pi and overflows as d, at least the
@@ -287,14 +285,17 @@ def parse_config(tree) -> ExperimentConfig:
                 f"scenario.trajectory.height_m: must be at least one wavelength, "
                 f"c / carrier_hz = {wavelength} m, got {height}"
             )
+        # the trajectory's far end, its last point as uav_scenario places it;
+        # no sweep axis moves it
+        spec, antenna = cfg.scenario.trajectory, cfg.scenario.antenna
+        far_m = trajectory_point(spec.count - 1, **asdict(spec)).distance_m
         # the weakest received power, the line of sight from the far end at
         # the antenna's floor, must be a normal double: the frame's mean
         # |x|^2 is that power, and below it underflows, to zero at last
-        spec, antenna = cfg.scenario.trajectory, cfg.scenario.antenna
         weakest = received_power(
             cfg.waveform.p_t_watts,
             wavelength,
-            trajectory_point(spec.count - 1, **asdict(spec)).distance_m,
+            far_m,
             channel.g_t_db,
             antenna.g_rmax_db - MAX_ATTENUATION_DB,
         )
@@ -304,50 +305,62 @@ def parse_config(tree) -> ExperimentConfig:
                 f"{sys.float_info.min} W; raise waveform.p_t_watts, channel.g_t_db "
                 f"or scenario.antenna.g_rmax_db"
             )
-        _check_tap_delays(cfg)
+        # the latest tap, the line of sight from the far end (as
+        # synthesize_scenario_channel delays it) plus the largest NLoS excess
+        # delay, must arrive within the frame at every spacing a run flies
+        delay = far_m / SPEED_OF_LIGHT
+        if channel.nlos is not None and channel.nlos.count:
+            delay += channel.nlos.excess_delay_range_s[1]
+        for path, swept, _, _ in flown:
+            delta_f = swept.waveform.delta_f_hz
+            duration = swept.waveform.frame_len / (delta_f * swept.waveform.n_dft)
+            if delay >= duration:
+                raise ConfigError(
+                    f"{path or 'waveform.delta_f_hz'}: the frame lasts {duration} s at "
+                    f"{delta_f} Hz, but a tap from the trajectory's far end can arrive "
+                    f"at {delay} s"
+                )
     return cfg
 
 
-def _check_airframe(cfg: ExperimentConfig) -> None:
-    """Reject an airframe whose tilt or propulsion power is not finite at a
-    speed the run flies, the trajectory's or a ``speed_mps`` sweep value's:
-    fields physical one by one can overflow these laws together."""
-    speeds = [cfg.scenario.trajectory.speed_mps]
-    if cfg.sweep.axis == "speed_mps":
-        speeds += cfg.sweep.values
-    for speed in speeds:
-        tilt = pitch_angle(speed, cfg.scenario.airframe)[1]
-        power = propulsion_power(speed, cfg.scenario.airframe)
+def _with_field(obj, path: str, value):
+    """Copy of dataclass ``obj`` with the field at dotted ``path`` set to ``value``."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _with_field(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
+
+
+def flights(cfg: ExperimentConfig) -> list[tuple]:
+    """The configurations a run of ``cfg`` flies, as ``(path, cfg, tilt_deg,
+    power_w)``: ``cfg`` itself (path ``None``), then one per ``sweep.values``
+    item with that value set in the swept field (path ``sweep.values[i]``).
+
+    ``tilt_deg`` is the forced ``scenario.tilt_deg``, or else
+    :func:`pitch_angle`'s tilt at the flight's speed, and ``power_w`` its
+    :func:`propulsion_power`.  Raises :class:`ConfigError` unless the pitch
+    and the power are finite, a forced tilt or not: airframe fields that are
+    physical one by one can overflow these laws together.
+    """
+    axis = SWEEP_AXES[cfg.sweep.axis]
+    entries = [(None, cfg)] + [
+        (f"sweep.values[{i}]", _with_field(cfg, axis, value))
+        for i, value in enumerate(cfg.sweep.values)
+    ]
+    flown = []
+    for path, swept in entries:
+        speed, airframe = swept.scenario.trajectory.speed_mps, swept.scenario.airframe
+        tilt = pitch_angle(speed, airframe)[1]
+        power = propulsion_power(speed, airframe)
         if not (math.isfinite(tilt) and math.isfinite(power)):
             raise ConfigError(
                 f"scenario.airframe: at {speed} m/s the tilt is {tilt} deg and the "
                 f"propulsion power {power} W; both must be finite"
             )
-
-
-def _check_tap_delays(cfg: ExperimentConfig) -> None:
-    """Reject a synthetic channel whose latest tap can fall past the frame.
-
-    The latest tap is the line of sight from the trajectory's far end, its
-    last point as ``uav_scenario`` places it (the distance and delay as
-    ``synthesize_scenario_channel`` computes them), plus the largest NLoS
-    excess delay; the frame lasts ``frame_len`` samples
-    at ``delta_f_hz * n_dft``, checked at every spacing a command may run.
-    """
-    spec, nlos, waveform = cfg.scenario.trajectory, cfg.channel.nlos, cfg.waveform
-    delay = trajectory_point(spec.count - 1, **asdict(spec)).distance_m / SPEED_OF_LIGHT
-    if nlos is not None and nlos.count:
-        delay += nlos.excess_delay_range_s[1]
-    spacings = [("waveform.delta_f_hz", waveform.delta_f_hz)]
-    if cfg.sweep.axis == "delta_f_hz":
-        spacings += [(f"sweep.values[{i}]", v) for i, v in enumerate(cfg.sweep.values)]
-    for path, delta_f in spacings:
-        duration = waveform.frame_len / (delta_f * waveform.n_dft)
-        if delay >= duration:
-            raise ConfigError(
-                f"{path}: the frame lasts {duration} s at {delta_f} Hz, but a tap from "
-                f"the trajectory's far end can arrive at {delay} s"
-            )
+        if swept.scenario.tilt_deg is not None:
+            tilt = swept.scenario.tilt_deg
+        flown.append((path, swept, tilt, power))
+    return flown
 
 
 def load_config(path) -> ExperimentConfig:

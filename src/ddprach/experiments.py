@@ -1,6 +1,8 @@
 """Monte Carlo experiment runners behind the command-line interface.
 
-A run is one config, or one config per value of its sweep.  No sweep axis
+A run flies one config, or one config per value of its sweep, as
+:func:`ddprach.config.flights` lists them with the antenna tilt and the
+propulsion power it derives once for each.  No sweep axis
 changes the preamble samples or the framing, so a run transmits each scheme
 once into one preamble stack and reads a taps file once, before any work
 item runs.  Its (trajectory point, trial) work items then run in canonical
@@ -29,7 +31,8 @@ own ``WaveformParams``.
 import os
 import pickle
 import signal
-from dataclasses import replace
+import sys
+from dataclasses import asdict, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -44,16 +47,13 @@ from .channel import (
     load_taps,
     synthesize_scenario_channel,
 )
-from .config import SWEEP_AXES, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, flights
 from .metrics import ResultRecord, error_cdf, rmse
 from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
-from .uav_scenario import (
-    build_trajectory,
-    los_point_count,
-    overhead_index,
-    pitch_angle,
-    propulsion_power,
-)
+from .uav_scenario import build_trajectory, los_point_count, overhead_index
+# config.flights calls these; they stay importable from here because
+# perfbench/tracer.py wraps them by name (ROADMAP item 8)
+from .uav_scenario import pitch_angle, propulsion_power  # noqa: F401
 
 __all__ = [
     "CDF_HEADER",
@@ -73,25 +73,12 @@ def _stream_seed(master: int, stream: int, point: int, trial: int):
     return np.random.SeedSequence([master, stream, point, trial])
 
 
-def _resolve_tilt(cfg: ExperimentConfig) -> float:
-    if cfg.scenario.tilt_deg is not None:
-        return cfg.scenario.tilt_deg
-    return pitch_angle(cfg.scenario.trajectory.speed_mps, cfg.scenario.airframe)[1]
-
-
-def _with_field(obj, path: str, value):
-    """Copy of dataclass ``obj`` with the field at dotted ``path`` set to ``value``."""
-    name, _, rest = path.partition(".")
-    if rest:
-        value = _with_field(getattr(obj, name), rest, value)
-    return replace(obj, **{name: value})
-
-
 class _Setup(NamedTuple):
     """What a work item needs of one sweep value, made once per run."""
 
     cfg: ExperimentConfig
     tilt: float
+    power: float
     trajectory: list
     params: dict
 
@@ -100,7 +87,8 @@ def _run_grid(
     cfg: ExperimentConfig, axis: str | None = None, workers: int = 1
 ) -> list[tuple[_Setup, list[ResultRecord]]]:
     """``(setup, records)`` for each value of ``cfg.sweep`` along ``axis``
-    (``setup.cfg`` is the swept config), or the one pair when ``axis`` is None.
+    (``setup.cfg`` is the swept config), or the one pair when ``axis`` is None;
+    the setups take their configs, tilts and powers from :func:`flights`.
 
     Each record list runs points x trials x schemes in canonical order.  A
     work item is one (point, trial): it passes its noise seed to every value,
@@ -111,26 +99,24 @@ def _run_grid(
     contiguous ranges (see :func:`_fork_map`); one worker runs them all in
     this process.
     """
-    cfgs = [cfg]
-    if axis is not None:
-        if cfg.sweep.axis != axis:
-            raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
-        cfgs = [_with_field(cfg, SWEEP_AXES[axis], value) for value in cfg.sweep.values]
+    if axis is not None and cfg.sweep.axis != axis:
+        raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
+    flown = flights(cfg)
+    flown = flown[:1] if axis is None else flown[1:]
     # one channel pass and one noise draw per item serve all schemes, which
     # keeps the comparison paired; no sweep axis changes the samples, so the
     # stack serves every value
     stack = np.stack([transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes])
-    setups = []
-    for swept in cfgs:
-        spec = swept.scenario.trajectory
-        setups.append(
-            _Setup(
-                swept,
-                _resolve_tilt(swept),
-                build_trajectory(spec.height_m, spec.dp_m, spec.count, spec.speed_mps),
-                {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
-            )
+    setups = [
+        _Setup(
+            swept,
+            tilt,
+            power,
+            build_trajectory(**asdict(swept.scenario.trajectory)),
+            {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
         )
+        for _, swept, tilt, power in flown
+    ]
     file_taps = None
     if cfg.channel.source == "taps_file":
         file_taps = load_taps(cfg.channel.taps_path)
@@ -138,7 +124,16 @@ def _run_grid(
         for point_idx in range(cfg.scenario.trajectory.count):
             if point_idx not in file_taps:
                 raise TapFileError(f"taps file has no rows for point {point_idx}")
-            delay = file_taps[point_idx].taps[-1].delay_s
+            # the link-budget rule of a synthetic pass: the strongest tap's
+            # received power must be a normal double, or the frame underflows
+            taps = file_taps[point_idx].taps
+            strongest = cfg.waveform.p_t_watts * max(abs(tap.gain) ** 2 for tap in taps)
+            if strongest < sys.float_info.min:
+                raise TapFileError(
+                    f"taps file: point {point_idx}: the strongest tap receives "
+                    f"{strongest} W, below {sys.float_info.min} W"
+                )
+            delay = taps[-1].delay_s
             for duration in durations:
                 if delay >= duration:
                     raise TapFileError(
@@ -267,7 +262,6 @@ def _run_config(
             cfg.channel.nlos,
             seed=channel_seed,
             g_t_db=cfg.channel.g_t_db,
-            doppler_scale=cfg.channel.doppler_scale,
         )
     # positional: the benchmark's tracer reads args[0] and args[1]
     rx = apply_channel(cfg.waveform, realization, buffers.samples, buffers=buffers)
@@ -354,9 +348,7 @@ def run_speed_tradeoff(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
         {
             "speed_mps": setup.cfg.scenario.trajectory.speed_mps,
             "tilt_deg": setup.tilt,
-            "power_w": propulsion_power(
-                setup.cfg.scenario.trajectory.speed_mps, cfg.scenario.airframe
-            ),
+            "power_w": setup.power,
             **_rmse_columns(cfg, records),
         }
         for setup, records in _run_grid(cfg, "speed_mps", workers)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from ddprach import (
     received_power,
     serialize_config,
 )
-from ddprach import cli
+from ddprach import cli, experiments
 from ddprach.cli import main
 from ddprach.metrics import RESULTS_HEADER
 
@@ -576,26 +577,37 @@ def test_cli_malformed_taps_exit_3(tmp_path, capsys):
 TAPS_HEADER_LINE = "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
 
 
+# one 0 dB tap per toy point, point 0's gain left to fill in
+GAIN_ROWS = "0,60.0,{},0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n"
+
+
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows, message, waveform",
     [
         # TOY_CONFIG has points 0..2; point 2 is missing
-        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n", "no rows for point 2"),
+        ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n", "no rows for point 2", ""),
         # the toy frame lasts 144 / 480 kHz = 0.3 ms
         ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-3,0\n2,60.0,0,0,1e-6,0\n",
-         "point 1: tap delay 0.001 s exceeds the frame duration"),
+         "point 1: tap delay 0.001 s exceeds the frame duration", ""),
         ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n0,45.0,0,0,2e-6,0\n",
-         "line 5: point 0: true_distance_m 45.0 differs from 60.0"),
+         "line 5: point 0: true_distance_m 45.0 differs from 60.0", ""),
         # the run never reads a point before 0
         ("0,60.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n-1,60.0,0,0,1e-6,0\n",
-         "line 5: negative point_index -1"),
+         "line 5: negative point_index -1", ""),
+        # past the config's dB range a gain overflows, or its noise power does
+        (GAIN_ROWS.format("1e5"), "line 2: gain 100000.0 dB is outside [-300.0, 300.0]", ""),
+        (GAIN_ROWS.format("6000"), "line 2: gain 6000.0 dB is outside [-300.0, 300.0]", ""),
+        # the received frame underflows to zero
+        (GAIN_ROWS.format("-300"), "point 0: the strongest tap receives 0.0 W",
+         "  p_t_watts: 1.0e-300\n"),
     ],
-    ids=["missing_point", "delay_past_frame", "distance_disagrees", "negative_point"],
+    ids=["missing_point", "delay_past_frame", "distance_disagrees", "negative_point",
+         "gain_overflows", "gain_past_the_db_range", "received_power_underflows"],
 )
-def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message):
+def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message, waveform):
     taps = tmp_path / "taps.csv"
     taps.write_text(TAPS_HEADER_LINE + rows)
-    text = TOY_CONFIG + (
+    text = TOY_CONFIG.replace("waveform:\n", "waveform:\n" + waveform) + (
         "channel:\n  source: taps_file\n  taps_path: " + str(taps) + "\n"
     )
     rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text)])
@@ -612,6 +624,22 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_simulate", broken_run)
     with pytest.raises(ValueError, match="a programming error"):
         main(["simulate", "--config", write_toy_config(tmp_path), "--out", str(tmp_path)])
+
+
+def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch):
+    # ChildProcessError is an OSError, as a taps file that cannot be read is
+    run_points = experiments._run_points
+
+    def dying_run(cfg, setups, stack, file_taps, points):
+        if points.start > 0:  # a forked worker's range
+            os._exit(9)
+        return run_points(cfg, setups, stack, file_taps, points)
+
+    monkeypatch.setattr(experiments, "_run_points", dying_run)
+    with pytest.raises(ChildProcessError, match="exited with code 9 and sent no result"):
+        main(["simulate", "--config", write_toy_config(tmp_path), "--out", str(tmp_path),
+              "--threads", "2"])
+    assert not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -653,7 +681,7 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
         # outside the radio spectrum the link budget is NaN or zero
         ("simulate", "scenario: {carrier_hz: 1.0e-300}\n", "scenario.carrier_hz"),
         ("simulate", "scenario: {carrier_hz: 1.0e+300}\n", "scenario.carrier_hz"),
-        # the Doppler phase overflows to NaN
+        # a key the schema no longer has: the deleted Doppler multiplier
         ("simulate", "channel: {doppler_scale: 1.0e+306}\n", "channel.doppler_scale"),
         # |x|^2 of the transmitted preamble overflows to inf, its noise to NaN
         ("simulate", "waveform: {p_t_watts: 1.0e+308}\n", "waveform.p_t_watts"),
@@ -678,6 +706,15 @@ def test_cli_unrelated_value_error_is_not_a_data_error(tmp_path, monkeypatch):
                 "scenario.airframe",
             )
             for command in ("simulate", "speed-tradeoff")
+        ),
+        # a forced tilt, here on every configuration flown, does not skip
+        # the airframe's laws
+        (
+            "tilt-sweep",
+            "scenario: {tilt_deg: 5.0, "
+            "airframe: {mass_kg: 1.0e+308, air_density_kgpm3: 1.0e+308}}\n"
+            "sweep: {axis: tilt_deg, values: [0.0]}\n",
+            "scenario.airframe",
         ),
         # propulsion_power's parasite term overflows to inf
         *(
@@ -754,7 +791,7 @@ def test_cli_tilt_sweep_far_off_boresight_runs(tmp_path, capsys):
     assert len((out / "tilt_sweep.csv").read_text().splitlines()) == 1 + 2
 
 
-# the carrier, speed, Doppler factor and height at their bounds
+# the carrier, speed and height at their bounds
 LIGHT_SPEED = "299792458.0"
 BOUND_RUNS = {
     # the lowest carrier: a 1e8 m wavelength, so a flyover that high, and a
@@ -767,16 +804,14 @@ BOUND_RUNS = {
         .replace("height_m: 30.0", "height_m: 1.0e+8")
         + "sweep: {values: [1.0]}\n",
     ),
-    "highest_carrier_light_speed_largest_doppler_scale": (
+    "highest_carrier_light_speed": (
         "simulate",
         TOY_CONFIG.replace("scenario:\n", "scenario:\n  carrier_hz: 3.0e+12\n")
-        .replace("speed_mps: 10.0", "speed_mps: " + LIGHT_SPEED)
-        + "channel: {doppler_scale: 1.0e+6}\n",
+        .replace("speed_mps: 10.0", "speed_mps: " + LIGHT_SPEED),
     ),
     "speed_sweep_to_light_speed": (
         "speed-tradeoff",
         TOY_CONFIG.replace("scenario:\n", "scenario:\n  carrier_hz: 3.0e+12\n")
-        + "channel: {doppler_scale: 1.0e+6}\n"
         + "sweep:\n  axis: speed_mps\n  values: [0.0, " + LIGHT_SPEED + "]\n",
     ),
     # one wavelength at the default 1775 MHz carrier

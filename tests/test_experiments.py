@@ -23,7 +23,7 @@ from ddprach import (
     write_results_csv,
 )
 from ddprach import cli, experiments
-from ddprach.config import SWEEP_AXES
+from ddprach.config import SWEEP_AXES, _with_field
 
 TOY_WAVEFORM = {"n_dft": 32, "m": 16, "n_zc": 13, "n": 4}
 
@@ -513,7 +513,7 @@ def test_synthetic_tap_bound_is_exact_at_the_frame_edge():
     assert len(run_simulate(parse_config(tree(low)))) == 3
     with pytest.raises(ConfigError):
         parse_config(tree(high))
-    cfg = experiments._with_field(parse_config(tree(low)), "scenario.trajectory.height_m", high)
+    cfg = _with_field(parse_config(tree(low)), "scenario.trajectory.height_m", high)
     with pytest.raises(ValueError, match="exceeds the frame duration"):
         run_simulate(cfg)
 
@@ -571,7 +571,7 @@ def test_summarize_statistics():
 
 def test_with_field_copies_along_the_dotted_path():
     cfg = parse_config(toy_tree())
-    swept = experiments._with_field(cfg, "scenario.trajectory.speed_mps", 12.5)
+    swept = _with_field(cfg, "scenario.trajectory.speed_mps", 12.5)
     assert swept.scenario.trajectory.speed_mps == 12.5
     assert cfg.scenario.trajectory.speed_mps == 10.0
     assert swept.scenario.trajectory.count == cfg.scenario.trajectory.count

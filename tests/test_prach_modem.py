@@ -350,6 +350,41 @@ def test_peak_bias_with_multipath_and_doppler():
     assert abs(delays["otfs"] - true_delay) < abs(delays["ofdm"] - true_delay)
 
 
+def test_zc_delay_doppler_alias_is_pinned():
+    """A Doppler of eps subcarriers moves the ZC correlation peak along delay.
+
+    ``ofdm`` puts the root-u sequence on its subcarriers, so an integer eps
+    moves its read-out by ``-eps * u mod n_zc`` cyclic shifts of
+    ``n_dft / n_zc`` samples; ``otfs`` spread over 1024 bins does not move.
+    Noiseless, one tap at a 40-sample delay.
+    """
+    rows = []
+    for root in (1, 25):
+        for m in (139, 1024):
+            for scheme in ("otfs", "ofdm"):
+                params = WaveformParams(m=m, root=root, modulation=scheme)
+                samples = transmit(params)
+                reads = []
+                for eps in (0, 1, 2):
+                    tap = single_tap(params, 40, doppler_hz=eps * params.delta_f_hz)
+                    est = receive_and_estimate_toa(apply_channel(params, tap, samples), params)
+                    assert est.detected
+                    reads.append(est.sample_delay)
+                rows.append((params, reads))
+    print("\nroot     m  scheme  read at eps 0/1/2 [samples]")
+    for p, reads in rows:
+        print(f"{p.root:4d} {p.m:5d}  {p.modulation:6s}  {reads}")
+    for p, (read0, *moved) in rows:
+        for eps, read in enumerate(moved, start=1):
+            if p.modulation == "ofdm":
+                shift = (-eps * p.root) % p.n_zc * p.n_dft / p.n_zc
+                # the move's distance from the predicted alias, modulo the frame
+                off = (read - read0 - shift + p.n_dft / 2) % p.n_dft - p.n_dft / 2
+                assert abs(off) <= p.n_dft / p.m, (p.root, p.m, eps)
+            elif p.m == 1024:
+                assert read == read0, (p.root, eps)
+
+
 # ---------------------------------------------------------------------------
 # sub-bin refinement
 # ---------------------------------------------------------------------------
