@@ -235,7 +235,7 @@ def apply_channel(
     fs = params.sample_rate
     period = params.n_dft + params.cp_len
     n = x.shape[-1]
-    delays = [_delay_samples(tap, fs, n) for tap in realization.taps]
+    delays = [check_tap_delay(tap, fs, n) for tap in realization.taps]
     if buffers is None:
         buffers = FrameBuffers(x)
     elif buffers.samples is not x or buffers.period not in (None, period):
@@ -270,8 +270,10 @@ def _repeats(span: np.ndarray, period: int) -> bool:
     )
 
 
-def _delay_samples(tap: ChannelTap, fs: float, n: int) -> float:
-    """Check a tap's delay against an ``n``-sample frame; return it in samples."""
+def check_tap_delay(tap: ChannelTap, fs: float, n: int) -> float:
+    """Return a tap's delay in samples; raise ``ValueError`` unless it lies
+    within an ``n``-sample frame, the one frame rule of :func:`apply_channel`
+    and of a run's taps-file check."""
     duration = n / fs
     if not tap.delay_s >= 0:
         raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")

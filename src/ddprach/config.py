@@ -6,8 +6,9 @@ schema: one walk over their fields parses and checks a tree, and ``asdict``
 gives the canonical form.  Unknown keys anywhere in the tree are rejected with
 their dotted path so typos cannot silently fall back to defaults.
 :func:`flights` lists the configurations a run flies, the config and each
-sweep value's, with their tilt and propulsion power; the parse checks the
-rules that depend on them once over that list.
+sweep value's, each a :class:`Flight` with its tilt, its propulsion power
+and each scheme's framing; the parse checks the rules that depend on them
+once over that list, and the runners fly it.
 """
 
 import math
@@ -26,7 +27,7 @@ from .units import SPEED_OF_LIGHT
 __all__ = [
     "ConfigError", "TrajectorySpec", "ScenarioConfig", "ChannelConfig",
     "NoiseConfig", "DetectionConfig", "SweepConfig", "ExperimentConfig",
-    "flights", "load_config", "parse_config", "serialize_config",
+    "Flight", "flights", "load_config", "parse_config", "serialize_config",
 ]
 
 # sweep axis -> dotted path of the field it sweeps (whose range the values obey)
@@ -139,7 +140,10 @@ _RULES = {
     "channel.nlos.relative_power_db_range": _DB,
     "channel.g_t_db": _DB,
     "noise.snr_db": _DB,
-    "noise.noise_power_watts": _NON_NEGATIVE,
+    # up to the noise that an SNR of -300 dB sets on the largest received
+    # power, 1e100 W raised 1e120 by the gains: the receiver's profile sums up
+    # to m n n_zc <= 2^38 such powers (frame_len bounds m n), finite to 6e296 W
+    "noise.noise_power_watts": (lambda v: 0 <= v <= 1e250, "in [0, 1e250]"),
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),
     "schemes": _one_of(MODULATIONS),
     "trials": _between(1, 10_000),
@@ -151,6 +155,12 @@ _RULES = {
 # a field of a nested library dataclass that each run sets itself, so no
 # config key: a run takes its modulation from ``schemes``
 _RUN_FIELD = ("waveform", "modulation")
+
+# a field whose null default __post_init__ derives -> the field it derives from
+_DERIVED = {
+    "waveform.cp_len": "waveform.n_dft",
+    "scenario.antenna.fnb_deg": "scenario.antenna.theta_3db_deg",
+}
 
 # samples per frame, n * (n_dft + cp_len): 64 MiB per complex row
 _MAX_FRAME_LEN = 1 << 22
@@ -220,9 +230,18 @@ def _section(cls, node, path: str):
         for key, value in node.items()
     }
     try:
-        return cls(**kwargs)  # __post_init__ derives cp_len, fnb_deg, ...
+        section = cls(**kwargs)  # __post_init__ derives cp_len, fnb_deg, ...
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # a derived default obeys its field's rule, as a given value does
+    for derived, source in _DERIVED.items():
+        owner, _, name = derived.rpartition(".")
+        if owner == path and node.get(name) is None:
+            try:
+                _parse(types[name], getattr(section, name), derived)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc}, derived from {source}") from None
+    return section
 
 
 def _parse(annotation, node, path: str):
@@ -311,14 +330,14 @@ def parse_config(tree) -> ExperimentConfig:
         delay = far_m / SPEED_OF_LIGHT
         if channel.nlos is not None and channel.nlos.count:
             delay += channel.nlos.excess_delay_range_s[1]
-        for path, swept, _, _ in flown:
-            delta_f = swept.waveform.delta_f_hz
-            duration = swept.waveform.frame_len / (delta_f * swept.waveform.n_dft)
+        for flight in flown:
+            waveform = flight.cfg.waveform
+            duration = waveform.frame_len / waveform.sample_rate  # as the channel's
             if delay >= duration:
                 raise ConfigError(
-                    f"{path or 'waveform.delta_f_hz'}: the frame lasts {duration} s at "
-                    f"{delta_f} Hz, but a tap from the trajectory's far end can arrive "
-                    f"at {delay} s"
+                    f"{flight.path or 'waveform.delta_f_hz'}: the frame lasts {duration} s "
+                    f"at {waveform.delta_f_hz} Hz, but a tap from the trajectory's far end "
+                    f"can arrive at {delay} s"
                 )
     return cfg
 
@@ -331,10 +350,20 @@ def _with_field(obj, path: str, value):
     return replace(obj, **{name: value})
 
 
-def flights(cfg: ExperimentConfig) -> list[tuple]:
-    """The configurations a run of ``cfg`` flies, as ``(path, cfg, tilt_deg,
-    power_w)``: ``cfg`` itself (path ``None``), then one per ``sweep.values``
-    item with that value set in the swept field (path ``sweep.values[i]``).
+class Flight(typing.NamedTuple):
+    """One configuration a run flies, as :func:`flights` derives it."""
+
+    path: str | None            # the sweep.values item it sets; None: the config
+    cfg: ExperimentConfig       # the config, with that value set
+    tilt_deg: float             # the antenna tilt
+    power_w: float              # the propulsion power at its speed
+    params: dict                # scheme -> the WaveformParams that frame it
+
+
+def flights(cfg: ExperimentConfig) -> list[Flight]:
+    """The configurations a run of ``cfg`` flies: ``cfg`` itself (path
+    ``None``), then one per ``sweep.values`` item with that value set in the
+    swept field (path ``sweep.values[i]``).
 
     ``tilt_deg`` is the forced ``scenario.tilt_deg``, or else
     :func:`pitch_angle`'s tilt at the flight's speed, and ``power_w`` its
@@ -359,7 +388,8 @@ def flights(cfg: ExperimentConfig) -> list[tuple]:
             )
         if swept.scenario.tilt_deg is not None:
             tilt = swept.scenario.tilt_deg
-        flown.append((path, swept, tilt, power))
+        params = {s: replace(swept.waveform, modulation=s) for s in swept.schemes}
+        flown.append(Flight(path, swept, tilt, power, params))
     return flown
 
 

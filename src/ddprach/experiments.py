@@ -1,8 +1,8 @@
 """Monte Carlo experiment runners behind the command-line interface.
 
-A run flies one config, or one config per value of its sweep, as
-:func:`ddprach.config.flights` lists them with the antenna tilt and the
-propulsion power it derives once for each.  No sweep axis
+A run flies the :class:`~ddprach.config.Flight` records that
+:func:`ddprach.config.flights` lists, the config or each sweep value's, with
+the tilt, propulsion power and framing it derives once.  No sweep axis
 changes the preamble samples or the framing, so a run transmits each scheme
 once into one preamble stack and reads a taps file once, before any work
 item runs.  Its (trajectory point, trial) work items then run in canonical
@@ -11,21 +11,21 @@ order; each item runs every sweep value and every scheme.  With
 starts processes) the trajectory points are split into ``min(K, count)``
 contiguous ranges, one process each: the calling process runs the first and
 ``os.fork`` children the others (so this needs a platform with ``fork``,
-such as Linux), and each range's records come back in range order.  Memory
-grows with K, one interpreter's worth of pages touched per child, and spans
-or counters recorded by a wrapper installed in the calling process see its
-own range only: the benchmark's traced speed-tradeoff at ``--threads 2``
-counts 840 interpolated taps where one process counts 1680.  Each process
-keeps one set of ``FrameBuffers`` made from the stack, which plans its rows
-once and keeps each tap's filtered spans: the trials of a point share its
-line-of-sight tap, and the values of a ``speed_mps`` or ``tilt_deg`` sweep
-share an item's tap delays, so they filter each tap once.  Seeds for the
-channel draw and the noise draw are derived by hashing the master seed
-together with the item indices, so results depend neither on the execution
-order nor on K; all schemes and sweep values of an item share the channel
-and noise seeds, making comparisons paired.  The preamble stack is a
-plain ``(schemes, frame_len)`` array; each sweep value frames it with its
-own ``WaveformParams``.
+such as Linux); each builds its trajectories, and each range's records come
+back in range order.  Memory grows with K, one interpreter's worth of pages
+touched per child, and spans or counters recorded by a wrapper installed in
+the calling process see its own range only: the benchmark's traced
+speed-tradeoff at ``--threads 2`` counts 840 interpolated taps where one
+process counts 1680.  Each process keeps one set of ``FrameBuffers`` made
+from the stack, which plans its rows once and keeps each tap's filtered
+spans: the trials of a point share its line-of-sight tap, and the values of
+a ``speed_mps`` or ``tilt_deg`` sweep share an item's tap delays, so they
+filter each tap once.  Seeds for the channel draw and the noise draw are
+derived by hashing the master seed together with the item indices, so
+results depend neither on the execution order nor on K; all schemes and
+sweep values of an item share the channel and noise seeds, making
+comparisons paired.  The preamble stack is a plain ``(schemes, frame_len)``
+array; each flight frames it with its own ``params``.
 """
 
 import os
@@ -34,7 +34,6 @@ import signal
 import sys
 from dataclasses import asdict, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +43,11 @@ from .channel import (
     add_awgn,
     add_noise_power,
     apply_channel,
+    check_tap_delay,
     load_taps,
     synthesize_scenario_channel,
 )
-from .config import ConfigError, ExperimentConfig, flights
+from .config import ConfigError, ExperimentConfig, Flight, flights
 from .metrics import ResultRecord, error_cdf, rmse
 from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
 from .uav_scenario import build_trajectory, los_point_count, overhead_index
@@ -73,22 +73,12 @@ def _stream_seed(master: int, stream: int, point: int, trial: int):
     return np.random.SeedSequence([master, stream, point, trial])
 
 
-class _Setup(NamedTuple):
-    """What a work item needs of one sweep value, made once per run."""
-
-    cfg: ExperimentConfig
-    tilt: float
-    power: float
-    trajectory: list
-    params: dict
-
-
 def _run_grid(
     cfg: ExperimentConfig, axis: str | None = None, workers: int = 1
-) -> list[tuple[_Setup, list[ResultRecord]]]:
-    """``(setup, records)`` for each value of ``cfg.sweep`` along ``axis``
-    (``setup.cfg`` is the swept config), or the one pair when ``axis`` is None;
-    the setups take their configs, tilts and powers from :func:`flights`.
+) -> list[tuple[Flight, list[ResultRecord]]]:
+    """``(flight, records)`` for each value of ``cfg.sweep`` along ``axis``
+    (``flight.cfg`` is the swept config), or the one pair when ``axis`` is
+    None, with the flights of :func:`flights`.
 
     Each record list runs points x trials x schemes in canonical order.  A
     work item is one (point, trial): it passes its noise seed to every value,
@@ -107,57 +97,47 @@ def _run_grid(
     # keeps the comparison paired; no sweep axis changes the samples, so the
     # stack serves every value
     stack = np.stack([transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes])
-    setups = [
-        _Setup(
-            swept,
-            tilt,
-            power,
-            build_trajectory(**asdict(swept.scenario.trajectory)),
-            {s: replace(swept.waveform, modulation=s) for s in cfg.schemes},
-        )
-        for _, swept, tilt, power in flown
-    ]
     file_taps = None
     if cfg.channel.source == "taps_file":
         file_taps = load_taps(cfg.channel.taps_path)
-        durations = [s.cfg.waveform.frame_len / s.cfg.waveform.sample_rate for s in setups]
         for point_idx in range(cfg.scenario.trajectory.count):
             if point_idx not in file_taps:
                 raise TapFileError(f"taps file has no rows for point {point_idx}")
-            # the link-budget rule of a synthetic pass: the strongest tap's
-            # received power must be a normal double, or the frame underflows
             taps = file_taps[point_idx].taps
-            strongest = cfg.waveform.p_t_watts * max(abs(tap.gain) ** 2 for tap in taps)
-            if strongest < sys.float_info.min:
-                raise TapFileError(
-                    f"taps file: point {point_idx}: the strongest tap receives "
-                    f"{strongest} W, below {sys.float_info.min} W"
-                )
-            delay = taps[-1].delay_s
-            for duration in durations:
-                if delay >= duration:
-                    raise TapFileError(
-                        f"taps file: point {point_idx}: tap delay {delay} s exceeds "
-                        f"the frame duration {duration} s"
+            try:
+                # the link-budget rule of a synthetic pass: the strongest tap's
+                # received power must be a normal double, or the frame underflows
+                strongest = cfg.waveform.p_t_watts * max(abs(tap.gain) ** 2 for tap in taps)
+                if strongest < sys.float_info.min:
+                    raise ValueError(
+                        f"the strongest tap receives {strongest} W, "
+                        f"below {sys.float_info.min} W"
                     )
+                # the channel's frame rule, on the latest tap at every spacing
+                for flight in flown:
+                    waveform = flight.cfg.waveform
+                    check_tap_delay(taps[-1], waveform.sample_rate, waveform.frame_len)
+            except ValueError as exc:
+                raise TapFileError(f"taps file: point {point_idx}: {exc}") from exc
     count = cfg.scenario.trajectory.count
     k = min(workers, count)
     ranges = [range(count * i // k, count * (i + 1) // k) for i in range(k)]
-    parts = _fork_map(partial(_run_points, cfg, setups, stack, file_taps), ranges)
+    parts = _fork_map(partial(_run_points, cfg, flown, stack, file_taps), ranges)
     return [
-        (setup, [record for part in parts for record in part[i]])
-        for i, setup in enumerate(setups)
+        (flight, [record for part in parts for record in part[i]])
+        for i, flight in enumerate(flown)
     ]
 
 
 def _run_points(
-    cfg: ExperimentConfig, setups: list[_Setup], stack: np.ndarray, file_taps, points: range
+    cfg: ExperimentConfig, flown: list[Flight], stack: np.ndarray, file_taps, points: range
 ) -> list[list[ResultRecord]]:
-    """One record list per setup over the work items of ``points``, in
+    """One record list per flight over the work items of ``points``, in
     canonical order."""
+    trajectories = [build_trajectory(**asdict(f.cfg.scenario.trajectory)) for f in flown]
     # one set of buffers, and the one row plan they make, serves every item
     buffers = FrameBuffers(stack)
-    runs = [[] for _ in setups]
+    runs = [[] for _ in flown]
     for point_idx in points:
         for trial in range(cfg.trials):
             # default_rng leaves a SeedSequence as it was, so every value
@@ -169,9 +149,10 @@ def _run_points(
                 channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
             else:
                 realization = file_taps[point_idx]
-            for setup, records in zip(setups, runs):
+            for flight, trajectory, records in zip(flown, trajectories, runs):
+                point = trajectory[point_idx]
                 records += _run_config(
-                    setup, point_idx, realization, channel_seed, noise_seed, buffers
+                    flight, point, realization, channel_seed, noise_seed, buffers
                 )
     return runs
 
@@ -242,23 +223,24 @@ def _child(fn, item, write_fd: int):
 
 
 def _run_config(
-    setup: _Setup, point_idx: int, realization, channel_seed, noise_seed, buffers
+    flight: Flight, point, realization, channel_seed, noise_seed, buffers
 ) -> list[ResultRecord]:
-    """The records of one work item under one swept config, one per scheme.
+    """The records of one work item under one flight, one per scheme.
 
-    ``realization`` is the item's channel from the taps file (``None``:
-    synthesize it from ``channel_seed``), ``noise_seed`` the item's noise
+    ``point`` is the item's ``TrajectoryPoint`` on the flight's pass,
+    ``realization`` its channel from the taps file (``None``: synthesize it
+    at ``point`` from ``channel_seed``), ``noise_seed`` the item's noise
     ``SeedSequence`` and ``buffers`` the run's :class:`FrameBuffers`, made
     from its preamble stack, which draw that seed's unit noise row on the
     item's first noise call and reuse it on the others.
     """
-    cfg = setup.cfg
+    cfg = flight.cfg
     if realization is None:
         realization = synthesize_scenario_channel(
-            setup.trajectory[point_idx],
+            point,
             cfg.scenario.carrier_hz,
             cfg.scenario.antenna,
-            setup.tilt,
+            flight.tilt_deg,
             cfg.channel.nlos,
             seed=channel_seed,
             g_t_db=cfg.channel.g_t_db,
@@ -271,7 +253,7 @@ def _run_config(
         rx = add_awgn(rx, cfg.noise.snr_db, noise_seed, buffers)
     records = []
     for scheme, samples in zip(cfg.schemes, rx):
-        params = setup.params[scheme]
+        params = flight.params[scheme]
         estimate = receive_and_estimate_toa(
             samples,
             params,
@@ -285,7 +267,7 @@ def _run_config(
                 scheme=scheme,
                 delta_f_hz=cfg.waveform.delta_f_hz,
                 speed_mps=cfg.scenario.trajectory.speed_mps,
-                point_index=point_idx,
+                point_index=point.index,
                 los_tag=realization.los_tag,
                 true_d_m=true_d,
                 est_d_m=est_d,
@@ -330,11 +312,11 @@ CDF_HEADER = ["scheme", "delta_f_hz", "abs_error_m", "cdf"]
 def run_cdf_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Error-CDF rows per (scheme, subcarrier spacing), keyed by :data:`CDF_HEADER`."""
     rows = []
-    for setup, records in _run_grid(cfg, "delta_f_hz", workers):
+    for flight, records in _run_grid(cfg, "delta_f_hz", workers):
         for scheme in cfg.schemes:
             errors = [r.error_m for r in records if r.scheme == scheme and r.detected]
             if errors:
-                delta_f = setup.cfg.waveform.delta_f_hz
+                delta_f = flight.cfg.waveform.delta_f_hz
                 rows += [
                     dict(zip(CDF_HEADER, (scheme, delta_f, abscissa, probability)))
                     for abscissa, probability in error_cdf(errors)
@@ -346,12 +328,12 @@ def run_speed_tradeoff(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE versus speed next to tilt and propulsion power."""
     return [
         {
-            "speed_mps": setup.cfg.scenario.trajectory.speed_mps,
-            "tilt_deg": setup.tilt,
-            "power_w": setup.power,
+            "speed_mps": flight.cfg.scenario.trajectory.speed_mps,
+            "tilt_deg": flight.tilt_deg,
+            "power_w": flight.power_w,
             **_rmse_columns(cfg, records),
         }
-        for setup, records in _run_grid(cfg, "speed_mps", workers)
+        for flight, records in _run_grid(cfg, "speed_mps", workers)
     ]
 
 
@@ -360,11 +342,13 @@ def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     spec = cfg.scenario.trajectory
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = overhead_index(spec.count)
+    # no tilt moves the pass
+    trajectory = build_trajectory(**asdict(spec))
     rows = []
-    for setup, records in _run_grid(cfg, "tilt_deg", workers):
-        tilt = setup.tilt
+    for flight, records in _run_grid(cfg, "tilt_deg", workers):
+        tilt = flight.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
-        geometric = sum(1 for p in setup.trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
+        geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
         try:
             last_los = los_point_count(spec.height_m, spec.dp_m, fnb, tilt, p0)
         except ValueError:

@@ -268,7 +268,7 @@ def _reference_apply(params, realization, x):
     fs = params.sample_rate
     n = x.shape[-1]
     delays = [
-        (tap, *channel._tap_delay(channel._delay_samples(tap, fs, n))) for tap in realization.taps
+        (tap, *channel._tap_delay(channel.check_tap_delay(tap, fs, n))) for tap in realization.taps
     ]
     rows = x.reshape(-1, n)
     out = np.zeros_like(rows)

@@ -630,10 +630,10 @@ def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch)
     # ChildProcessError is an OSError, as a taps file that cannot be read is
     run_points = experiments._run_points
 
-    def dying_run(cfg, setups, stack, file_taps, points):
+    def dying_run(cfg, flown, stack, file_taps, points):
         if points.start > 0:  # a forked worker's range
             os._exit(9)
-        return run_points(cfg, setups, stack, file_taps, points)
+        return run_points(cfg, flown, stack, file_taps, points)
 
     monkeypatch.setattr(experiments, "_run_points", dying_run)
     with pytest.raises(ChildProcessError, match="exited with code 9 and sent no result"):
@@ -685,6 +685,18 @@ def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch)
         ("simulate", "channel: {doppler_scale: 1.0e+306}\n", "channel.doppler_scale"),
         # |x|^2 of the transmitted preamble overflows to inf, its noise to NaN
         ("simulate", "waveform: {p_t_watts: 1.0e+308}\n", "waveform.p_t_watts"),
+        # the receiver's profile sums its noise to inf, and inf >= inf detects
+        (
+            "simulate",
+            TOY_CONFIG.replace("snr_db: 10.0", "snr_db: null\n  noise_power_watts: 1.0e+308"),
+            "noise.noise_power_watts",
+        ),
+        # the derived first-null beamwidth, 2.5 theta_3db_deg, overflows to inf
+        (
+            "simulate",
+            TOY_CONFIG.replace("scenario:\n", "scenario:\n  antenna: {theta_3db_deg: 1.0e+308}\n"),
+            "scenario.antenna.theta_3db_deg",
+        ),
         # propulsion_power's squared rotor speeds underflow to a zero divisor
         # or overflow
         *(
@@ -827,6 +839,11 @@ BOUND_RUNS = {
         .replace("snr_db: 10.0", "snr_db: -300.0")
         .replace("scenario:\n", "scenario:\n  antenna: {g_rmax_db: 300.0}\n")
         + "channel: {g_t_db: 300.0, nlos: {relative_power_db_range: [300.0, 300.0]}}\n",
+    ),
+    # the largest absolute noise power
+    "largest_noise_power": (
+        "simulate",
+        TOY_CONFIG.replace("snr_db: 10.0", "snr_db: null\n  noise_power_watts: 1.0e+250"),
     ),
     # both rotor speeds at either bound, over flight speeds up to light's
     **{

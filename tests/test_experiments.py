@@ -378,10 +378,10 @@ def test_simulate_reuses_the_los_tap_between_trials_of_a_point(
 def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch, failing_point):
     real_run_config = experiments._run_config
 
-    def run_config(setup, point_idx, *args):
-        if point_idx == failing_point:
-            raise ValueError(f"no channel at point {point_idx}")
-        return real_run_config(setup, point_idx, *args)
+    def run_config(flight, point, *args):
+        if point.index == failing_point:
+            raise ValueError(f"no channel at point {point.index}")
+        return real_run_config(flight, point, *args)
 
     # a forked child runs the patched module as it was at the fork
     monkeypatch.setattr(experiments, "_run_config", run_config)
@@ -395,10 +395,10 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch, fa
 def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
     real_run_config = experiments._run_config
 
-    def run_config(setup, point_idx, *args):
-        if point_idx == 2:  # in the child, which runs points 1 and 2
+    def run_config(flight, point, *args):
+        if point.index == 2:  # in the child, which runs points 1 and 2
             os._exit(3)
-        return real_run_config(setup, point_idx, *args)
+        return real_run_config(flight, point, *args)
 
     monkeypatch.setattr(experiments, "_run_config", run_config)
     with pytest.raises(ChildProcessError, match="exited with code 3 and sent no result"):
