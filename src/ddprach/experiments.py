@@ -32,7 +32,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -91,12 +91,12 @@ def _run_grid(
     """
     if axis is not None and cfg.sweep.axis != axis:
         raise ConfigError(f"sweep.axis: this command sweeps {axis}, got {cfg.sweep.axis}")
-    flown = flights(cfg)
-    flown = flown[:1] if axis is None else flown[1:]
+    base, *swept = flights(cfg)
+    flown = [base] if axis is None else swept
     # one channel pass and one noise draw per item serve all schemes, which
     # keeps the comparison paired; no sweep axis changes the samples, so the
-    # stack serves every value
-    stack = np.stack([transmit(replace(cfg.waveform, modulation=s)) for s in cfg.schemes])
+    # base flight's stack serves every value
+    stack = np.stack([transmit(params) for params in base.params.values()])
     file_taps = None
     if cfg.channel.source == "taps_file":
         file_taps = load_taps(cfg.channel.taps_path)

@@ -17,12 +17,8 @@ the power summed over rows unchanged; the row sum thus resolves no Doppler.
 
 The per-symbol correlation powers are combined non-coherently into one
 ``(m,)`` power array, the profile.  Its maximum is thresholded against an
-order-statistics noise model and the peak lag is scaled to DFT-rate samples
-and to metres.  The model takes the bins as i.i.d. exponential with the
-profile's mean; the receiver's bins are sums of ``n`` row powers (a
-Gamma(n) tail) and that mean includes the peak, so the threshold is
-conservative: at ``target_pfa=0.05`` noise-only frames raised 0 of 400
-alarms per scheme (ROADMAP item 3).
+order-statistics noise model (see :func:`detection_threshold`) and the peak
+lag is scaled to DFT-rate samples and to metres.
 """
 
 import functools
@@ -134,7 +130,8 @@ def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
     ``mean_power = mean(profile)``; the threshold that keeps the false-alarm
     probability of the profile maximum at ``target_pfa`` is
 
-    ``T = -ln(1 - (1 - target_pfa)^(1/L)) * mean_power``
+    ``T = -ln(1 - (1 - target_pfa)^(1/L)) * mean_power``, and ``T = inf``
+    for a zero mean, an underflowed one included: nothing is detectable.
 
     The receiver's profile does not meet that model: each bin sums ``n`` row
     powers (a Gamma(n) tail, not an exponential one) and its mean includes
@@ -145,8 +142,10 @@ def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must be in (0, 1)")
     mean_power = float(np.mean(profile))
-    if mean_power <= 0.0:
-        raise ValueError("profile has zero mean power; nothing is detectable")
+    if mean_power < 0.0:
+        raise ValueError("profile has negative mean power")
+    if mean_power == 0.0:
+        return math.inf
     # 1 - (1 - pfa)^(1/L), evaluated without catastrophic cancellation
     per_bin = -math.expm1(math.log1p(-target_pfa) / profile.size)
     return -math.log(per_bin) * mean_power
@@ -197,21 +196,17 @@ def receive_and_estimate_toa(
 
     Demodulates ``samples``, one frame framed as ``params`` says, applies
     the matched filter to every symbol, combines the correlation powers
-    non-coherently and compares the peak
-    against :func:`detection_threshold`.  The peak delay bin ``b`` is read
-    as the lag ``b``, or as ``b - m`` when it lies past the CP
-    (``b > cp_len * m / n_dft``) and within one main lobe of the profile's
-    end (``b >= m - ceil(m / n_zc)``), and rescaled to DFT-rate samples
-    (``lag * n_dft / m``), so an early peak gives a negative delay.  With
-    ``interpolate_peak`` the two profile bins flanking the peak refine the
-    lag to a sub-bin position (``refined_sample_delay``); the integer
-    read-out is unchanged.
+    non-coherently and compares the peak against :func:`detection_threshold`.
+    The peak delay bin ``b`` is read as the lag ``b``, or as ``b - m`` when
+    it lies past the CP (``b > cp_len * m / n_dft``) and within one main
+    lobe of the profile's end (``b >= m - ceil(m / n_zc)``), and rescaled to
+    DFT-rate samples (``lag * n_dft / m``), so an early peak gives a negative
+    delay.  With ``interpolate_peak`` the two profile bins flanking the peak
+    refine the lag to a sub-bin position (``refined_sample_delay``); the
+    integer read-out is unchanged.
     """
     tf = wigner_demodulate(samples, params.n_dft, params.cp_len, params.m, params.n)
     values = _combined_profile(tf, params)
-    # a miss is a zero mean, not an all-zero profile: a mean can underflow
-    if float(np.mean(values)) == 0.0:
-        return ToaEstimate(False, 0, math.inf, values)
     threshold = detection_threshold(values, target_pfa)
     peak = int(np.argmax(values))  # the smallest lag on ties
     detected = bool(values[peak] >= threshold)

@@ -500,7 +500,7 @@ def test_cli_thread_count_is_invisible(tmp_path, capsys, monkeypatch, command, c
     assert serial == forked
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])  # "two": not an integer
 def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     cfg_path = write_toy_config(tmp_path)
     out = tmp_path / "run"
@@ -647,6 +647,15 @@ def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch)
     [
         ("simulate", "waveform:\n  delta_f_hz: .nan\n", "waveform.delta_f_hz"),
         ("simulate", "noise:\n  snr_db: .inf\n", "noise.snr_db"),
+        # the shape of the tree around a number
+        ("simulate", "waveform: 5\n", "waveform: expected a mapping, got int"),
+        ("simulate", "- 1\n- 2\n", "<root>: expected a mapping, got list"),
+        ("simulate", "trials: null\n", "trials: value required"),
+        (
+            "simulate",
+            "channel: {nlos: {excess_delay_range_s: [1.0]}}\n",
+            "channel.nlos.excess_delay_range_s: expected a [low, high] pair",
+        ),
         (
             "speed-tradeoff",
             "sweep:\n  axis: speed_mps\n  values: [-5.0]\n",
@@ -968,6 +977,43 @@ def _with_leaf(sparse, full, path, value):
     return copy
 
 
+# leaves that run once more with a sibling key changed, where the canonical
+# tree's value would hide a case: theta_3db_deg without the fnb_deg derived
+# from it, and the noise power with snr_db null, the one way a run reads it
+_SECOND_RUNS = {
+    ("scenario", "antenna", "theta_3db_deg"): lambda section: section.pop("fnb_deg"),
+    ("noise", "noise_power_watts"): lambda section: section.update(snr_db=None),
+}
+
+
+def _leaf_configs(sparse, full, path, value):
+    """The configs that set the leaf at ``path`` to ``value``: ``sparse``
+    with it set (see :func:`_with_leaf`), and once more with the change of
+    :data:`_SECOND_RUNS` for its path."""
+    configs = [_with_leaf(sparse, full, path, value)]
+    if path in _SECOND_RUNS:
+        configs.append(_with_leaf(sparse, full, path, value))  # copies each section on the path
+        section = configs[-1]
+        for key in path[:-1]:
+            section = section[key]
+        _SECOND_RUNS[path](section)
+    return configs
+
+
+def _fixed_point_failure(config) -> str | None:
+    """Why the canonical form of ``config`` does not parse back to the same
+    text, or None; a config that does not parse has no canonical form."""
+    try:
+        canonical = serialize_config(parse_config(config))
+    except ConfigError:
+        return None
+    try:
+        again = serialize_config(parse_config(yaml.safe_load(canonical)))
+    except ConfigError as exc:
+        return f"its canonical form does not parse: {exc}"
+    return None if again == canonical else "its canonical form is not a fixed point"
+
+
 def _numeric_cells_finite(path) -> bool:
     """True if every cell of the CSV at ``path`` that reads as a number is finite."""
     with open(path, newline="") as fh:
@@ -991,27 +1037,38 @@ def test_cli_every_numeric_leaf_at_extreme_magnitudes_exits_0_or_2(tmp_path, cap
         + "sweep: {axis: speed_mps, values: [10.0]}\n"
     )
     toy = yaml.safe_load(text)
+    # the toy's waveform section has no cp_len, so n_dft's runs derive it
+    assert "cp_len" not in toy["waveform"]
     tree = yaml.safe_load(serialize_config(load_config(write_toy_config(tmp_path, text=text))))
-    leaves = list(_numeric_leaves(tree))
+    # the noise power is null in the canonical tree, so it is driven by name
+    leaves = [*_numeric_leaves(tree), (("noise", "noise_power_watts"), 1.0)]
     assert len(leaves) > 30
-    config, out = tmp_path / "leaf.yaml", str(tmp_path / "out")
+    assert set(_SECOND_RUNS) <= {path for path, _ in leaves}
+    config_path, out = tmp_path / "leaf.yaml", str(tmp_path / "out")
     failures = []
     for path, default in leaves:
         for magnitude in (0.0, 1.0e300, -1.0e300, 1.0e-300, 1.0e308):
             # an integer field gets the integer nearest to the magnitude
             value = int(magnitude) if isinstance(default, int) else magnitude
-            config.write_text(yaml.safe_dump(_with_leaf(toy, tree, path, value)))
-            for command, written in (
-                ("simulate", "results.csv"),
-                ("speed-tradeoff", "speed_tradeoff.csv"),
-            ):
-                try:
-                    rc = main([command, "--config", str(config), "--out", out])
-                except Exception as exc:  # a traceback is the failure this test looks for
-                    rc = repr(exc)
-                if rc == 0 and not _numeric_cells_finite(tmp_path / "out" / written):
-                    rc = f"a non-finite cell in {written}"
-                if rc not in (0, 2):
-                    failures.append((".".join(map(str, path)), value, command, rc))
+            leaf = (".".join(map(str, path)), value)
+            for config in _leaf_configs(toy, tree, path, value):
+                # in process: a config that parses prints a canonical form
+                # that parses back to the same text
+                reason = _fixed_point_failure(config)
+                if reason is not None:
+                    failures.append((*leaf, "validate-config", reason))
+                config_path.write_text(yaml.safe_dump(config))
+                for command, written in (
+                    ("simulate", "results.csv"),
+                    ("speed-tradeoff", "speed_tradeoff.csv"),
+                ):
+                    try:
+                        rc = main([command, "--config", str(config_path), "--out", out])
+                    except Exception as exc:  # a traceback is the failure this test looks for
+                        rc = repr(exc)
+                    if rc == 0 and not _numeric_cells_finite(tmp_path / "out" / written):
+                        rc = f"a non-finite cell in {written}"
+                    if rc not in (0, 2):
+                        failures.append((*leaf, command, rc))
     capsys.readouterr()
     assert not failures, "\n".join(map(str, failures))

@@ -211,12 +211,10 @@ def test_threshold_input_validation():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             detection_threshold(np.ones(8), bad)
-    with pytest.raises(ValueError):
-        detection_threshold(np.zeros(8), 1e-3)
+    assert detection_threshold(np.zeros(8), 1e-3) == math.inf
     # a nonzero profile whose mean underflows is as undetectable; the
-    # receiver's miss test is therefore on the mean, not on any()
-    with pytest.raises(ValueError):
-        detection_threshold(np.array([5e-324, 0.0, 0.0, 0.0]), 1e-3)
+    # miss test is therefore on the mean, not on any()
+    assert detection_threshold(np.array([5e-324, 0.0, 0.0, 0.0]), 1e-3) == math.inf
 
 
 def test_false_alarm_rate_monte_carlo():
@@ -403,6 +401,14 @@ def test_refined_delay_absent_by_default():
     params = toy_params()
     est = receive_and_estimate_toa(transmit(params), params)
     assert est.refined_sample_delay is None
+
+
+def test_all_zero_rx_checks_target_pfa():
+    """An undetectable frame takes the same path, so a bad target_pfa raises."""
+    params = toy_params()
+    rx = np.zeros(params.frame_len, dtype=complex)
+    with pytest.raises(ValueError, match="target_pfa"):
+        receive_and_estimate_toa(rx, params, target_pfa=1.5)
 
 
 def test_refined_delay_absent_on_miss():
