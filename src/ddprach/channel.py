@@ -148,7 +148,6 @@ class FrameBuffers:
         self.draws = np.empty(2 * n)                   # real draws, then imaginary
         self.unit = np.empty(n, dtype=complex)         # the unit noise row
         self.seed = None                               # the SeedSequence unit was drawn from
-        self.power = np.empty(shape)                   # |x|^2 of the stack
 
 
 class _FilteredTap:
@@ -390,23 +389,30 @@ def add_awgn(
     """Add circular complex white Gaussian noise at a target SNR.
 
     The noise variance is scaled to the measured mean power of the input,
-    row by row for a ``(S, L)`` stack, and the noise is added by
+    row by row for a ``(S, L)`` stack: the dot product of the row's float
+    view with itself, over ``L``.  The noise is then added as by
     :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
     ``+inf`` returns a copy of the samples (noiseless) and draws nothing;
-    NaN and ``-inf`` raise ``ValueError``.  ``seed`` and ``buffers`` are
-    used as in :func:`add_noise_power`.
+    NaN and ``-inf`` raise ``ValueError``, and so does a row that is all
+    zero or whose noise power would not be finite.  ``seed`` and ``buffers``
+    are used as in :func:`add_noise_power`.
     """
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     buffers = _load(buffers, samples)
     if snr_db is None or snr_db == math.inf:
         return buffers.frames
-    power = np.abs(buffers.frames, out=buffers.power)
-    signal_power = np.mean(np.square(power, out=power), axis=-1)
+    n = buffers.unit.size
+    # not np.dot: OpenBLAS threads a ddot this long, so its bits would follow
+    # the BLAS thread count and its idle threads spin beside forked workers
+    rows = buffers.frames.reshape(-1, n).view(float)
+    signal_power = np.einsum("ij,ij->i", rows, rows) / n
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return add_noise_power(buffers.frames, noise_power, seed, buffers)
+    if not np.all(np.isfinite(noise_power)):
+        raise ValueError(f"noise power must be finite, got {noise_power}")
+    return _add_noise(buffers, noise_power, seed)
 
 
 def add_noise_power(
@@ -432,6 +438,14 @@ def add_noise_power(
     if not np.all(np.isfinite(noise_power)) or np.any(noise_power < 0):
         raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
     buffers = _load(buffers, samples)
+    rows = buffers.frames.size // buffers.unit.size
+    return _add_noise(buffers, np.broadcast_to(noise_power, (rows,)), seed)
+
+
+def _add_noise(buffers: FrameBuffers, noise_power: np.ndarray, seed) -> np.ndarray:
+    """Add to each row of ``buffers.frames`` the buffers' unit noise row,
+    drawn from ``seed`` unless it already is, scaled to that row's entry of
+    the checked ``noise_power``."""
     noise, n = buffers.unit, buffers.unit.size
     # default_rng leaves a SeedSequence as it was, so the row of the very one
     # the buffers last drew from is still theirs; any other seed draws
@@ -442,9 +456,7 @@ def add_noise_power(
         noise.real = draws[:n]
         noise.imag = draws[n:]
         buffers.seed = seed
-    scale = np.sqrt(noise_power / 2.0)
-    rows = buffers.frames.reshape(-1, n)
-    for row, row_scale in zip(rows, np.broadcast_to(scale, rows.shape[:1])):
+    for row, row_scale in zip(buffers.frames.reshape(-1, n), np.sqrt(noise_power / 2.0)):
         # keep the operand order row_scale * noise, as for the phasor above
         row += np.multiply(row_scale, noise, out=buffers.delayed)
     return buffers.frames

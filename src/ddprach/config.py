@@ -133,7 +133,9 @@ _RULES = {
     "scenario.antenna.g_rmax_db": _DB,
     "scenario.airframe.tip_speed_mps": _ROTOR_SPEED,
     "scenario.airframe.induced_velocity_mps": _ROTOR_SPEED,
-    "scenario.tilt_deg": _ANY,
+    # the antenna pattern takes theta - tilt unwrapped, so a tilt stays within
+    # the quarter turns either side of the horizon
+    "scenario.tilt_deg": _between(-90.0, 90.0),
     "channel.source": _one_of(("synthetic", "taps_file")),
     "channel.nlos.count": _between(0, 64),
     "channel.nlos.excess_delay_range_s": _NON_NEGATIVE,

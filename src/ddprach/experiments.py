@@ -20,8 +20,12 @@ process counts 1680.  Each process keeps one set of ``FrameBuffers`` made
 from the stack, which plans its rows once and keeps each tap's filtered
 spans: the trials of a point share its line-of-sight tap, and the values of
 a ``speed_mps`` or ``tilt_deg`` sweep share an item's tap delays, so they
-filter each tap once.  Seeds for the channel draw and the noise draw are
-derived by hashing the master seed together with the item indices, so
+filter each tap once.  An item draws a synthetic channel once for
+consecutive flights that agree in ``cfg.scenario``, ``cfg.channel`` and
+``tilt_deg``, which the run decides once from its flights: a
+``delta_f_hz`` sweep draws one per item, a ``speed_mps`` or ``tilt_deg``
+sweep one per item and value.  Seeds for the channel draw and the noise
+draw are derived by hashing the master seed together with the item indices, so
 results depend neither on the execution order nor on K; all schemes and
 sweep values of an item share the channel and noise seeds, making
 comparisons paired.  The preamble stack is a plain ``(schemes, frame_len)``
@@ -135,6 +139,10 @@ def _run_points(
     """One record list per flight over the work items of ``points``, in
     canonical order."""
     trajectories = [build_trajectory(**asdict(f.cfg.scenario.trajectory)) for f in flown]
+    # a flight flies the previous flight's channel when it would draw it from
+    # the same scenario, channel section and tilt
+    keys = [(f.cfg.scenario, f.cfg.channel, f.tilt_deg) for f in flown]
+    redraw = [i == 0 or key != keys[i - 1] for i, key in enumerate(keys)]
     # one set of buffers, and the one row plan they make, serves every item
     buffers = FrameBuffers(stack)
     runs = [[] for _ in flown]
@@ -144,16 +152,22 @@ def _run_points(
             # draws the same taps and noise from these; the buffers draw the
             # noise row of this very noise seed once
             noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
-            realization = channel_seed = None
-            if file_taps is None:
-                channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
-            else:
-                realization = file_taps[point_idx]
-            for flight, trajectory, records in zip(flown, trajectories, runs):
+            channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
+            for flight, trajectory, records, draw in zip(flown, trajectories, runs, redraw):
                 point = trajectory[point_idx]
-                records += _run_config(
-                    flight, point, realization, channel_seed, noise_seed, buffers
-                )
+                if file_taps is not None:
+                    realization = file_taps[point_idx]
+                elif draw:
+                    realization = synthesize_scenario_channel(
+                        point,
+                        flight.cfg.scenario.carrier_hz,
+                        flight.cfg.scenario.antenna,
+                        flight.tilt_deg,
+                        flight.cfg.channel.nlos,
+                        seed=channel_seed,
+                        g_t_db=flight.cfg.channel.g_t_db,
+                    )
+                records += _run_config(flight, point, realization, noise_seed, buffers)
     return runs
 
 
@@ -222,29 +236,16 @@ def _child(fn, item, write_fd: int):
         os._exit(code)
 
 
-def _run_config(
-    flight: Flight, point, realization, channel_seed, noise_seed, buffers
-) -> list[ResultRecord]:
+def _run_config(flight: Flight, point, realization, noise_seed, buffers) -> list[ResultRecord]:
     """The records of one work item under one flight, one per scheme.
 
     ``point`` is the item's ``TrajectoryPoint`` on the flight's pass,
-    ``realization`` its channel from the taps file (``None``: synthesize it
-    at ``point`` from ``channel_seed``), ``noise_seed`` the item's noise
+    ``realization`` its channel, ``noise_seed`` the item's noise
     ``SeedSequence`` and ``buffers`` the run's :class:`FrameBuffers`, made
     from its preamble stack, which draw that seed's unit noise row on the
     item's first noise call and reuse it on the others.
     """
     cfg = flight.cfg
-    if realization is None:
-        realization = synthesize_scenario_channel(
-            point,
-            cfg.scenario.carrier_hz,
-            cfg.scenario.antenna,
-            flight.tilt_deg,
-            cfg.channel.nlos,
-            seed=channel_seed,
-            g_t_db=cfg.channel.g_t_db,
-        )
     # positional: the benchmark's tracer reads args[0] and args[1]
     rx = apply_channel(cfg.waveform, realization, buffers.samples, buffers=buffers)
     if cfg.noise.noise_power_watts is not None:

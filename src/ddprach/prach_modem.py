@@ -141,7 +141,8 @@ def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must be in (0, 1)")
-    mean_power = float(np.mean(profile))
+    # np.mean's own sum and division, bit for bit, without its dispatch
+    mean_power = float(np.add.reduce(profile) / profile.size)
     if mean_power < 0.0:
         raise ValueError("profile has negative mean power")
     if mean_power == 0.0:
@@ -177,11 +178,16 @@ def _combined_profile(tf: np.ndarray, params: WaveformParams) -> np.ndarray:
     """Non-coherent sum of the per-symbol matched-filter output powers.
 
     All ``n`` symbols of the ``(n, m)`` grid ``tf`` go through one multiply
-    and one IFFT pass; the result is the read-only ``(m,)`` power array.
+    and one IFFT pass.  The IFFT output's float view is squared in place and
+    summed over symbols, and each bin's real and imaginary sums are added:
+    ``|z|^2`` as ``re^2 + im^2``, with no ``hypot``.  The result is the
+    read-only ``(m,)`` power array.
     """
     matched = _reference_spectrum(params.root, params.n_zc, params.m, params.modulation)
-    corr = np.fft.ifft(tf * matched, axis=1)
-    values = np.sum(np.abs(corr) ** 2, axis=0)
+    parts = np.fft.ifft(tf * matched, axis=1).view(float)
+    np.square(parts, out=parts)
+    sums = np.add.reduce(parts, axis=0)
+    values = np.add(sums[0::2], sums[1::2])
     values.setflags(write=False)
     return values
 

@@ -1,7 +1,11 @@
 """Tapped delay-Doppler channel, AWGN, received power, and tap file I/O."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,6 +651,58 @@ def test_noise_power_rejects_non_finite_and_negative(power):
         add_noise_power(NOISE_ROWS, power, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_awgn_rejects_a_non_finite_sample(bad, row):
+    x = NOISE_ROWS.copy()
+    x[row, 17] = bad
+    with pytest.raises(ValueError, match="noise power"):
+        add_awgn(x, 5.0, seed=1)
+    with pytest.raises(ValueError, match="noise power"):
+        add_awgn(x[row], 5.0, seed=1)
+
+
+@pytest.mark.parametrize("rows", [NOISE_ROWS, NOISE_ROWS[1]], ids=["stack", "single"])
+@pytest.mark.parametrize("snr_db", [-20.0, 5.0, 30.0])
+def test_awgn_scales_noise_to_the_abs_power(rows, snr_db):
+    # the signal power, a dot product of each row's float view, is the mean
+    # of |x|^2 to rounding: the noise the SNR sets is the same
+    seed = np.random.SeedSequence([4, 4])
+    unit = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed)
+    noise = add_awgn(rows, snr_db, seed=seed) - rows
+    for signal, added in zip(np.atleast_2d(rows), np.atleast_2d(noise)):
+        expected = np.mean(np.abs(signal) ** 2) * 10.0 ** (-snr_db / 10.0)
+        # the unit row carries a power of 2
+        power = 2.0 * np.vdot(added, added).real / np.vdot(unit, unit).real
+        assert power == pytest.approx(expected, rel=1e-12)
+
+
+def test_awgn_bits_do_not_follow_the_blas_thread_count():
+    # OpenBLAS splits a ddot of more than 10000 values over its threads, so a
+    # signal power summed there would change its last bits with the count
+    code = (
+        "import hashlib, numpy as np\n"
+        "from ddprach import add_awgn\n"
+        "rng = np.random.default_rng(5)\n"
+        "digest = hashlib.sha256()\n"
+        "for _ in range(20):\n"
+        "    x = rng.standard_normal((2, 9216)) + 1j * rng.standard_normal((2, 9216))\n"
+        "    digest.update(add_awgn(x, 5.0, seed=1).tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.add(run.stdout)
+    assert len(digests) == 1
+
+
 def test_awgn_empirical_snr():
     n = 1_000_000
     rng = np.random.default_rng(9)
@@ -694,9 +750,11 @@ def test_stacked_noise_rows_equal_single_calls():
 
 
 def test_stacked_awgn_rejects_an_all_zero_row():
-    x = np.stack([np.ones(16), np.zeros(16)])
-    with pytest.raises(ValueError):
-        add_awgn(x, 10.0, seed=0)
+    for zero in range(2):
+        x = np.ones((2, 16))
+        x[zero] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            add_awgn(x, 10.0, seed=0)
 
 
 # ---------------------------------------------------------------------------

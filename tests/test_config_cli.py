@@ -787,13 +787,11 @@ def test_cli_db_bounds_run(tmp_path, capsys, db, snr_db):
 @pytest.mark.parametrize(
     "scenario",
     [
-        "  tilt_deg: 1.0e+6\n",
         "  antenna: {theta_3db_deg: 0.001, gamma_3db_deg: 0.001}\n",
-        # past these the pattern's square overflowed before its ratio was capped
-        "  tilt_deg: 1.0e+200\n",
+        # past this the pattern's square overflowed before its ratio was capped
         "  antenna: {theta_3db_deg: 1.0e-200, gamma_3db_deg: 1.0e-200}\n",
     ],
-    ids=["far_tilt", "needle_beam", "farthest_tilt", "finest_needle_beam"],
+    ids=["needle_beam", "finest_needle_beam"],
 )
 def test_cli_antenna_far_off_boresight_runs(tmp_path, capsys, scenario):
     # the pattern's 30 dB floor keeps the received power above zero
@@ -804,12 +802,32 @@ def test_cli_antenna_far_off_boresight_runs(tmp_path, capsys, scenario):
     assert len((out / "results.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
 
 
-def test_cli_tilt_sweep_far_off_boresight_runs(tmp_path, capsys):
+# the pattern takes theta - tilt unwrapped: a tilt past a quarter turn, where
+# 360 degrees would not be 0, is a config error
+@pytest.mark.parametrize("tilt", ["90.5", "-90.5", "360.0", "1.0e+6", "1.0e+200"])
+def test_cli_tilt_past_a_quarter_turn_exit_2(tmp_path, capsys, tilt):
+    text = TOY_CONFIG.replace("scenario:\n", f"scenario:\n  tilt_deg: {tilt}\n")
+    rc = main(["simulate", "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    assert "config error: scenario.tilt_deg: must be in [-90.0, 90.0]" in capsys.readouterr().err
+
+
+def test_cli_tilt_sweep_past_a_quarter_turn_exit_2(tmp_path, capsys):
     text = TOY_CONFIG + "sweep:\n  axis: tilt_deg\n  values: [0.0, 1.0e+200]\n"
+    rc = main(["tilt-sweep", "--config", write_toy_config(tmp_path, text=text)])
+    assert rc == 2
+    assert "config error: sweep.values[1]: tilt_deg must be in [-90.0, 90.0]" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("tilt", ["-90.0", "90.0"])
+def test_cli_tilt_at_a_quarter_turn_runs(tmp_path, capsys, tilt):
+    text = TOY_CONFIG + f"sweep:\n  axis: tilt_deg\n  values: [{tilt}]\n"
     out = tmp_path / "run"
     rc = main(["tilt-sweep", "--config", write_toy_config(tmp_path, text=text), "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
-    assert len((out / "tilt_sweep.csv").read_text().splitlines()) == 1 + 2
+    assert len((out / "tilt_sweep.csv").read_text().splitlines()) == 1 + 1
 
 
 # the carrier, speed and height at their bounds

@@ -267,22 +267,38 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch, rng_seeds):
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
     run_cdf_sweep(cfg)
     items = [(point, trial) for point in range(3) for trial in range(2)]
-    # the channel's default_rng makes one generator per unit noise row drawn
-    # and one per synthesized channel
-    entropy = [tuple(seed.entropy) for seed in rng_seeds]
-    for stream, per_item in [
-        (experiments._NOISE_STREAM, 1),
-        (experiments._CHANNEL_STREAM, len(values)),
-    ]:
-        drawn = [(cfg.seed, stream, point, trial) for point, trial in items for _ in range(per_item)]
-        assert [e for e in entropy if e[1] == stream] == drawn
-    assert len(entropy) == len(items) * (1 + len(values))
+    # no spacing changes the channel, so the item's first value draws it and
+    # the others fly that realization
+    assert_draws(rng_seeds, cfg.seed, items, channels_per_item=1)
     # every value of an item in turn, all on one shared stack
     rates = [value * cfg.waveform.n_dft for value in values]
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)
     assert len({stack for _, stack in calls["apply"]}) == 1
     assert len(plans) == 1  # one set of buffers per run
     assert calls["transmit"] == cfg.schemes
+
+
+def test_speed_sweep_draws_a_channel_per_value(rng_seeds):
+    # speed moves the Doppler and the derived tilt, so every value of an
+    # item draws its own channel, from the item's one channel seed
+    values = [5.0, 10.0, 20.0]
+    cfg = parse_config(toy_tree(sweep={"axis": "speed_mps", "values": values}))
+    run_speed_tradeoff(cfg)
+    items = [(point, trial) for point in range(3) for trial in range(2)]
+    assert_draws(rng_seeds, cfg.seed, items, channels_per_item=len(values))
+
+
+def assert_draws(rng_seeds, seed, items, channels_per_item):
+    """The channel's default_rng made one generator per unit noise row drawn,
+    one per item, and ``channels_per_item`` per item for its channels."""
+    entropy = [tuple(s.entropy) for s in rng_seeds]
+    for stream, per_item in [
+        (experiments._NOISE_STREAM, 1),
+        (experiments._CHANNEL_STREAM, channels_per_item),
+    ]:
+        drawn = [(seed, stream, point, trial) for point, trial in items for _ in range(per_item)]
+        assert [e for e in entropy if e[1] == stream] == drawn
+    assert len(entropy) == len(items) * (1 + channels_per_item)
 
 
 def count_plans(monkeypatch):

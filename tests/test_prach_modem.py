@@ -289,6 +289,30 @@ def test_batched_profile_matches_row_oracle(scheme, size):
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_profile_and_threshold_match_the_abs_formulas(scheme, seed):
+    # the profile squares the float view instead of taking hypot: equal to
+    # rounding, with the same peak; the threshold's mean is np.mean's bits
+    params = WaveformParams(modulation=scheme)  # README default
+    channel = ChannelRealization(
+        0, 0.0,
+        [ChannelTap(1.0, 37.3 / params.sample_rate, 90.0),
+         ChannelTap(0.6j, 95.0 / params.sample_rate, -40.0)],
+    )
+    rx = add_awgn(apply_channel(params, channel, transmit(params)), 5.0, seed=seed)
+    tf = wigner_demodulate(rx, params.n_dft, params.cp_len, params.m, params.n)
+    matched = prach_modem._reference_spectrum(params.root, params.n_zc, params.m, scheme)
+    expected = np.sum(np.abs(np.fft.ifft(tf * matched, axis=1)) ** 2, axis=0)
+    profile = prach_modem._combined_profile(tf, params)
+    np.testing.assert_allclose(profile, expected, rtol=1e-12)
+    assert int(np.argmax(profile)) == int(np.argmax(expected))
+    for target_pfa in (1e-3, 0.05):
+        per_bin = -math.expm1(math.log1p(-target_pfa) / profile.size)
+        reference = -math.log(per_bin) * float(np.mean(profile))
+        assert detection_threshold(profile, target_pfa) == reference
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
 def test_receiver_runs_without_sfft(scheme, monkeypatch):
     """The matched filter replaces the SFFT: the estimate never needs it."""
     params = toy_params(scheme)
