@@ -509,6 +509,10 @@ TAPS_HEADER = [
 # stays finite, and so does received_power's squared product of two such
 # gains, 10**(4 * 300 / 10) = 1e120
 MAX_DB = 300.0
+# the top of the ITU radio spectrum, the config's largest carrier; a Doppler
+# v f_c / c with v below light's speed is at most that, so it bounds a
+# taps-file Doppler too
+MAX_CARRIER_HZ = 3.0e12
 
 
 def load_taps(path) -> dict[int, ChannelRealization]:
@@ -518,9 +522,10 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     Rows are grouped by ``point_index``; taps are sorted by delay and the
     LoS tag is derived from the tap powers.  Malformed rows, including
     negative point indices, non-finite numbers, a ``gain_db`` outside the
-    config's dB range ``[-MAX_DB, MAX_DB]`` and a ``true_distance_m`` other
-    than the one on the point's earlier rows, raise :class:`TapFileError`
-    with the offending line number.
+    config's dB range ``[-MAX_DB, MAX_DB]``, a ``doppler_hz`` past
+    ``MAX_CARRIER_HZ`` either way, a ``true_distance_m`` that is not positive
+    and one other than on the point's earlier rows, raise
+    :class:`TapFileError` with the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
@@ -538,6 +543,15 @@ def load_taps(path) -> dict[int, ChannelRealization]:
             raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
         if delay < 0:
             raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
+        if distance <= 0:
+            raise TapFileError(
+                f"{path}: line {line_no}: true_distance_m {distance} is not positive"
+            )
+        if abs(doppler) > MAX_CARRIER_HZ:
+            raise TapFileError(
+                f"{path}: line {line_no}: Doppler {doppler} Hz is outside "
+                f"[{-MAX_CARRIER_HZ}, {MAX_CARRIER_HZ}]"
+            )
         if not -MAX_DB <= gain_db <= MAX_DB:
             raise TapFileError(
                 f"{path}: line {line_no}: gain {gain_db} dB is outside "

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .channel import MAX_DB, NlosSpec, received_power
+from .channel import MAX_CARRIER_HZ, MAX_DB, NlosSpec, received_power
 from .prach_modem import MODULATIONS, WaveformParams
 from .uav_scenario import AirframeConfig, AntennaConfig, pitch_angle, propulsion_power
 from .uav_scenario import MAX_ATTENUATION_DB, trajectory_point
@@ -110,8 +110,9 @@ _ANY = (lambda v: True, "anything")
 _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _DB = _between(-MAX_DB, MAX_DB)
-# a rotor speed, which propulsion_power squares into a divisor: up to light's,
-# and (v / it)^2 stays finite for every flight speed v up to light's
+# the rotor's tip speed, which propulsion_power cubes and squares into a
+# divisor: up to light's, so U^3 and (v / U)^2 stay finite for every flight
+# speed v up to light's
 _ROTOR_SPEED = _between(1.0e-100, SPEED_OF_LIGHT)
 
 # Allowed values by dotted path (list items and pair bounds share their
@@ -127,12 +128,14 @@ _RULES = {
     # SNR of -300 dB adds 1e30 times that as noise: such runs stay finite to 1e125 W
     "waveform.p_t_watts": (lambda v: 0 < v <= 1e100, "in (0, 1e100]"),
     "scenario.trajectory.count": _between(1, 100_000),
-    "scenario.carrier_hz": _between(3.0, 3.0e12),  # the ITU radio spectrum
+    "scenario.carrier_hz": _between(3.0, MAX_CARRIER_HZ),  # the ITU radio spectrum
     # the Doppler v f_c / c is a law for v below light's speed
     "scenario.trajectory.speed_mps": _between(0.0, SPEED_OF_LIGHT),
     "scenario.antenna.g_rmax_db": _DB,
+    # an angle, so the first-null beamwidth derived from it, 2.5 times it, is
+    # a positive finite angle too
+    "scenario.antenna.theta_3db_deg": (lambda v: 0 < v <= 360, "in (0, 360]"),
     "scenario.airframe.tip_speed_mps": _ROTOR_SPEED,
-    "scenario.airframe.induced_velocity_mps": _ROTOR_SPEED,
     # the antenna pattern takes theta - tilt unwrapped, so a tilt stays within
     # the quarter turns either side of the horizon
     "scenario.tilt_deg": _between(-90.0, 90.0),
@@ -157,12 +160,6 @@ _RULES = {
 # a field of a nested library dataclass that each run sets itself, so no
 # config key: a run takes its modulation from ``schemes``
 _RUN_FIELD = ("waveform", "modulation")
-
-# a field whose null default __post_init__ derives -> the field it derives from
-_DERIVED = {
-    "waveform.cp_len": "waveform.n_dft",
-    "scenario.antenna.fnb_deg": "scenario.antenna.theta_3db_deg",
-}
 
 # samples per frame, n * (n_dft + cp_len): 64 MiB per complex row
 _MAX_FRAME_LEN = 1 << 22
@@ -232,18 +229,9 @@ def _section(cls, node, path: str):
         for key, value in node.items()
     }
     try:
-        section = cls(**kwargs)  # __post_init__ derives cp_len, fnb_deg, ...
+        return cls(**kwargs)  # __post_init__ derives cp_len, fnb_deg, ...
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # a derived default obeys its field's rule, as a given value does
-    for derived, source in _DERIVED.items():
-        owner, _, name = derived.rpartition(".")
-        if owner == path and node.get(name) is None:
-            try:
-                _parse(types[name], getattr(section, name), derived)
-            except ConfigError as exc:
-                raise ConfigError(f"{exc}, derived from {source}") from None
-    return section
 
 
 def _parse(annotation, node, path: str):

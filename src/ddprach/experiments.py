@@ -11,10 +11,11 @@ order; each item runs every sweep value and every scheme.  With
 starts processes) the trajectory points are split into ``min(K, count)``
 contiguous ranges, one process each: the calling process runs the first and
 ``os.fork`` children the others (so this needs a platform with ``fork``,
-such as Linux); each builds its trajectories, and each range's records come
-back in range order.  Memory grows with K, one interpreter's worth of pages
-touched per child, and spans or counters recorded by a wrapper installed in
-the calling process see its own range only: the benchmark's traced
+such as Linux); each builds a pass once for consecutive flights that agree
+in ``cfg.scenario.trajectory``, and each range's records come back in range
+order.  Memory grows with K, one interpreter's worth of pages touched per
+child, and spans or counters recorded by a wrapper installed in the calling
+process see its own range only: the benchmark's traced
 speed-tradeoff at ``--threads 2`` counts 840 interpolated taps where one
 process counts 1680.  Each process keeps one set of ``FrameBuffers`` made
 from the stack, which plans its rows once and keeps each tap's filtered
@@ -138,7 +139,13 @@ def _run_points(
 ) -> list[list[ResultRecord]]:
     """One record list per flight over the work items of ``points``, in
     canonical order."""
-    trajectories = [build_trajectory(**asdict(f.cfg.scenario.trajectory)) for f in flown]
+    # a flight flies the previous flight's pass when it samples the same one
+    trajectories, spec = [], None
+    for flight in flown:
+        if flight.cfg.scenario.trajectory != spec:
+            spec = flight.cfg.scenario.trajectory
+            trajectory = build_trajectory(**asdict(spec))
+        trajectories.append(trajectory)
     # a flight flies the previous flight's channel when it would draw it from
     # the same scenario, channel section and tilt
     keys = [(f.cfg.scenario, f.cfg.channel, f.tilt_deg) for f in flown]
@@ -339,7 +346,13 @@ def run_speed_tradeoff(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
 
 
 def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """Ranging RMSE and LoS point counts versus forced antenna tilt."""
+    """Ranging RMSE and LoS point counts versus forced antenna tilt.
+
+    ``n_los_geometric`` counts the pass's points inside the first-null
+    beamwidth, each point once.  ``n_los_tagged`` counts the distinct points
+    with at least one LoS-tagged record over all trials and schemes, so with
+    ``trials > 1`` it can grow with the trial count, up to the point count.
+    """
     spec = cfg.scenario.trajectory
     fnb = cfg.scenario.antenna.fnb_deg
     p0 = overhead_index(spec.count)

@@ -131,7 +131,9 @@ def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
     probability of the profile maximum at ``target_pfa`` is
 
     ``T = -ln(1 - (1 - target_pfa)^(1/L)) * mean_power``, and ``T = inf``
-    for a zero mean, an underflowed one included: nothing is detectable.
+    for a zero mean, an underflowed one included: nothing is detectable.  A
+    negative or non-finite mean raises ``ValueError``: a NaN or infinite
+    frame is no miss.
 
     The receiver's profile does not meet that model: each bin sums ``n`` row
     powers (a Gamma(n) tail, not an exponential one) and its mean includes
@@ -143,8 +145,8 @@ def detection_threshold(profile: np.ndarray, target_pfa: float) -> float:
         raise ValueError("target_pfa must be in (0, 1)")
     # np.mean's own sum and division, bit for bit, without its dispatch
     mean_power = float(np.add.reduce(profile) / profile.size)
-    if mean_power < 0.0:
-        raise ValueError("profile has negative mean power")
+    if not 0.0 <= mean_power < math.inf:  # NaN fails too
+        raise ValueError(f"profile mean power must be finite and >= 0, got {mean_power}")
     if mean_power == 0.0:
         return math.inf
     # 1 - (1 - pfa)^(1/L), evaluated without catastrophic cancellation

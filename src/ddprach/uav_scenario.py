@@ -41,14 +41,15 @@ class AntennaConfig:
 class AirframeConfig:
     """Rotary-wing airframe constants (typical quadrotor values).
 
-    The propulsion defaults are Table I of Zeng, Xu & Zhang, "Energy
-    Minimization for Wireless Communication With Rotary-Wing UAV" (IEEE TWC
-    2019), for a weight W = 20 N: ``induced_velocity_mps`` is
-    ``sqrt(W / (2 rho A))`` (4.029), ``induced_power_w`` is
-    ``1.1 W^1.5 / sqrt(2 rho A)`` (88.63) and ``blade_profile_power_w`` is
-    ``delta / 8 rho s A U_tip^3`` with delta = 0.012 (79.86).
-    :func:`pitch_angle` weighs ``mass_kg * gravity_mps2`` = 39.24 N, another
-    aircraft: at that weight the same laws give 5.64 m/s and 243.6 W.
+    One aircraft of weight ``mass_kg * gravity_mps2`` = 39.24 N:
+    :func:`pitch_angle` balances that weight against the fuselage drag, and
+    :func:`propulsion_power` derives its hover powers and induced velocity
+    from it and the rotor.  The rotor defaults are Table I of Zeng, Xu &
+    Zhang, "Energy Minimization for Wireless Communication With Rotary-Wing
+    UAV" (IEEE TWC 2019).  The fuselage is still described twice: the pitch
+    reads ``drag_coefficient * swept_area_m2`` and the parasite power
+    ``fuselage_drag_ratio * rotor_solidity * rotor_disc_area_m2``, Zeng's
+    S_FP (ROADMAP item 12).
     """
 
     mass_kg: float = 4.0
@@ -56,10 +57,7 @@ class AirframeConfig:
     air_density_kgpm3: float = 1.225
     drag_coefficient: float = 0.5       # fuselage drag coefficient
     swept_area_m2: float = 0.2          # fuselage frontal area [m^2]
-    blade_profile_power_w: float = 80.0   # hover blade profile power [W]
-    induced_power_w: float = 88.6         # hover induced power [W]
-    tip_speed_mps: float = 120.0          # rotor blade tip speed [m/s]
-    induced_velocity_mps: float = 4.03    # mean hover induced velocity [m/s]
+    tip_speed_mps: float = 120.0        # rotor blade tip speed [m/s]
     fuselage_drag_ratio: float = 0.6
     rotor_solidity: float = 0.05
     rotor_disc_area_m2: float = 0.503
@@ -164,31 +162,40 @@ def pitch_angle(v_x: float, cfg: AirframeConfig) -> tuple[float, float]:
     return theta_xi, 90.0 - theta_xi
 
 
+# Table I of Zeng, Xu & Zhang (IEEE TWC 2019): the profile drag coefficient
+# delta and the incremental correction factor k to the induced power
+PROFILE_DRAG_COEFFICIENT = 0.012
+INDUCED_POWER_CORRECTION = 0.1
+
+
 def propulsion_power(v: float, cfg: AirframeConfig) -> float:
     """Rotary-wing propulsion power in watts at horizontal speed ``v``.
 
+    Eq. (12) of Zeng, Xu & Zhang,
+    ``P0 (1 + 3 v^2 / U_tip^2) + Pi (sqrt(1 + v^4 / 4 v0^4) - v^2 / 2 v0^2)^(1/2)
+    + d0 rho s A v^3 / 2``, with the hover constants derived from the
+    airframe's weight ``W = m g``: the blade profile power
+    ``P0 = delta / 8 rho s A U_tip^3``, the induced velocity
+    ``v0 = sqrt(W / (2 rho A))`` and the induced power ``Pi = (1 + k) W v0``.
     Blade-profile plus parasite power grows with speed while the induced
-    power decays, giving the usual U-shaped curve with ``W0 + Wi`` at hover
+    power decays, giving the usual U-shaped curve with ``P0 + Pi`` at hover
     and a ``v^3`` parasite regime at high speed.
     """
     if v < 0:
         raise ValueError("v must be >= 0")
-    w0 = cfg.blade_profile_power_w
-    wi = cfg.induced_power_w
-    profile = w0 * (
-        1.0
-        + 3.0 * v**2 / cfg.tip_speed_mps**2
-        + cfg.fuselage_drag_ratio
-        * cfg.air_density_kgpm3
-        * cfg.rotor_solidity
-        * cfg.rotor_disc_area_m2
-        * v**3
-        / (2.0 * w0)
-    )
+    weight = cfg.mass_kg * cfg.gravity_mps2
+    rho_a = cfg.air_density_kgpm3 * cfg.rotor_disc_area_m2
+    # v0^2: infinite for a rotor in no air, and zero for no weight, which then
+    # needs no induced power at any speed
+    v0_sq = weight / (2.0 * rho_a) if rho_a else math.inf
+    p0 = PROFILE_DRAG_COEFFICIENT / 8.0 * rho_a * cfg.rotor_solidity * cfg.tip_speed_mps**3
+    pi = (1.0 + INDUCED_POWER_CORRECTION) * weight * math.sqrt(v0_sq)
+    profile = p0 * (1.0 + 3.0 * v**2 / cfg.tip_speed_mps**2)
+    parasite = 0.5 * cfg.fuselage_drag_ratio * rho_a * cfg.rotor_solidity * v**3
     # (sqrt(1 + a^2) - a)^(1/2) with a = v^2 / (2 v0^2), cancellation-free
-    a = v**2 / (2.0 * cfg.induced_velocity_mps**2)
-    induced = wi * math.sqrt(1.0 / (math.sqrt(1.0 + a * a) + a))
-    return profile + induced
+    a = v**2 / (2.0 * v0_sq) if v0_sq else math.inf
+    induced = pi * math.sqrt(1.0 / (math.sqrt(1.0 + a * a) + a))
+    return profile + parasite + induced
 
 
 def los_point_count(

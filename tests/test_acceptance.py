@@ -38,7 +38,11 @@ from ddprach import (
     wigner_demodulate,
 )
 from ddprach.cli import main
-from ddprach.uav_scenario import AirframeConfig
+from ddprach.uav_scenario import (
+    INDUCED_POWER_CORRECTION,
+    PROFILE_DRAG_COEFFICIENT,
+    AirframeConfig,
+)
 
 
 @pytest.fixture
@@ -354,9 +358,12 @@ def test_c08_geometry_oracle(report):
 
 def test_c09_airframe_spot_checks(report):
     cfg = AirframeConfig()
-    hover_exact = propulsion_power(0.0, cfg) == (
-        cfg.blade_profile_power_w + cfg.induced_power_w
-    )
+    # Zeng's hover constants for the airframe's weight, in the code's order
+    weight = cfg.mass_kg * cfg.gravity_mps2
+    rho_a = cfg.air_density_kgpm3 * cfg.rotor_disc_area_m2
+    p0 = PROFILE_DRAG_COEFFICIENT / 8.0 * rho_a * cfg.rotor_solidity * cfg.tip_speed_mps**3
+    pi = (1.0 + INDUCED_POWER_CORRECTION) * weight * math.sqrt(weight / (2.0 * rho_a))
+    hover_exact = propulsion_power(0.0, cfg) == p0 + pi
     no_tilt_at_rest = pitch_angle(0.0, cfg) == (90.0, 0.0)
     tilts = [pitch_angle(v, cfg)[1] for v in np.linspace(0.5, 30.0, 60)]
     monotone = all(b > a for a, b in zip(tilts, tilts[1:]))

@@ -425,6 +425,17 @@ def test_cli_waveform_modulation_is_no_config_key_exit_2(tmp_path, capsys):
     assert "modulation" not in serialize_config(parse_config({}))
 
 
+@pytest.mark.parametrize(
+    "name", ["blade_profile_power_w", "induced_power_w", "induced_velocity_mps"]
+)
+def test_cli_airframe_hover_constant_is_no_config_key_exit_2(tmp_path, capsys, name):
+    # propulsion_power derives the hover powers and the induced velocity from
+    # the airframe's weight and rotor
+    path = write_toy_config(tmp_path, text=f"scenario:\n  airframe:\n    {name}: 80.0\n")
+    assert main(["validate-config", "--config", path]) == 2
+    assert f"unknown config key: scenario.airframe.{name}" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.yaml")])
     assert rc == 2
@@ -600,9 +611,16 @@ GAIN_ROWS = "0,60.0,{},0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n"
         # the received frame underflows to zero
         (GAIN_ROWS.format("-300"), "point 0: the strongest tap receives 0.0 W",
          "  p_t_watts: 1.0e-300\n"),
+        # a Doppler v f_c / c past the largest carrier: its phase overflows
+        # and the frame reads NaN
+        ("0,60.0,0,0,1e-6,1e308\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n",
+         "line 2: Doppler 1e+308 Hz is outside [-3000000000000.0, 3000000000000.0]", ""),
+        ("0,-50.0,0,0,1e-6,0\n1,60.0,0,0,1e-6,0\n2,60.0,0,0,1e-6,0\n",
+         "line 2: true_distance_m -50.0 is not positive", ""),
     ],
     ids=["missing_point", "delay_past_frame", "distance_disagrees", "negative_point",
-         "gain_overflows", "gain_past_the_db_range", "received_power_underflows"],
+         "gain_overflows", "gain_past_the_db_range", "received_power_underflows",
+         "doppler_past_the_largest_carrier", "distance_not_positive"],
 )
 def test_cli_taps_file_content_errors_exit_3(tmp_path, capsys, rows, message, waveform):
     taps = tmp_path / "taps.csv"
@@ -700,14 +718,16 @@ def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch)
             TOY_CONFIG.replace("snr_db: 10.0", "snr_db: null\n  noise_power_watts: 1.0e+308"),
             "noise.noise_power_watts",
         ),
-        # the derived first-null beamwidth, 2.5 theta_3db_deg, overflows to inf
+        # an angle past a full turn, whose derived first-null beamwidth,
+        # 2.5 theta_3db_deg, would overflow to inf
         (
             "simulate",
             TOY_CONFIG.replace("scenario:\n", "scenario:\n  antenna: {theta_3db_deg: 1.0e+308}\n"),
             "scenario.antenna.theta_3db_deg",
         ),
-        # propulsion_power's squared rotor speeds underflow to a zero divisor
-        # or overflow
+        # propulsion_power's squared tip speed underflows to a zero divisor or
+        # overflows; the induced velocity, derived from the weight since, is
+        # a key the schema no longer has
         *(
             (
                 "speed-tradeoff",
@@ -872,14 +892,12 @@ BOUND_RUNS = {
         "simulate",
         TOY_CONFIG.replace("snr_db: 10.0", "snr_db: null\n  noise_power_watts: 1.0e+250"),
     ),
-    # both rotor speeds at either bound, over flight speeds up to light's
+    # the tip speed at either bound, over flight speeds up to light's
     **{
         f"rotor_speeds_{end}_speed_sweep_to_light_speed": (
             "speed-tradeoff",
             TOY_CONFIG.replace(
-                "scenario:\n",
-                f"scenario:\n  airframe: {{tip_speed_mps: {value}, "
-                f"induced_velocity_mps: {value}}}\n",
+                "scenario:\n", f"scenario:\n  airframe: {{tip_speed_mps: {value}}}\n"
             )
             + "sweep:\n  axis: speed_mps\n  values: [0.0, 10.0, " + LIGHT_SPEED + "]\n",
         )
@@ -1043,6 +1061,26 @@ def _numeric_cells_finite(path) -> bool:
                 except ValueError:
                     pass  # a header, a scheme or an empty cell
     return True
+
+
+@pytest.mark.parametrize("magnitude", ["1.0e-200", "1.0e+200"])
+@pytest.mark.parametrize(
+    "pair", [("mass_kg", "gravity_mps2"), ("air_density_kgpm3", "rotor_disc_area_m2")]
+)
+def test_cli_airframe_pair_at_extreme_magnitudes_exits_0_or_2(tmp_path, capsys, pair, magnitude):
+    # each field is a normal double, but the weight m g or the rotor's rho A
+    # underflows to zero or overflows, and propulsion_power divides by both
+    text = TOY_CONFIG.replace(
+        "scenario:\n",
+        f"scenario:\n  airframe: {{{pair[0]}: {magnitude}, {pair[1]}: {magnitude}}}\n",
+    ) + "sweep: {axis: speed_mps, values: [0.0, 10.0]}\n"
+    path = write_toy_config(tmp_path, text=text)
+    for command in ("simulate", "speed-tradeoff"):
+        rc = main([command, "--config", path, "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert "config error: scenario.airframe" in err
 
 
 def test_cli_every_numeric_leaf_at_extreme_magnitudes_exits_0_or_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from ddprach import (
     ResultRecord,
     TapFileError,
     parse_config,
+    propulsion_power,
     range_from_toa,
     run_cdf_sweep,
     run_simulate,
@@ -126,7 +127,9 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
 
 # the CSV of the benchmark's other two workloads at seed 0, the README default
 # with the overrides below: command, file name, overrides, --threads and
-# SHA-256, recorded before the sweep runners read the grid's set-ups
+# SHA-256, recorded before the sweep runners read the grid's set-ups (the
+# speed sweep's again when the propulsion power derived its hover constants
+# from the weight, which moved its power_w column alone)
 GOLDEN_BENCHMARK_SWEEPS = {
     "cdf-sweep-los": (
         "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
@@ -135,7 +138,7 @@ GOLDEN_BENCHMARK_SWEEPS = {
     "speed-tradeoff-2t": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [5.0, 10.0, 15.0, 20.0]}}, 2,
-        "4e3425a1065f1271bbacb2f49b51e84e81e00e88f7ded281d057ef38d5b1f863",
+        "f22ee24fbb5b1ace09de90c550d4188dc46ab0625ff1a6f58afae5d1a9172ebb",
     ),
 }
 
@@ -182,6 +185,7 @@ def test_results_match_golden_digest(tmp_path):
 # each sweep CSV written through the command line on the toy waveform (with
 # sub-bin refinement, so that every noise draw shows): command, file name,
 # config overrides and SHA-256, recorded before the sweeps shared one driver
+# (the speed sweeps' again when only their power_w column moved, as above)
 GOLDEN_SWEEPS = {
     "cdf": (
         "cdf-sweep", "cdf.csv",
@@ -191,13 +195,13 @@ GOLDEN_SWEEPS = {
     "speed_derived_tilt": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
-        "56dfe353b4058f072159e3fa07c2a46694df95dd342fcc0cb5d6f9ccb89a6045",
+        "11591a244016e4354fcff5f78a954d25af19ce72c176964ab76426d8beb26a7d",
     ),
     "speed_fixed_tilt": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"scenario": dict(toy_tree()["scenario"], tilt_deg=15.0),
          "sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
-        "20671dde169eedb671a5c02243453a1ace713024a43120f5f25f8f051b2cc5e7",
+        "a9c3500665d55a0cca85121901585e7d0d8e0b1061145630dcc5120d0e4b6126",
     ),
     "tilt": (
         "tilt-sweep", "tilt_sweep.csv",
@@ -286,6 +290,29 @@ def test_speed_sweep_draws_a_channel_per_value(rng_seeds):
     run_speed_tradeoff(cfg)
     items = [(point, trial) for point in range(3) for trial in range(2)]
     assert_draws(rng_seeds, cfg.seed, items, channels_per_item=len(values))
+
+
+@pytest.mark.parametrize(
+    "axis, values, run, passes",
+    [
+        ("delta_f_hz", [15e3, 30e3, 60e3], run_cdf_sweep, 1),
+        # and one in run_tilt_sweep, which counts the pass's in-beam points
+        ("tilt_deg", [0.0, 10.0, 20.0], run_tilt_sweep, 2),
+        # each point of a pass carries its speed
+        ("speed_mps", [5.0, 10.0, 20.0], run_speed_tradeoff, 3),
+    ],
+)
+def test_sweep_builds_one_pass_per_distinct_trajectory(monkeypatch, axis, values, run, passes):
+    built = []
+    real_build = experiments.build_trajectory
+
+    def build(*args, **kwargs):
+        built.append(kwargs)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_trajectory", build)
+    run(parse_config(toy_tree(sweep={"axis": axis, "values": values})))
+    assert len(built) == passes
 
 
 def assert_draws(rng_seeds, seed, items, channels_per_item):
@@ -646,7 +673,7 @@ def test_speed_tradeoff_rows():
     hover = rows[0]
     airframe = cfg.scenario.airframe
     assert hover["tilt_deg"] == 0.0
-    assert hover["power_w"] == airframe.blade_profile_power_w + airframe.induced_power_w
+    assert hover["power_w"] == propulsion_power(0.0, airframe)
     assert rows[1]["tilt_deg"] > 0.0
     for row in rows:
         assert row["rmse_otfs_m"] is not None

@@ -215,6 +215,19 @@ def test_threshold_input_validation():
     # a nonzero profile whose mean underflows is as undetectable; the
     # miss test is therefore on the mean, not on any()
     assert detection_threshold(np.array([5e-324, 0.0, 0.0, 0.0]), 1e-3) == math.inf
+    # a NaN or infinite profile is no miss
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            detection_threshold(np.array([1.0, bad, 0.0, 0.0]), 1e-3)
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_receiver_rejects_a_nan_frame(scheme):
+    params = toy_params(scheme)
+    frame = transmit(params)
+    frame[5] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        receive_and_estimate_toa(frame, params, target_pfa=1e-3)
 
 
 def test_false_alarm_rate_monte_carlo():

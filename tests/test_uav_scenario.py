@@ -14,6 +14,7 @@ from ddprach import (
     pitch_angle,
     propulsion_power,
 )
+from ddprach.uav_scenario import INDUCED_POWER_CORRECTION, PROFILE_DRAG_COEFFICIENT
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +115,42 @@ def test_pitch_rejects_negative_speed():
 # propulsion power
 # ---------------------------------------------------------------------------
 
+def hover_constants(cfg):
+    """``(v0, P0, Pi)`` of Zeng's eq. (12) for the airframe's weight, in the
+    operation order of ``propulsion_power``."""
+    weight = cfg.mass_kg * cfg.gravity_mps2
+    rho_a = cfg.air_density_kgpm3 * cfg.rotor_disc_area_m2
+    v0 = math.sqrt(weight / (2.0 * rho_a))
+    p0 = PROFILE_DRAG_COEFFICIENT / 8.0 * rho_a * cfg.rotor_solidity * cfg.tip_speed_mps**3
+    pi = (1.0 + INDUCED_POWER_CORRECTION) * weight * v0
+    return v0, p0, pi
+
+
+def eq12(v, v0, p0, pi, cfg):
+    """Eq. (12) of Zeng, Xu & Zhang (IEEE TWC 2019), written out."""
+    profile = p0 * (1.0 + 3.0 * v**2 / cfg.tip_speed_mps**2)
+    parasite = 0.5 * cfg.fuselage_drag_ratio * cfg.air_density_kgpm3 * \
+        cfg.rotor_solidity * cfg.rotor_disc_area_m2 * v**3
+    a = v**2 / (2.0 * v0**2)
+    induced = pi * math.sqrt(math.sqrt(1.0 + a * a) - a)
+    return profile + parasite + induced
+
+
 def test_power_at_hover_exact():
     cfg = AirframeConfig()
-    assert propulsion_power(0.0, cfg) == cfg.blade_profile_power_w + cfg.induced_power_w
+    _, p0, pi = hover_constants(cfg)
+    assert propulsion_power(0.0, cfg) == p0 + pi
+
+
+def test_power_reproduces_zeng_table_1():
+    # Table I's aircraft weighs W = 20 N and prints the hover constants
+    # v0 = 4.03 m/s, P0 = 79.86 W and Pi = 88.63 W that the rotor derives
+    cfg = AirframeConfig()
+    cfg.mass_kg = 20.0 / cfg.gravity_mps2
+    for v in np.linspace(0.0, 30.0, 61):
+        assert propulsion_power(v, cfg) == pytest.approx(
+            eq12(v, 4.03, 79.86, 88.63, cfg), rel=1e-3
+        )
 
 
 def test_power_has_interior_minimum():
@@ -138,15 +172,8 @@ def test_power_parasite_asymptotics():
 def test_power_uses_rotor_disc_area():
     cfg = AirframeConfig()
     v = 10.0
-    parasite = 0.5 * cfg.fuselage_drag_ratio * cfg.air_density_kgpm3 * \
-        cfg.rotor_solidity * cfg.rotor_disc_area_m2 * v**3
-    w0 = cfg.blade_profile_power_w
-    wi = cfg.induced_power_w
-    profile = w0 * (1.0 + 3.0 * v**2 / cfg.tip_speed_mps**2)
-    a = v**2 / (2.0 * cfg.induced_velocity_mps**2)
-    induced = wi * math.sqrt(math.sqrt(1.0 + a * a) - a)
     assert propulsion_power(v, cfg) == pytest.approx(
-        profile + parasite + induced, rel=1e-12
+        eq12(v, *hover_constants(cfg), cfg), rel=1e-12
     )
 
 
