@@ -14,6 +14,7 @@ flyover geometry.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,8 +272,8 @@ def _repeats(span: np.ndarray, period: int) -> bool:
 
 def check_tap_delay(tap: ChannelTap, fs: float, n: int) -> float:
     """Return a tap's delay in samples; raise ``ValueError`` unless it lies
-    within an ``n``-sample frame, the one frame rule of :func:`apply_channel`
-    and of a run's taps-file check."""
+    within an ``n``-sample frame: the one frame rule of :func:`apply_channel`,
+    of a synthetic pass's bounding taps and of each taps-file point."""
     duration = n / fs
     if not tap.delay_s >= 0:
         raise ValueError(f"tap delay must be >= 0, got {tap.delay_s}")
@@ -281,6 +282,17 @@ def check_tap_delay(tap: ChannelTap, fs: float, n: int) -> float:
             f"tap delay {tap.delay_s} s exceeds the frame duration {duration} s"
         )
     return tap.delay_s * fs
+
+
+def check_link_budget(realization: ChannelRealization, p_t_watts: float) -> None:
+    """Raise ``ValueError`` unless the strongest of a realization's taps
+    receives a normal double at ``p_t_watts``: the frame's mean ``|x|^2`` is
+    that power, and below it underflows, to zero at last."""
+    strongest = p_t_watts * max(abs(tap.gain) ** 2 for tap in realization.taps)
+    if not strongest >= sys.float_info.min:
+        raise ValueError(
+            f"the strongest tap receives {strongest} W, below {sys.float_info.min} W"
+        )
 
 
 def _tap_delay(delay_samples: float):

@@ -12,13 +12,13 @@ once over that list, and the runners fly it.
 """
 
 import math
-import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .channel import MAX_CARRIER_HZ, MAX_DB, NlosSpec, received_power
+from .channel import MAX_CARRIER_HZ, MAX_DB, ChannelRealization, ChannelTap, NlosSpec
+from .channel import check_link_budget, check_tap_delay, received_power
 from .prach_modem import MODULATIONS, WaveformParams
 from .uav_scenario import AirframeConfig, AntennaConfig, pitch_angle, propulsion_power
 from .uav_scenario import MAX_ATTENUATION_DB, trajectory_point
@@ -282,53 +282,47 @@ def parse_config(tree) -> ExperimentConfig:
         low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
         if low > high:
             raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
-    flown = flights(cfg)
-    if channel.source == "synthetic":
+    for flight in flights(cfg):
+        if channel.source != "synthetic":
+            continue
+        at, waveform = f"{flight.path}: " if flight.path else "", flight.cfg.waveform
+        scenario, nlos = flight.cfg.scenario, flight.cfg.channel.nlos
+        spec = scenario.trajectory
         # the link budget (lambda / 4 pi d)^2 is a far-field law: it passes
-        # unity at d < lambda / 4 pi and overflows as d, at least the
-        # height, goes to zero
-        wavelength = SPEED_OF_LIGHT / cfg.scenario.carrier_hz
-        height = cfg.scenario.trajectory.height_m
-        if height < wavelength:
+        # unity at d < lambda / 4 pi and overflows as d, at least the height,
+        # goes to zero
+        wavelength = SPEED_OF_LIGHT / scenario.carrier_hz
+        if spec.height_m < wavelength:
             raise ConfigError(
-                f"scenario.trajectory.height_m: must be at least one wavelength, "
-                f"c / carrier_hz = {wavelength} m, got {height}"
+                f"{at}scenario.trajectory.height_m: must be at least one wavelength, "
+                f"c / carrier_hz = {wavelength} m, got {spec.height_m}"
             )
-        # the trajectory's far end, its last point as uav_scenario places it;
-        # no sweep axis moves it
-        spec, antenna = cfg.scenario.trajectory, cfg.scenario.antenna
+        # the pass's bounding taps: the line of sight from its far end, its
+        # last point as uav_scenario places it, on the antenna's floor, which
+        # no synthetic draw's strongest tap falls below, and that tap delayed
+        # by the largest NLoS excess, which no drawn tap passes
         far_m = trajectory_point(spec.count - 1, **asdict(spec)).distance_m
-        # the weakest received power, the line of sight from the far end at
-        # the antenna's floor, must be a normal double: the frame's mean
-        # |x|^2 is that power, and below it underflows, to zero at last
-        weakest = received_power(
-            cfg.waveform.p_t_watts,
-            wavelength,
-            far_m,
-            channel.g_t_db,
-            antenna.g_rmax_db - MAX_ATTENUATION_DB,
-        )
-        if weakest < sys.float_info.min:
+        floor_db = scenario.antenna.g_rmax_db - MAX_ATTENUATION_DB
+        power = received_power(1.0, wavelength, far_m, flight.cfg.channel.g_t_db, floor_db)
+        los = ChannelTap(math.sqrt(power), far_m / SPEED_OF_LIGHT, 0.0)
+        excess = nlos.excess_delay_range_s[1] if nlos and nlos.count else 0.0
+        latest = replace(los, delay_s=los.delay_s + excess)
+        bound = ChannelRealization(spec.count - 1, far_m, [los, latest])
+        try:
+            check_link_budget(bound, waveform.p_t_watts)
+        except ValueError as exc:
             raise ConfigError(
-                f"the link budget: the weakest received power is {weakest} W, below "
-                f"{sys.float_info.min} W; raise waveform.p_t_watts, channel.g_t_db "
-                f"or scenario.antenna.g_rmax_db"
-            )
-        # the latest tap, the line of sight from the far end (as
-        # synthesize_scenario_channel delays it) plus the largest NLoS excess
-        # delay, must arrive within the frame at every spacing a run flies
-        delay = far_m / SPEED_OF_LIGHT
-        if channel.nlos is not None and channel.nlos.count:
-            delay += channel.nlos.excess_delay_range_s[1]
-        for flight in flown:
-            waveform = flight.cfg.waveform
-            duration = waveform.frame_len / waveform.sample_rate  # as the channel's
-            if delay >= duration:
-                raise ConfigError(
-                    f"{flight.path or 'waveform.delta_f_hz'}: the frame lasts {duration} s "
-                    f"at {waveform.delta_f_hz} Hz, but a tap from the trajectory's far end "
-                    f"can arrive at {delay} s"
-                )
+                f"{at}the link budget: at the trajectory's far end and the antenna's floor, "
+                f"{exc}; raise waveform.p_t_watts, channel.g_t_db or scenario.antenna.g_rmax_db"
+            ) from exc
+        try:
+            check_tap_delay(latest, waveform.sample_rate, waveform.frame_len)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{flight.path or 'waveform.delta_f_hz'}: the frame lasts "
+                f"{waveform.frame_len / waveform.sample_rate} s at {waveform.delta_f_hz} Hz, "
+                f"but a tap from the trajectory's far end can arrive at {latest.delay_s} s"
+            ) from exc
     return cfg
 
 

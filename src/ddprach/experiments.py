@@ -36,7 +36,6 @@ array; each flight frames it with its own ``params``.
 import os
 import pickle
 import signal
-import sys
 from dataclasses import asdict
 from functools import partial
 
@@ -48,6 +47,7 @@ from .channel import (
     add_awgn,
     add_noise_power,
     apply_channel,
+    check_link_budget,
     check_tap_delay,
     load_taps,
     synthesize_scenario_channel,
@@ -108,20 +108,13 @@ def _run_grid(
         for point_idx in range(cfg.scenario.trajectory.count):
             if point_idx not in file_taps:
                 raise TapFileError(f"taps file has no rows for point {point_idx}")
-            taps = file_taps[point_idx].taps
+            real = file_taps[point_idx]
             try:
-                # the link-budget rule of a synthetic pass: the strongest tap's
-                # received power must be a normal double, or the frame underflows
-                strongest = cfg.waveform.p_t_watts * max(abs(tap.gain) ** 2 for tap in taps)
-                if strongest < sys.float_info.min:
-                    raise ValueError(
-                        f"the strongest tap receives {strongest} W, "
-                        f"below {sys.float_info.min} W"
-                    )
-                # the channel's frame rule, on the latest tap at every spacing
+                # the channel's link-budget and frame rules, at every flight
                 for flight in flown:
                     waveform = flight.cfg.waveform
-                    check_tap_delay(taps[-1], waveform.sample_rate, waveform.frame_len)
+                    check_link_budget(real, waveform.p_t_watts)
+                    check_tap_delay(real.taps[-1], waveform.sample_rate, waveform.frame_len)
             except ValueError as exc:
                 raise TapFileError(f"taps file: point {point_idx}: {exc}") from exc
     count = cfg.scenario.trajectory.count
