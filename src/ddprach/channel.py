@@ -495,13 +495,14 @@ def received_power(
 ) -> float:
     """Free-space received power in watts.
 
-    ``P_r = P_t (lambda / 4 pi d)^2 (G_t G_r)^2`` with linear gains, i.e. the
-    antenna gain product enters squared.
+    Friis's transmission formula, ``P_r = P_t (lambda / 4 pi d)^2 G_t G_r``
+    with linear power gains (H. T. Friis, "A Note on a Simple Transmission
+    Formula", Proc. IRE 34(5), 1946).
     """
     if distance_m <= 0:
         raise ValueError("distance must be positive")
     gains = 10.0 ** (g_t_db / 10.0) * 10.0 ** (g_r_db / 10.0)
-    return p_t_watts * (wavelength_m / (4.0 * math.pi * distance_m)) ** 2 * gains**2
+    return p_t_watts * (wavelength_m / (4.0 * math.pi * distance_m)) ** 2 * gains
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +519,8 @@ TAPS_HEADER = [
 ]
 
 # the largest dB level, of a config field or a taps-file gain: 10**(x/10)
-# stays finite, and so does received_power's squared product of two such
-# gains, 10**(4 * 300 / 10) = 1e120
+# stays finite, and so does received_power's product of two such gains,
+# 10**(2 * 300 / 10) = 1e60
 MAX_DB = 300.0
 # the top of the ITU radio spectrum, the config's largest carrier; a Doppler
 # v f_c / c with v below light's speed is at most that, so it bounds a

@@ -124,8 +124,8 @@ _RULES = {
     "waveform.n_dft": _between(1, 65_536),
     "waveform.n": _between(1, 1_024),
     "waveform.cp_len": _NON_NEGATIVE,
-    # every dB field at its bound multiplies the received power by 1e120 and an
-    # SNR of -300 dB adds 1e30 times that as noise: such runs stay finite to 1e125 W
+    # every dB field at its bound multiplies the received power by 1e60 and an
+    # SNR of -300 dB adds 1e30 times that as noise: such runs stay finite to 1e190 W
     "waveform.p_t_watts": (lambda v: 0 < v <= 1e100, "in (0, 1e100]"),
     "scenario.trajectory.count": _between(1, 100_000),
     "scenario.carrier_hz": _between(3.0, MAX_CARRIER_HZ),  # the ITU radio spectrum
@@ -145,8 +145,8 @@ _RULES = {
     "channel.nlos.relative_power_db_range": _DB,
     "channel.g_t_db": _DB,
     "noise.snr_db": _DB,
-    # up to the noise that an SNR of -300 dB sets on the largest received
-    # power, 1e100 W raised 1e120 by the gains: the receiver's profile sums up
+    # past the noise that an SNR of -300 dB sets on the largest received power,
+    # 1e100 W raised 1e60 by the gains, 1e190 W: the receiver's profile sums up
     # to m n n_zc <= 2^38 such powers (frame_len bounds m n), finite to 6e296 W
     "noise.noise_power_watts": (lambda v: 0 <= v <= 1e250, "in [0, 1e250]"),
     "detection.target_pfa": (lambda v: 0 < v < 1, "in (0, 1)"),

@@ -66,8 +66,8 @@ class WaveformParams:
     def __post_init__(self):
         if self.cp_len is None:
             self.cp_len = self.n_dft // 8
-        if self.delta_f_hz <= 0:
-            raise ValueError("delta_f_hz must be positive")
+        if not 0 < self.delta_f_hz < math.inf:
+            raise ValueError(f"delta_f_hz must be positive and finite, got {self.delta_f_hz}")
         if not 2 <= self.m <= self.n_dft:
             raise ValueError(f"need 2 <= m <= n_dft, got m={self.m}, n_dft={self.n_dft}")
         if self.n < 1:
@@ -81,8 +81,8 @@ class WaveformParams:
             raise ValueError(
                 f"modulation must be one of {MODULATIONS}, got {self.modulation!r}"
             )
-        if self.p_t_watts <= 0:
-            raise ValueError("p_t_watts must be positive")
+        if not 0 < self.p_t_watts < math.inf:
+            raise ValueError(f"p_t_watts must be positive and finite, got {self.p_t_watts}")
 
     @property
     def sample_rate(self) -> float:

@@ -773,10 +773,12 @@ def test_received_power_inverse_square():
     assert p1 == pytest.approx(4.0 * p2, rel=1e-12)
 
 
-def test_received_power_squared_gain_product():
+def test_received_power_friis_gain_product():
+    # Friis multiplies the linear power gains once: 10 dB on either side is 10x
     base = received_power(1.0, 0.2, 100.0)
-    gained = received_power(1.0, 0.2, 100.0, g_t_db=10.0, g_r_db=0.0)
-    assert gained == pytest.approx(100.0 * base, rel=1e-12)
+    for g_t_db, g_r_db in ((10.0, 0.0), (0.0, 10.0), (5.0, 5.0)):
+        gained = received_power(1.0, 0.2, 100.0, g_t_db=g_t_db, g_r_db=g_r_db)
+        assert gained == pytest.approx(10.0 * base, rel=1e-12)
 
 
 def test_received_power_requires_positive_distance():

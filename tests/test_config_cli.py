@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from ddprach import (
     received_power,
     serialize_config,
 )
-from ddprach import cli, experiments
+from ddprach import build_trajectory, cli, config, experiments, synthesize_scenario_channel
 from ddprach.cli import main
 from ddprach.metrics import RESULTS_HEADER
 
@@ -296,6 +297,54 @@ def test_synthetic_tap_delay_includes_the_largest_nlos_excess():
         parse_config(dict(tree, channel=channel))
     # recorded taps are checked against the frame when the run starts
     parse_config(dict(tree, channel={"source": "taps_file", "taps_path": "taps.csv"}))
+
+
+def bounding_taps(monkeypatch, tree):
+    """The two taps that parse_config checks the base flight's pass on: the
+    realization it hands the channel's link-budget rule first."""
+    seen = []
+    real_check = config.check_link_budget
+
+    def check(realization, p_t_watts):
+        seen.append(realization)
+        real_check(realization, p_t_watts)
+
+    monkeypatch.setattr(config, "check_link_budget", check)
+    cfg = parse_config(tree)
+    monkeypatch.undo()
+    return cfg, seen[0].taps
+
+
+@pytest.mark.parametrize("tilt", [0.0, 45.0, 90.0])
+def test_synthetic_draws_stay_within_the_parse_time_bound(monkeypatch, tilt):
+    # the README default pass: no draw's strongest tap receives less than the
+    # bounding line of sight, and no drawn tap arrives after the bounding delay
+    cfg, (los, latest) = bounding_taps(monkeypatch, {"scenario": {"tilt_deg": tilt}})
+    trajectory = build_trajectory(**asdict(cfg.scenario.trajectory))
+    for seed in range(200):
+        for point in (trajectory[0], trajectory[seed % len(trajectory)], trajectory[-1]):
+            taps = synthesize_scenario_channel(
+                point, cfg.scenario.carrier_hz, cfg.scenario.antenna, tilt,
+                cfg.channel.nlos, seed=seed, g_t_db=cfg.channel.g_t_db,
+            ).taps
+            assert max(abs(tap.gain) ** 2 for tap in taps) >= abs(los.gain) ** 2
+            assert taps[-1].delay_s <= latest.delay_s
+
+
+def test_synthetic_tap_just_inside_the_frame_runs(monkeypatch):
+    # the toy pass's far end is 0.5 m off overhead; its line of sight plus the
+    # 0.5 us NLoS excess ends 0.1 ns before the 300 us toy frame does
+    far_m = (3e-4 - 5e-7 - 1e-10) * 299792458.0
+    tree = {
+        "waveform": TOY_WAVEFORM,
+        "scenario": {"trajectory": {"height_m": math.sqrt(far_m**2 - 0.25), "dp_m": 0.5,
+                                    "count": 3}},
+        "sweep": {"axis": "speed_mps", "values": [10.0]},
+        "trials": 2,
+    }
+    cfg, (_, latest) = bounding_taps(monkeypatch, tree)
+    assert 0.0 < 3e-4 - latest.delay_s < 1e-9
+    assert len(experiments.run_simulate(cfg)) == 3 * 2 * 2
 
 
 @pytest.mark.parametrize("command", ["validate-config", "simulate"])

@@ -107,9 +107,10 @@ def test_seed_changes_channel_draws():
 
 # results.csv of the README default at two trials, the benchmark's
 # simulate-default run, as written before each row span's tap fill became one
-# convolution: the full-size framing must not move a bit
+# convolution: the full-size framing must not move a bit (recorded again when
+# the link budget took Friis's gain product, which moves every tap's power)
 GOLDEN_README_DEFAULT_SHA256 = (
-    "20fc9b586c944f9bcbc574c0a90bb1fedcb87550d8d315d118413638763058cd"
+    "697359219a42c9caa217f0909c1a14be0ec2dcca4edc6414d894a5520086a9d8"
 )
 
 
@@ -129,7 +130,9 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
 # with the overrides below: command, file name, overrides, --threads and
 # SHA-256, recorded before the sweep runners read the grid's set-ups (the
 # speed sweep's again when the propulsion power derived its hover constants
-# from the weight, which moved its power_w column alone)
+# from the weight, which moved its power_w column alone, and when the link
+# budget took Friis's gain product; the one-tap cdf-sweep-los has a per-frame
+# SNR, so no gain reaches its numbers)
 GOLDEN_BENCHMARK_SWEEPS = {
     "cdf-sweep-los": (
         "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
@@ -138,7 +141,7 @@ GOLDEN_BENCHMARK_SWEEPS = {
     "speed-tradeoff-2t": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [5.0, 10.0, 15.0, 20.0]}}, 2,
-        "f22ee24fbb5b1ace09de90c550d4188dc46ab0625ff1a6f58afae5d1a9172ebb",
+        "65eaf53400be1267fc1988e59643a529391a6be13976459fa422985bb613ff3b",
     ),
 }
 
@@ -164,8 +167,9 @@ def test_schemes_share_channel_and_noise():
 
 # results.csv of the config below, as written before the channel pass and the
 # noise draw were shared between schemes; the shared pass must not move a bit
+# (recorded again when the link budget took Friis's gain product)
 GOLDEN_NLOS_RESULTS_SHA256 = (
-    "be95285faf12109ff131f8febabb9f9b6db61a4e4b8e9267d6dd0502332e618a"
+    "79b45b99f26d1864cc133d100be816d7b504d6e18733a6c8db68a8c578da2bce"
 )
 
 
@@ -185,37 +189,39 @@ def test_results_match_golden_digest(tmp_path):
 # each sweep CSV written through the command line on the toy waveform (with
 # sub-bin refinement, so that every noise draw shows): command, file name,
 # config overrides and SHA-256, recorded before the sweeps shared one driver
-# (the speed sweeps' again when only their power_w column moved, as above)
+# (the speed sweeps' again when only their power_w column moved, as above, and
+# all of them when the link budget took Friis's gain product)
 GOLDEN_SWEEPS = {
     "cdf": (
         "cdf-sweep", "cdf.csv",
         {"sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}},
-        "e172a52432d9550d820b763f5beb78cea9368249bebd077bac7aafd46246972a",
+        "1a035799993c9a24aba8106fbe66635de2129c419639fc73b41d1bf4e9e627f0",
     ),
     "speed_derived_tilt": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
-        "11591a244016e4354fcff5f78a954d25af19ce72c176964ab76426d8beb26a7d",
+        "eb1dfb92f98d44daf10953135fd05d8a275a2690ca9adae104b8b56e9c91417e",
     ),
     "speed_fixed_tilt": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"scenario": dict(toy_tree()["scenario"], tilt_deg=15.0),
          "sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
-        "a9c3500665d55a0cca85121901585e7d0d8e0b1061145630dcc5120d0e4b6126",
+        "85e658f5368db24ae81bb818e5a43399ec48823a08f699e40c303830f673a43a",
     ),
     "tilt": (
         "tilt-sweep", "tilt_sweep.csv",
         {"sweep": {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}},
-        "ede161d3501e8051aff89e7dc50300a74bafaf1f9a5adf441a9d1fea144c95ae",
+        "7172cdb763a3ea72ffb19c0a182edd8440c1f3e09899aa7b4cac85b0f997c895",
     ),
-    # absolute noise power (SNR about 3 to 16 dB, so some points are missed):
+    # absolute noise power (SNR about -20 to -1 dB, so all but one of the 36
+    # records are missed):
     # every sweep value adds the same unit noise row through add_noise_power;
     # recorded before the sweep values of a work item shared one noise draw
     "cdf_noise_power": (
         "cdf-sweep", "cdf.csv",
         {"noise": {"snr_db": None, "noise_power_watts": 5e-7},
          "sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}},
-        "e3a77f3933699ecc6c9091deb884bf767850e04b27915b1a95750605a8eba028",
+        "4ea1faa6f5767f968a316eac18dec5c65b9c016548073b4e0ca2c798ea7f9207",
     ),
 }
 

@@ -553,6 +553,14 @@ def test_params_validation():
         WaveformParams(p_t_watts=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["delta_f_hz", "p_t_watts"])
+def test_params_reject_a_non_finite_rate_or_power(name, value):
+    # a NaN spacing gave a NaN sample rate, and a NaN power NaN samples
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        WaveformParams(**{name: value})
+
+
 def binomial_upper_bound(trials: int, p: float, confidence: float) -> int:
     """The smallest ``k`` with ``P(X > k) <= 1 - confidence`` for ``X ~ B(trials, p)``."""
     cumulative = 0.0
