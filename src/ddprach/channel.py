@@ -111,44 +111,38 @@ def _classify_los(taps: list[ChannelTap]) -> bool:
 
 
 class FrameBuffers:
-    """The row-length arrays of one channel and noise pass over one sample
-    array, an ``(S, L)`` stack or one ``(L,)`` frame, for reuse from one pass
-    to the next.
+    """What a pass over one sample array, an ``(S, L)`` stack or one ``(L,)``
+    frame, keeps for a later pass over it to reuse.
 
-    ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write into these
-    arrays when given ``buffers=``; the array they return is ``frames``, so
-    it holds only until the next call on the same buffers.  They keep the
-    unit noise row last drawn, in ``unit``, and the ``SeedSequence`` it was
-    drawn from, in ``seed``; a noise call given that very object reuses the
-    row, and any other seed draws it anew.  The buffers keep
-    ``samples``: the first ``apply_channel`` on them plans its rows for the
-    framing's period ``n_dft + cp_len``, later ones reuse the plan, and one
-    on another array or period raises ``ValueError``.  They also keep, per
-    tap position, the whole filtered output of each row span last made there,
-    uncut, and the delay in samples it was made for; a later pass whose tap
-    at that position has the same delay in samples reuses it, and each pass
-    cuts it to the delayed frame.  The array must not change while the
-    buffers serve it.  One object serves one thread at a time; the
-    experiment runners make one per process of a run, so ``--threads K``
-    holds K sets, one in each forked worker process.
+    ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write their
+    output into the stack ``frames`` when given ``buffers=`` and return it,
+    so it holds only until the next call on the same buffers.  The stack is
+    kept because one allocated per pass is freed at every work item, and
+    malloc then returns its pages and faults them in again; scratch arrays
+    live for one call.  The buffers keep ``samples``: the first
+    ``apply_channel`` on them plans its rows for the framing's period
+    ``n_dft + cp_len``, later ones reuse the plan, and one on another array
+    or period raises ``ValueError``.  They keep, per tap position, the whole
+    filtered output of each row span last made there, uncut, and the delay
+    in samples it was made for; a later pass whose tap at that position has
+    the same delay in samples reuses it, and each pass cuts it to the
+    delayed frame.  They keep the unit noise row last drawn, in ``unit``,
+    and the ``SeedSequence`` it was drawn from, in ``seed``; a noise call
+    given that very object reuses the row, and any other seed draws it
+    anew.  The array must not change while the buffers serve it.  One
+    object serves one thread at a time; the experiment runners make one per
+    process of a run, so ``--threads K`` holds K sets, one in each forked
+    worker process.
     """
 
     def __init__(self, samples: np.ndarray):
-        shape = samples.shape
-        n = shape[-1]
-        self.samples = samples                         # the array they serve
-        self.period = None                             # its framing's period, once planned
-        self.rows = None                               # its row plan, once made
-        self.taps = []                                 # _FilteredTap per tap position
-        self.frames = np.empty(shape, dtype=complex)  # the output stack
-        # one tap's rotated part of a span on the delayed frame in a channel
-        # pass, a row's scaled noise in a noise pass
-        self.delayed = np.empty(n, dtype=complex)
-        # one tap's Doppler phasor over the whole n-sample frame
-        self.phasors = np.empty((-(-n // _PHASOR_BLOCK), _PHASOR_BLOCK), dtype=complex)
-        self.draws = np.empty(2 * n)                   # real draws, then imaginary
-        self.unit = np.empty(n, dtype=complex)         # the unit noise row
-        self.seed = None                               # the SeedSequence unit was drawn from
+        self.samples = samples                                  # the array they serve
+        self.period = None                                      # its framing's period, once set
+        self.rows = None                                        # its row plan, once made
+        self.taps = []                                          # _FilteredTap per tap position
+        self.frames = np.empty(samples.shape, dtype=complex)    # the output stack
+        self.unit = np.empty(samples.shape[-1], dtype=complex)  # the unit noise row
+        self.seed = None                                        # the SeedSequence of unit
 
 
 class _FilteredTap:
@@ -251,7 +245,7 @@ def apply_channel(
         filtered = buffers.taps[index]
         if filtered.delay != delay:
             _filter_tap(filtered, delay, buffers.rows)
-        _add_tap(out, filtered, tap, fs, buffers)
+        _add_tap(out, filtered, tap, fs)
     return buffers.frames
 
 
@@ -354,42 +348,39 @@ def _take(out: np.ndarray, convolved: np.ndarray, at: int, size: int) -> None:
     out.imag = convolved[imag : imag + out.size]
 
 
-def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float, buffers):
+def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float):
     """Add one tap's filtered output of each row span to its row of ``out``.
 
     This is where a span is cut to the delayed frame: its part on frame
     samples ``n0 .. n - 1``, the head before ``n0`` being zero-filled.  That
     part is rotated by the tap's gain and Doppler phasor, built once over
-    the frame, in ``buffers.delayed``; the stored outputs stay as they are.
+    the frame; the stored outputs stay as they are.
     """
     n = out.shape[-1]
-    phasor = _doppler_phasor(tap, fs, buffers.phasors)
+    phasor = _doppler_phasor(tap, fs, n)
     for row, at, values in filtered.spans:
         lo = max(at, filtered.n0)
         hi = min(at + values.size, n)
         if hi <= lo:
             continue  # delayed wholly past the frame end
-        delayed = buffers.delayed[: hi - lo]
         # keep the operand order phasor * values: a complex product can
         # differ in the last bit when its operands are swapped
-        np.multiply(phasor[lo:hi], values[lo - at : hi - at], out=delayed)
-        out[row, lo:hi] += delayed
+        out[row, lo:hi] += phasor[lo:hi] * values[lo - at : hi - at]
 
 
-def _doppler_phasor(tap: ChannelTap, fs: float, grid: np.ndarray) -> np.ndarray:
-    """``g exp(j 2 pi nu (t - tau))`` at every sample of ``grid``, flattened.
+def _doppler_phasor(tap: ChannelTap, fs: float, n: int) -> np.ndarray:
+    """``g exp(j 2 pi nu (t - tau))`` at frame samples ``0 .. n - 1``,
+    rounded up to whole ``_PHASOR_BLOCK``-sample blocks, flattened.
 
-    ``grid`` is a ``(blocks, _PHASOR_BLOCK)`` array, such as
-    ``FrameBuffers.phasors``, that covers the frame.  Sample
-    ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
+    Sample ``i = B b + o`` (``B = _PHASOR_BLOCK``) is the product of a block
     exponential at ``t = B b / fs`` and an offset exponential at ``o / fs``.
     """
-    block_starts = np.arange(grid.shape[0]) * _PHASOR_BLOCK
+    block_starts = np.arange(-(-n // _PHASOR_BLOCK)) * _PHASOR_BLOCK
     blocks = tap.gain * np.exp(
         2j * np.pi * tap.doppler_hz * (block_starts / fs - tap.delay_s)
     )
     offsets = np.exp(2j * np.pi * tap.doppler_hz * (_PHASOR_OFFSETS / fs))
-    return np.multiply(blocks[:, None], offsets, out=grid).reshape(-1)
+    return (blocks[:, None] * offsets).reshape(-1)
 
 
 def add_awgn(
@@ -464,13 +455,13 @@ def _add_noise(buffers: FrameBuffers, noise_power: np.ndarray, seed) -> np.ndarr
     if not (seed is buffers.seed and isinstance(seed, np.random.SeedSequence)):
         # one standard_normal draw of 2L values: the L real parts, then the
         # L imaginary parts
-        draws = np.random.default_rng(seed).standard_normal(out=buffers.draws)
+        draws = np.random.default_rng(seed).standard_normal(2 * n)
         noise.real = draws[:n]
         noise.imag = draws[n:]
         buffers.seed = seed
     for row, row_scale in zip(buffers.frames.reshape(-1, n), np.sqrt(noise_power / 2.0)):
         # keep the operand order row_scale * noise, as for the phasor above
-        row += np.multiply(row_scale, noise, out=buffers.delayed)
+        row += row_scale * noise
     return buffers.frames
 
 

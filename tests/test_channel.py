@@ -295,8 +295,7 @@ def _reference_add_tap(acc, parts, first, stop, tap, n0, kernel, fs):
     end = min(stop + kernel.size - 1 - lead, acc.size - n0)
     if end <= start:
         return
-    grid = np.empty((-(-acc.size // channel._PHASOR_BLOCK), channel._PHASOR_BLOCK), complex)
-    phasor = channel._doppler_phasor(tap, fs, grid)[n0 + start : n0 + end]
+    phasor = channel._doppler_phasor(tap, fs, acc.size)[n0 + start : n0 + end]
     filtered = np.convolve(parts, kernel)
     skip = start + lead - first
     imag = skip + parts.size - (stop - first)

@@ -213,15 +213,16 @@ GOLDEN_SWEEPS = {
         {"sweep": {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}},
         "7172cdb763a3ea72ffb19c0a182edd8440c1f3e09899aa7b4cac85b0f997c895",
     ),
-    # absolute noise power (SNR about -20 to -1 dB, so all but one of the 36
-    # records are missed):
-    # every sweep value adds the same unit noise row through add_noise_power;
-    # recorded before the sweep values of a work item shared one noise draw
+    # absolute noise power (SNR about -10 to 9 dB, so 22 of the 36 records
+    # are detected, 2 to 5 of the 6 in each scheme and spacing): every sweep
+    # value adds the same unit noise row through add_noise_power; recorded
+    # when the power fell from 5e-7 W, at which Friis's gain product left one
+    # record detected
     "cdf_noise_power": (
         "cdf-sweep", "cdf.csv",
-        {"noise": {"snr_db": None, "noise_power_watts": 5e-7},
+        {"noise": {"snr_db": None, "noise_power_watts": 5e-8},
          "sweep": {"axis": "delta_f_hz", "values": [15e3, 30e3, 60e3]}},
-        "4ea1faa6f5767f968a316eac18dec5c65b9c016548073b4e0ca2c798ea7f9207",
+        "e0960e321bdbe668b8a337bf2918ad421f90f9674fb10a47729b72342fac14d7",
     ),
 }
 
