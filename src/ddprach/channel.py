@@ -393,7 +393,7 @@ def add_awgn(
 
     The noise variance is scaled to the measured mean power of the input,
     row by row for a ``(S, L)`` stack: the dot product of the row's float
-    view with itself, over ``L``.  The noise is then added as by
+    view with itself, over ``L``.  The noise is then added by
     :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
     ``+inf`` returns a copy of the samples (noiseless) and draws nothing;
     NaN and ``-inf`` raise ``ValueError``, and so does a row that is all
@@ -413,9 +413,7 @@ def add_awgn(
     if np.any(signal_power == 0.0):
         raise ValueError("cannot set an SNR on an all-zero waveform")
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    if not np.all(np.isfinite(noise_power)):
-        raise ValueError(f"noise power must be finite, got {noise_power}")
-    return _add_noise(buffers, noise_power, seed)
+    return add_noise_power(buffers.frames, noise_power, seed, buffers)
 
 
 def add_noise_power(
@@ -438,18 +436,12 @@ def add_noise_power(
     the same bits again and a ``Generator`` its next values.
     """
     noise_power = np.asarray(noise_power_watts, dtype=float)
-    if not np.all(np.isfinite(noise_power)) or np.any(noise_power < 0):
+    if not np.isfinite(noise_power).all() or (noise_power < 0).any():
         raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
     buffers = _load(buffers, samples)
-    rows = buffers.frames.size // buffers.unit.size
-    return _add_noise(buffers, np.broadcast_to(noise_power, (rows,)), seed)
-
-
-def _add_noise(buffers: FrameBuffers, noise_power: np.ndarray, seed) -> np.ndarray:
-    """Add to each row of ``buffers.frames`` the buffers' unit noise row,
-    drawn from ``seed`` unless it already is, scaled to that row's entry of
-    the checked ``noise_power``."""
     noise, n = buffers.unit, buffers.unit.size
+    rows = buffers.frames.reshape(-1, n)
+    row_scales = np.full(len(rows), np.sqrt(noise_power / 2.0))
     # default_rng leaves a SeedSequence as it was, so the row of the very one
     # the buffers last drew from is still theirs; any other seed draws
     if not (seed is buffers.seed and isinstance(seed, np.random.SeedSequence)):
@@ -459,7 +451,7 @@ def _add_noise(buffers: FrameBuffers, noise_power: np.ndarray, seed) -> np.ndarr
         noise.real = draws[:n]
         noise.imag = draws[n:]
         buffers.seed = seed
-    for row, row_scale in zip(buffers.frames.reshape(-1, n), np.sqrt(noise_power / 2.0)):
+    for row, row_scale in zip(rows, row_scales):
         # keep the operand order row_scale * noise, as for the phasor above
         row += row_scale * noise
     return buffers.frames

@@ -248,13 +248,22 @@ def _parse(annotation, node, path: str):
     if origin is list:
         if not isinstance(node, list) or not node:
             raise ConfigError(f"{path}: expected a non-empty list")
-        return [_parse(args[0], item, f"{path}[{i}]") for i, item in enumerate(node)]
+        items = [_parse(args[0], item, f"{path}[{i}]") for i, item in enumerate(node)]
+        # list items are distinct: a repeated scheme or sweep value would run
+        # its grid twice
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigError(f"{path}[{i}]: duplicate value")
+        return items
     if origin is tuple:
         if not isinstance(node, list) or len(node) != len(args):
             raise ConfigError(f"{path}: expected a [low, high] pair")
-        return tuple(
+        low, high = (
             _parse(arg, item, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, node))
         )
+        if low > high:
+            raise ConfigError(f"{path}: low bound exceeds high bound")
+        return low, high
     return _scalar(annotation, node, path)
 
 
@@ -262,26 +271,19 @@ def parse_config(tree) -> ExperimentConfig:
     """Validate a parsed YAML tree and build the experiment configuration."""
     cfg = _section(ExperimentConfig, tree, "")
     channel, noise, sweep = cfg.channel, cfg.noise, cfg.sweep
-    if channel.source == "taps_file" and channel.taps_path is None:
-        raise ConfigError("channel.taps_path: required when source is 'taps_file'")
+    if (channel.source == "taps_file") == (channel.taps_path is None):
+        need = "required" if channel.taps_path is None else "allowed only"
+        raise ConfigError(f"channel.taps_path: {need} when source is 'taps_file'")
     if noise.snr_db is not None and noise.noise_power_watts is not None:
         raise ConfigError("noise: snr_db and noise_power_watts are mutually exclusive")
     if cfg.waveform.frame_len > _MAX_FRAME_LEN:
         raise ConfigError(
             f"waveform: frame_len {cfg.waveform.frame_len} must be ≤ {_MAX_FRAME_LEN}"
         )
-    if len(set(cfg.schemes)) != len(cfg.schemes):
-        raise ConfigError("schemes: duplicate entries")
     check, allowed = _rule(SWEEP_AXES[sweep.axis], float)
     for i, value in enumerate(sweep.values):
         if not check(value):
             raise ConfigError(f"sweep.values[{i}]: {sweep.axis} must be {allowed}, got {value}")
-        if value in sweep.values[:i]:
-            raise ConfigError(f"sweep.values[{i}]: duplicate value")
-    for name in ("excess_delay_range_s", "relative_power_db_range"):
-        low, high = getattr(channel.nlos, name) if channel.nlos else (0, 0)
-        if low > high:
-            raise ConfigError(f"channel.nlos.{name}: low bound exceeds high bound")
     for flight in flights(cfg):
         if channel.source != "synthetic":
             continue

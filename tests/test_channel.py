@@ -609,6 +609,11 @@ def test_taps_sorted_by_delay():
     assert ch.taps[0].gain == 1.0
 
 
+def test_realization_needs_a_tap():
+    with pytest.raises(ValueError, match="at least one tap"):
+        ChannelRealization(0, 1.0, [])
+
+
 def test_los_tag_margin():
     # echo 3 dB below the first tap -> comparable power -> NLoS
     near = ChannelRealization(
@@ -893,6 +898,11 @@ def test_tap_file_round_trip(tmp_path):
             assert a.gain == pytest.approx(b.gain, rel=1e-9)
             assert a.delay_s == pytest.approx(b.delay_s, rel=1e-9)
             assert a.doppler_hz == pytest.approx(b.doppler_hz, rel=1e-9)
+    # the point-indexed mapping that load_taps returns saves as its values do
+    from_mapping, from_values = tmp_path / "mapping.csv", tmp_path / "values.csv"
+    save_taps(from_mapping, loaded)
+    save_taps(from_values, list(loaded.values()))
+    assert from_mapping.read_text() == from_values.read_text()
 
 
 @pytest.mark.parametrize("gain", [0.0, 1e-16, 1e16])

@@ -106,6 +106,12 @@ def test_schemes_validation():
         parse_config({"schemes": ["otfs", "otfs"]})
 
 
+def test_schemes_must_differ():
+    # the walker's list rule, which every list field shares with sweep.values
+    with pytest.raises(ConfigError, match=r"^schemes\[1\]: duplicate value$"):
+        parse_config({"schemes": ["otfs", "otfs"]})
+
+
 def test_cp_len_follows_explicit_n_dft():
     cfg = parse_config({"waveform": {"n_dft": 64, "m": 16, "n_zc": 13}})
     assert cfg.waveform.cp_len == 8
@@ -152,6 +158,17 @@ def test_nlos_pair_validation():
 def test_taps_file_source_requires_path():
     with pytest.raises(ConfigError, match="taps_path"):
         parse_config({"channel": {"source": "taps_file"}})
+
+
+def test_taps_path_requires_the_taps_file_source(tmp_path, capsys):
+    # the synthetic source reads no taps file, so a path set beside it would
+    # be ignored without a word
+    message = "channel.taps_path: allowed only when source is 'taps_file'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config({"channel": {"taps_path": "taps.csv"}})
+    path = write_toy_config(tmp_path, text="channel:\n  taps_path: taps.csv\n")
+    assert main(["validate-config", "--config", path]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_sweep_validation():
@@ -459,6 +476,14 @@ def test_cli_float_that_yaml_reads_as_text_exit_2_with_a_hint(tmp_path, capsys, 
         f"which YAML read as text; write it {spelling}"
     )
     parse_config(yaml.safe_load(f"waveform: {{delta_f_hz: {spelling}}}"))  # the hint parses
+
+
+@pytest.mark.parametrize("node", [[1], "abc", "1e999"])
+def test_float_field_set_to_no_finite_float_gets_no_hint(node):
+    # a list, text that reads as no number and text that reads as an infinite
+    # one have no spelling that YAML would read as a finite float
+    with pytest.raises(ConfigError, match="^waveform.delta_f_hz: expected a number, got [^,]*$"):
+        parse_config({"waveform": {"delta_f_hz": node}})
 
 
 def test_cli_waveform_modulation_is_no_config_key_exit_2(tmp_path, capsys):

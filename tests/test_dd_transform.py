@@ -171,6 +171,13 @@ def test_framing_mismatch_rejected():
 def test_n_dft_must_cover_subcarriers():
     with pytest.raises(ValueError):
         heisenberg_modulate(np.ones((1, 16), dtype=complex), n_dft=8, cp_len=0)
+    with pytest.raises(ValueError, match=r"m \(64\) must be <= n_dft \(32\)"):
+        wigner_demodulate(np.ones(32, dtype=complex), 32, 0, m=64, n=1)
+
+
+def test_cp_must_fit_the_dft():
+    with pytest.raises(ValueError, match="cp_len must be in"):
+        heisenberg_modulate(np.ones((1, 16), dtype=complex), n_dft=32, cp_len=33)
 
 
 def test_full_chain_identity():

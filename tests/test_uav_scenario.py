@@ -111,6 +111,11 @@ def test_pitch_rejects_negative_speed():
         pitch_angle(-1.0, AirframeConfig())
 
 
+def test_propulsion_power_rejects_negative_speed():
+    with pytest.raises(ValueError, match="v must be >= 0"):
+        propulsion_power(-1.0, AirframeConfig())
+
+
 # ---------------------------------------------------------------------------
 # propulsion power
 # ---------------------------------------------------------------------------
@@ -210,6 +215,12 @@ def test_los_count_validity_window():
         los_point_count(30.0, 0.5, 90.0, 0.0, p0=0)  # angle exactly 90 deg
     with pytest.raises(ValueError):
         los_point_count(30.0, 0.5, 170.0, 10.0, p0=0)  # angle 0 deg
+
+
+@pytest.mark.parametrize("height_m, dp_m", [(0.0, 0.5), (-30.0, 0.5), (30.0, 0.0)])
+def test_los_count_needs_a_positive_height_and_step(height_m, dp_m):
+    with pytest.raises(ValueError, match="must be positive"):
+        los_point_count(height_m, dp_m, 100.0, 10.0, p0=0)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ def test_length_too_short():
 def test_non_prime_length_warns():
     with pytest.warns(UserWarning):
         generate_zc(1, 15)
+    with pytest.warns(UserWarning, match="4 is not prime"):
+        generate_zc(1, 4)
 
 
 def test_sequence_is_immutable():
@@ -133,6 +135,19 @@ def test_values_nonnegative():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         circular_correlation(np.ones(8), np.ones(9))
+
+
+@pytest.mark.parametrize(
+    "received, reference, message",
+    [
+        (np.ones((2, 8)), np.ones((2, 8)), "one-dimensional"),
+        (np.ones(0), np.ones(0), "at least one sample"),
+    ],
+    ids=["2-D", "empty"],
+)
+def test_correlation_rejects_a_shape_it_cannot_correlate(received, reference, message):
+    with pytest.raises(ValueError, match=message):
+        circular_correlation(received, reference)
 
 
 def test_dft_magnitude_flat():
