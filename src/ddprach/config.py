@@ -1,10 +1,12 @@
 """Experiment configuration: YAML schema, validation and canonical form.
 
 The configuration file is a YAML mapping with explicit units in the key
-names.  The dataclasses below, and the library dataclasses they nest, are the
-schema: one walk over their fields parses and checks a tree, and ``asdict``
-gives the canonical form.  Unknown keys anywhere in the tree are rejected with
-their dotted path so typos cannot silently fall back to defaults.
+names, read and written in one dialect: PyYAML's YAML 1.1 with YAML 1.2's
+floats (``15e3``, ``-.5``), and no key repeated within a mapping.  The
+dataclasses below, and the library dataclasses they nest, are the schema: one
+walk over their fields parses and checks a tree, and ``asdict`` gives the
+canonical form.  Unknown keys anywhere in the tree are rejected with their
+dotted path so typos cannot silently fall back to defaults.
 :func:`flights` lists the configurations a run flies, the config and each
 sweep value's, each a :class:`Flight` with its tilt, its propulsion power
 and each scheme's framing; the parse checks the rules that depend on them
@@ -12,6 +14,7 @@ once over that list, and the runners fly it.
 """
 
 import math
+import re
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -181,8 +184,7 @@ def _rule(path: str, kind):
 def _scalar(kind, node, path: str):
     types, noun = _SCALARS[kind]
     if not isinstance(node, types) or (isinstance(node, bool) and kind is not bool):
-        hint = _float_text_hint(node) if kind is float else ""
-        raise ConfigError(f"{path}: expected {noun}, got {node!r}{hint}")
+        raise ConfigError(f"{path}: expected {noun}, got {node!r}")
     value = node
     if kind is float:
         try:
@@ -197,23 +199,6 @@ def _scalar(kind, node, path: str):
     if not check(value):
         raise ConfigError(f"{path}: must be {allowed}, got {value!r}")
     return value
-
-
-def _float_text_hint(node) -> str:
-    """A hint for text that reads as a float: YAML 1.1, which PyYAML follows,
-    takes ``15e3``, ``1e-3`` and ``1.0e6`` as text, since its floats need a
-    dot and, with an exponent, its sign (``15.0e+3``)."""
-    try:
-        if not isinstance(node, str) or not math.isfinite(float(node)):
-            return ""
-    except ValueError:
-        return ""
-    mantissa, e, exponent = node.strip().lower().partition("e")
-    if "." not in mantissa:
-        mantissa += ".0"
-    if e and exponent[:1] not in "+-":
-        exponent = "+" + exponent
-    return f", which YAML read as text; write it {mantissa}{e}{exponent}"
 
 
 def _section(cls, node, path: str):
@@ -379,11 +364,37 @@ def flights(cfg: ExperimentConfig) -> list[Flight]:
     return flown
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader; a key written twice in one mapping is an error."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        for i, key in enumerate(keys):
+            if key.value in (k.value for k in keys[:i]):
+                problem = f"duplicate key {key.value!r}"
+                raise yaml.MarkedYAMLError(problem=problem, problem_mark=key.start_mark)
+        return node
+
+
+class _Dumper(yaml.SafeDumper):
+    """PyYAML's safe dumper, writing a tuple as a list."""
+
+
+_Dumper.add_representer(tuple, _Dumper.represent_list)
+for _dialect in (_Loader, _Dumper):  # YAML 1.2's floats, after PyYAML's ints and floats
+    _dialect.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate a YAML configuration file."""
     try:
         with open(path) as fh:
-            tree = yaml.safe_load(fh)
+            tree = yaml.load(fh, _Loader)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: an integer literal past Python's digit limit
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
@@ -392,18 +403,9 @@ def load_config(path) -> ExperimentConfig:
     return parse_config({} if tree is None else tree)
 
 
-def _plain(node):
-    """Turn the tuples of an ``asdict`` tree into lists for ``safe_dump``."""
-    if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_plain(item) for item in node]
-    return node
-
-
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render the canonical YAML form of a configuration: every config key."""
     tree = asdict(cfg)
     section, name = _RUN_FIELD
     del tree[section][name]
-    return yaml.safe_dump(_plain(tree), sort_keys=False)
+    return yaml.dump(tree, Dumper=_Dumper, sort_keys=False)

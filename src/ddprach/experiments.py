@@ -345,6 +345,10 @@ def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     beamwidth, each point once.  ``n_los_tagged`` counts the distinct points
     with at least one LoS-tagged record over all trials and schemes, so with
     ``trials > 1`` it can grow with the trial count, up to the point count.
+    ``last_los_index`` is :func:`los_point_count`'s closed form, the index of
+    the last point inside the beamwidth on a line that never ends: it can pass
+    ``count - 1``, and it is empty when ``180 - fnb_deg - tilt`` lies outside
+    (0°, 90°), even with every point of the pass in the beam.
     """
     spec = cfg.scenario.trajectory
     fnb = cfg.scenario.antenna.fnb_deg

@@ -450,6 +450,16 @@ def test_cli_validate_config_golden(tmp_path, capsys, config, golden):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+def test_cli_validate_config_quotes_text_that_reads_as_a_number(tmp_path, capsys):
+    # the dumper writes in the loader's dialect, so the canonical form reads back
+    text = 'channel: {source: taps_file, taps_path: "1e3"}\n'
+    assert main(["validate-config", "--config", write_toy_config(tmp_path, text=text)]) == 0
+    printed = capsys.readouterr().out
+    assert "  taps_path: '1e3'\n" in printed
+    assert main(["validate-config", "--config", write_toy_config(tmp_path, text=printed)]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_cli_validate_config_derived_fnb(tmp_path, capsys):
     text = "scenario:\n  antenna:\n    theta_3db_deg: 20.0\n    fnb_deg: null\n"
     assert main(["validate-config", "--config", write_toy_config(tmp_path, text=text)]) == 0
@@ -465,17 +475,52 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, spelling",
-    [("15e3", "15.0e+3"), ("1e-3", "1.0e-3"), ("1.0e6", "1.0e+6")],
+    [
+        # YAML 1.2 floats, which YAML 1.1 reads as text, in their 1.1 spelling
+        ("waveform: {delta_f_hz: 15e3}\n", "waveform: {delta_f_hz: 15.0e+3}\n"),
+        ("detection: {target_pfa: 1e-3}\n", "detection: {target_pfa: 1.0e-3}\n"),
+        ("waveform: {delta_f_hz: 1.0e6}\n", "waveform: {delta_f_hz: 1.0e+6}\n"),
+        ("noise: {snr_db: -.5}\n", "noise: {snr_db: -0.5}\n"),
+        ("waveform: {p_t_watts: +.5e3}\n", "waveform: {p_t_watts: 0.5e+3}\n"),
+        ("sweep: {values: [.5e3, 15e3]}\n", "sweep: {values: [0.5e+3, 15.0e+3]}\n"),
+        # ints stay ints, which an integer field alone accepts
+        ("trials: 15\nseed: 0x10\n", "trials: 15\nseed: 16\n"),
+    ],
 )
-def test_cli_float_that_yaml_reads_as_text_exit_2_with_a_hint(tmp_path, capsys, text, spelling):
-    # YAML 1.1 floats need a dot and a signed exponent; PyYAML reads these as text
-    path = write_toy_config(tmp_path, text=f"waveform: {{delta_f_hz: {text}}}\n")
-    assert main(["validate-config", "--config", path]) == 2
-    assert capsys.readouterr().err.strip() == (
-        f"config error: waveform.delta_f_hz: expected a number, got '{text}', "
-        f"which YAML read as text; write it {spelling}"
-    )
-    parse_config(yaml.safe_load(f"waveform: {{delta_f_hz: {spelling}}}"))  # the hint parses
+def test_cli_yaml_1_2_number_reads_as_its_value(tmp_path, capsys, text, spelling):
+    printed = []
+    for name, source in (("text.yaml", text), ("spelling.yaml", spelling)):
+        path = write_toy_config(tmp_path, text=source, name=name)
+        assert main(["validate-config", "--config", path]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("command", [["validate-config"], ["simulate", "--out", "out"]])
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("trials: 2\nseed: 1\ntrials: 3\n", "trials", 3),
+        ("noise:\n  snr_db: 1.0\n  snr_db: 2.0\n", "snr_db", 3),
+        ("noise: {snr_db: 1.0}\ntrials: 2\nnoise: {snr_db: null}\n", "noise", 3),
+    ],
+)
+def test_cli_repeated_key_exit_2(tmp_path, capsys, monkeypatch, command, text, key, line):
+    # the later key would silently override the earlier one
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", write_toy_config(tmp_path, text=text)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid YAML: duplicate key '{key}'" in err
+    assert f"line {line}, column" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_merge_key_loads_as_pyyaml_reads_it(tmp_path):
+    # a merge key may repeat a key that the mapping sets itself, which wins
+    text = "noise: {<<: {snr_db: 5.0}, snr_db: 3.0}\n"
+    cfg = load_config(write_toy_config(tmp_path, text=text))
+    assert cfg == parse_config(yaml.safe_load(text))
+    assert cfg.noise.snr_db == 3.0
 
 
 @pytest.mark.parametrize("node", [[1], "abc", "1e999"])
@@ -739,6 +784,12 @@ def test_cli_worker_process_that_dies_is_not_a_data_error(tmp_path, monkeypatch)
     [
         ("simulate", "waveform:\n  delta_f_hz: .nan\n", "waveform.delta_f_hz"),
         ("simulate", "noise:\n  snr_db: .inf\n", "noise.snr_db"),
+        # quoted, a number is text, whatever it spells
+        (
+            "simulate",
+            'waveform: {delta_f_hz: "15e3"}\n',
+            "config error: waveform.delta_f_hz: expected a number, got '15e3'\n",
+        ),
         # the shape of the tree around a number
         ("simulate", "waveform: 5\n", "waveform: expected a mapping, got int"),
         ("simulate", "- 1\n- 2\n", "<root>: expected a mapping, got list"),

@@ -5,8 +5,6 @@ import pkgutil
 import re
 from pathlib import Path
 
-import yaml
-
 import ddprach
 
 README = Path(__file__).parent.parent / "README.md"
@@ -39,7 +37,9 @@ def test_readme_library_examples_run(capsys):
     assert float(capsys.readouterr().out) > 0
 
 
-def test_readme_config_shows_the_defaults():
-    """The README's ``yaml`` block is the config that ``{}`` parses to."""
+def test_readme_config_shows_the_defaults(tmp_path):
+    """The README's ``yaml`` block, loaded as a config file, is the config
+    that ``{}`` parses to."""
     (block,) = re.findall(r"^```yaml\n(.*?)^```$", README.read_text(), re.M | re.S)
-    assert ddprach.parse_config(yaml.safe_load(block)) == ddprach.parse_config({})
+    (tmp_path / "readme.yaml").write_text(block)
+    assert ddprach.load_config(tmp_path / "readme.yaml") == ddprach.parse_config({})
