@@ -492,15 +492,6 @@ def received_power(
 # tap-file I/O
 # ---------------------------------------------------------------------------
 
-TAPS_HEADER = [
-    "point_index",
-    "true_distance_m",
-    "gain_db",
-    "phase_rad",
-    "delay_s",
-    "doppler_hz",
-]
-
 # the largest dB level, of a config field or a taps-file gain: 10**(x/10)
 # stays finite, and so does received_power's product of two such gains,
 # 10**(2 * 300 / 10) = 1e60
@@ -510,56 +501,62 @@ MAX_DB = 300.0
 # taps-file Doppler too
 MAX_CARRIER_HZ = 3.0e12
 
+# the taps file's columns in file order: each one's type, the rule its value
+# obeys once every float is finite, and the reason for a value that breaks it;
+# point_index is an int of any size, and a run ignores a point past its pass
+TAPS_COLUMNS = {
+    "point_index": (int, lambda v: v >= 0, "negative point_index {}"),
+    "true_distance_m": (float, lambda v: v > 0, "true_distance_m {} is not positive"),
+    "gain_db": (float, lambda v: -MAX_DB <= v <= MAX_DB,
+                f"gain {{}} dB is outside [{-MAX_DB}, {MAX_DB}]"),
+    "phase_rad": (float, lambda v: True, None),  # any finite angle
+    "delay_s": (float, lambda v: v >= 0, "negative delay {}"),
+    "doppler_hz": (float, lambda v: abs(v) <= MAX_CARRIER_HZ,
+                   f"Doppler {{}} Hz is outside [{-MAX_CARRIER_HZ}, {MAX_CARRIER_HZ}]"),
+}
+TAPS_HEADER = list(TAPS_COLUMNS)
+
+
+def _check_tap_row(row: dict, distances: dict) -> None:
+    """Raise ``ValueError`` with the reason unless ``row``, a value per
+    column of :data:`TAPS_COLUMNS`, obeys each column's rule, and its
+    ``true_distance_m`` equals the one in ``distances`` of its point's
+    earlier rows; record it there for a first row of its point."""
+    floats = (row[column] for column, (kind, *_) in TAPS_COLUMNS.items() if kind is float)
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("non-finite value")
+    for column, (_, rule, reason) in TAPS_COLUMNS.items():
+        if not rule(row[column]):
+            raise ValueError(reason.format(row[column]))
+    point, distance = row["point_index"], row["true_distance_m"]
+    if distances.setdefault(point, distance) != distance:
+        raise ValueError(
+            f"point {point}: true_distance_m {distance} "
+            f"differs from {distances[point]} on its earlier rows"
+        )
+
 
 def load_taps(path) -> dict[int, ChannelRealization]:
     """Load per-point channel taps from CSV (one row per tap).
 
-    Columns: ``point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz``.
-    Rows are grouped by ``point_index``; taps are sorted by delay and the
-    LoS tag is derived from the tap powers.  Malformed rows, including
-    negative point indices, non-finite numbers, a ``gain_db`` outside the
-    config's dB range ``[-MAX_DB, MAX_DB]``, a ``doppler_hz`` past
-    ``MAX_CARRIER_HZ`` either way, a ``true_distance_m`` that is not positive
-    and one other than on the point's earlier rows, raise
-    :class:`TapFileError` with the offending line number.
+    The columns are those of :data:`TAPS_COLUMNS`, each cell parsed by its
+    column's type.  Rows are grouped by ``point_index``; taps are sorted by
+    delay and the LoS tag is derived from the tap powers.  A cell that does
+    not parse, a row that breaks a column's rule and a ``true_distance_m``
+    other than on the point's earlier rows raise :class:`TapFileError` with
+    the offending line number.
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
-    for line_no, row in read_rows(path, TAPS_HEADER, TapFileError):
+    for line_no, text in read_rows(path, TAPS_HEADER, TapFileError):
         try:
-            point = int(row["point_index"])
-            distance, gain_db, phase, delay, doppler = (
-                float(row[column]) for column in TAPS_HEADER[1:]
-            )
+            row = {column: kind(text[column]) for column, (kind, *_) in TAPS_COLUMNS.items()}
+            _check_tap_row(row, distances)
         except ValueError as exc:
             raise TapFileError(f"{path}: line {line_no}: {exc}") from exc
-        if not all(map(math.isfinite, (distance, gain_db, phase, delay, doppler))):
-            raise TapFileError(f"{path}: line {line_no}: non-finite value")
-        if point < 0:
-            raise TapFileError(f"{path}: line {line_no}: negative point_index {point}")
-        if delay < 0:
-            raise TapFileError(f"{path}: line {line_no}: negative delay {delay}")
-        if distance <= 0:
-            raise TapFileError(
-                f"{path}: line {line_no}: true_distance_m {distance} is not positive"
-            )
-        if abs(doppler) > MAX_CARRIER_HZ:
-            raise TapFileError(
-                f"{path}: line {line_no}: Doppler {doppler} Hz is outside "
-                f"[{-MAX_CARRIER_HZ}, {MAX_CARRIER_HZ}]"
-            )
-        if not -MAX_DB <= gain_db <= MAX_DB:
-            raise TapFileError(
-                f"{path}: line {line_no}: gain {gain_db} dB is outside "
-                f"[{-MAX_DB}, {MAX_DB}]"
-            )
-        gain = 10.0 ** (gain_db / 20.0) * cmath.exp(1j * phase)
-        if distances.setdefault(point, distance) != distance:
-            raise TapFileError(
-                f"{path}: line {line_no}: point {point}: true_distance_m {distance} "
-                f"differs from {distances[point]} on its earlier rows"
-            )
-        groups.setdefault(point, []).append(ChannelTap(gain, delay, doppler))
+        gain = 10.0 ** (row["gain_db"] / 20.0) * cmath.exp(1j * row["phase_rad"])
+        tap = ChannelTap(gain, row["delay_s"], row["doppler_hz"])
+        groups.setdefault(row["point_index"], []).append(tap)
     return {
         point: ChannelRealization(point, distances[point], taps)
         for point, taps in sorted(groups.items())
@@ -570,29 +567,28 @@ def save_taps(path, realizations) -> None:
     """Write channel realizations to CSV in the canonical column order.
 
     Accepts either an iterable of :class:`ChannelRealization` or the
-    point-indexed mapping that :func:`load_taps` returns.  A tap gain outside
-    the dB range that :func:`load_taps` reads raises ``ValueError``.
+    point-indexed mapping that :func:`load_taps` returns.  Every row that
+    :func:`load_taps` would reject raises ``ValueError`` with the same
+    reason, before the file is opened.
     """
     if isinstance(realizations, dict):
         realizations = realizations.values()
     rows = []
+    distances = {}
     for real in sorted(realizations, key=lambda r: r.point_index):
         for tap in real.taps:
             amplitude = abs(tap.gain)
-            gain_db = 20.0 * math.log10(amplitude) if amplitude else -math.inf
-            if not -MAX_DB <= gain_db <= MAX_DB:
-                raise ValueError(
-                    f"cannot store a tap gain of {gain_db} dB, outside [{-MAX_DB}, {MAX_DB}]"
-                )
             cells = (
                 real.point_index,
                 real.true_distance_m,
-                gain_db,
+                20.0 * math.log10(amplitude) if amplitude else -math.inf,
                 cmath.phase(tap.gain),
                 tap.delay_s,
                 tap.doppler_hz,
             )
-            rows.append(dict(zip(TAPS_HEADER, cells)))
+            row = dict(zip(TAPS_HEADER, cells))
+            _check_tap_row(row, distances)
+            rows.append(row)
     write_rows(path, TAPS_HEADER, rows)
 
 

@@ -55,7 +55,7 @@ from .channel import (
 from .config import ConfigError, ExperimentConfig, Flight, flights
 from .metrics import ResultRecord, error_cdf, rmse
 from .prach_modem import receive_and_estimate_toa, resolve_range, transmit
-from .uav_scenario import build_trajectory, los_point_count, overhead_index
+from .uav_scenario import build_trajectory
 # config.flights calls these; they stay importable from here because
 # perfbench/tracer.py wraps them by name (ROADMAP item 8)
 from .uav_scenario import pitch_angle, propulsion_power  # noqa: F401
@@ -342,33 +342,25 @@ def run_tilt_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Ranging RMSE and LoS point counts versus forced antenna tilt.
 
     ``n_los_geometric`` counts the pass's points inside the first-null
-    beamwidth, each point once.  ``n_los_tagged`` counts the distinct points
-    with at least one LoS-tagged record over all trials and schemes, so with
-    ``trials > 1`` it can grow with the trial count, up to the point count.
-    ``last_los_index`` is :func:`los_point_count`'s closed form, the index of
-    the last point inside the beamwidth on a line that never ends: it can pass
-    ``count - 1``, and it is empty when ``180 - fnb_deg - tilt`` lies outside
-    (0°, 90°), even with every point of the pass in the beam.
+    beamwidth, each point once, and ``last_los_index`` is the largest index
+    among them, ``None`` when there is none.  ``n_los_tagged`` counts the
+    distinct points with at least one LoS-tagged record over all trials and
+    schemes, so with ``trials > 1`` it can grow with the trial count, up to
+    the point count.
     """
-    spec = cfg.scenario.trajectory
     fnb = cfg.scenario.antenna.fnb_deg
-    p0 = overhead_index(spec.count)
     # no tilt moves the pass
-    trajectory = build_trajectory(**asdict(spec))
+    trajectory = build_trajectory(**asdict(cfg.scenario.trajectory))
     rows = []
     for flight, records in _run_grid(cfg, "tilt_deg", workers):
         tilt = flight.tilt_deg
         # per-point main-lobe test: off-boresight angle within the first null
-        geometric = sum(1 for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb)
-        try:
-            last_los = los_point_count(spec.height_m, spec.dp_m, fnb, tilt, p0)
-        except ValueError:
-            last_los = None
+        in_beam = [p.index for p in trajectory if 180.0 - p.elevation_deg - tilt <= fnb]
         rows.append(
             {
                 "tilt_deg": tilt,
-                "n_los_geometric": geometric,
-                "last_los_index": last_los,
+                "n_los_geometric": len(in_beam),
+                "last_los_index": max(in_beam, default=None),
                 "n_los_tagged": len({r.point_index for r in records if r.los_tag}),
                 **_rmse_columns(cfg, records),
             }

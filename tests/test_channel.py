@@ -1,7 +1,9 @@
 """Tapped delay-Doppler channel, AWGN, received power, and tap file I/O."""
 
+import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,6 +25,7 @@ from ddprach import (
     save_taps,
     synthesize_scenario_channel,
     transmit,
+    write_rows,
 )
 from ddprach import channel
 from ddprach.uav_scenario import AntennaConfig, TrajectoryPoint
@@ -872,6 +875,11 @@ def test_load_rejects_rows_of_a_point_that_disagree_on_distance(tmp_path):
     )
     with pytest.raises(TapFileError, match="line 5: point 0: true_distance_m 45.0"):
         load_taps(path)
+    # nor does save_taps write two realizations of one point that disagree
+    two = [one_tap(tap_row()), one_tap(tap_row(true_distance_m=45.0))]
+    with pytest.raises(ValueError, match="point 0: true_distance_m 45.0 differs from 30.0"):
+        save_taps(tmp_path / "saved.csv", two)
+    assert not (tmp_path / "saved.csv").exists()
 
 
 def test_tap_file_round_trip(tmp_path):
@@ -905,16 +913,64 @@ def test_tap_file_round_trip(tmp_path):
     assert from_mapping.read_text() == from_values.read_text()
 
 
-@pytest.mark.parametrize("gain", [0.0, 1e-16, 1e16])
-def test_save_refuses_gains_that_load_rejects(tmp_path, gain):
-    # -320 and +320 dB: past the dB range that load_taps reads; at the range's
-    # edges the file round-trips
+def tap_row(**cells):
+    """A valid taps-file row, one 0 dB tap, with ``cells`` set."""
+    row = {"point_index": 0, "true_distance_m": 30.0, "gain_db": 0.0, "phase_rad": 0.0,
+           "delay_s": 1e-7, "doppler_hz": 0.0}
+    return {**row, **cells}
+
+
+def one_tap(row):
+    """The one-tap realization that save_taps writes as ``row``."""
+    gain = cmath.rect(10.0 ** (row["gain_db"] / 20.0), row["phase_rad"])
+    tap = ChannelTap(gain, row["delay_s"], row["doppler_hz"])
+    return ChannelRealization(row["point_index"], row["true_distance_m"], [tap])
+
+
+DB_RANGE = "dB is outside [-300.0, 300.0]"
+DOPPLER_RANGE = "Hz is outside [-3000000000000.0, 3000000000000.0]"
+
+
+@pytest.mark.parametrize(
+    "column, past, edge, reason",
+    [
+        ("point_index", -1, 0, "negative point_index -1"),
+        # an int of any size: never passed to math.isfinite, which overflows
+        ("point_index", -(10**400), 10**400, f"negative point_index {-(10**400)}"),
+        ("true_distance_m", 0.0, 5e-324, "true_distance_m 0.0 is not positive"),
+        ("true_distance_m", math.nan, 5e-324, "non-finite value"),
+        # gains 0, 1e-16 and 1e16
+        ("gain_db", -math.inf, -300.0, "non-finite value"),
+        ("gain_db", -320.0, -300.0, f"gain -320.0 {DB_RANGE}"),
+        ("gain_db", 320.0, 300.0, f"gain 320.0 {DB_RANGE}"),
+        ("phase_rad", math.nan, math.pi, "non-finite value"),
+        ("delay_s", -1e-7, 0.0, "negative delay -1e-07"),
+        ("doppler_hz", 5e12, 3e12, f"Doppler 5000000000000.0 {DOPPLER_RANGE}"),
+        ("doppler_hz", -5e12, -3e12, f"Doppler -5000000000000.0 {DOPPLER_RANGE}"),
+        ("doppler_hz", math.inf, 3e12, "non-finite value"),
+    ],
+    ids=["point", "point_400_digits", "distance_zero", "distance_nan", "gain_zero",
+         "gain_-320_db", "gain_320_db", "phase_nan", "delay", "doppler", "doppler_negative",
+         "doppler_inf"],
+)
+def test_save_refuses_each_row_that_load_rejects(tmp_path, column, past, edge, reason):
+    # save_taps refuses a value just past its column's rule and writes no
+    # file; the same value in a file fails load_taps on its line
     path = tmp_path / "taps.csv"
-    with pytest.raises(ValueError, match="cannot store a tap gain"):
-        save_taps(path, [ChannelRealization(0, 30.0, [ChannelTap(gain, 1e-7, 0.0)])])
-    edges = [ChannelTap(1e-15, 1e-7, 0.0), ChannelTap(1e15, 2e-7, 0.0)]
-    save_taps(path, [ChannelRealization(0, 30.0, edges)])
-    assert [abs(tap.gain) for tap in load_taps(path)[0].taps] == pytest.approx([1e-15, 1e15])
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        save_taps(path, [one_tap(tap_row(**{column: past}))])
+    assert not path.exists()
+    write_rows(path, channel.TAPS_HEADER, [tap_row(**{column: past})])
+    with pytest.raises(TapFileError, match=re.escape(f"line 2: {reason}")):
+        load_taps(path)
+    # at the rule's edge the row is written as given and reads back
+    edge_row = tap_row(**{column: edge})
+    save_taps(path, [one_tap(edge_row)])
+    write_rows(tmp_path / "expected.csv", channel.TAPS_HEADER, [edge_row])
+    assert path.read_text() == (tmp_path / "expected.csv").read_text()
+    assert list(load_taps(path)) == [edge_row["point_index"]]
+
+
 # ---------------------------------------------------------------------------
 
 def overhead_point(height=30.0, speed=0.0):

@@ -208,10 +208,13 @@ GOLDEN_SWEEPS = {
          "sweep": {"axis": "speed_mps", "values": [0.0, 5.0, 20.0]}},
         "85e658f5368db24ae81bb818e5a43399ec48823a08f699e40c303830f673a43a",
     ),
+    # recorded when last_los_index became the largest in-beam index of the
+    # pass, 2 at every tilt, in place of a closed form that read 191, 456 and
+    # empty; the other columns kept their bytes
     "tilt": (
         "tilt-sweep", "tilt_sweep.csv",
         {"sweep": {"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]}},
-        "7172cdb763a3ea72ffb19c0a182edd8440c1f3e09899aa7b4cac85b0f997c895",
+        "e33b99ecac4e502fba2de9e5522bb8d4e8d5bc9fe4b61cd61cff2f80f7e00640",
     ),
     # absolute noise power (SNR about -10 to 9 dB, so 22 of the 36 records
     # are detected, 2 to 5 of the 6 in each scheme and spacing): every sweep
@@ -696,15 +699,17 @@ def test_speed_tradeoff_requires_matching_axis():
 def test_tilt_sweep_rows():
     cfg = parse_config(toy_tree(
         channel={"nlos": None},
-        sweep={"axis": "tilt_deg", "values": [0.0, 10.0, 20.0]},
+        sweep={"axis": "tilt_deg", "values": [-80.0, 0.0, 10.0, 20.0]},
     ))
     rows = run_tilt_sweep(cfg)
-    assert [row["tilt_deg"] for row in rows] == [0.0, 10.0, 20.0]
+    assert [row["tilt_deg"] for row in rows] == [-80.0, 0.0, 10.0, 20.0]
     geometric = [row["n_los_geometric"] for row in rows]
     assert all(b >= a for a, b in zip(geometric, geometric[1:]))
-    # default first-null width 2.5 * 65 deg: closed form valid below 17.5 deg
-    assert isinstance(rows[0]["last_los_index"], int)
-    assert rows[2]["last_los_index"] is None
+    # default first-null width 2.5 * 65 deg: a point is in the beam at
+    # elevations from 17.5 deg - tilt, so none is at -80 deg and all 3 are at
+    # 20 deg; the last index is that of the pass's last point in the beam
+    assert geometric[0] == 0 and rows[0]["last_los_index"] is None
+    assert geometric[3] == 3 and rows[3]["last_los_index"] == 2
     for row in rows:
         assert row["n_los_tagged"] == 3  # single-tap channel tags every point LoS
         assert row["rmse_otfs_m"] is not None
