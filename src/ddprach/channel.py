@@ -120,24 +120,24 @@ class FrameBuffers:
     kept because one allocated per pass is freed at every work item, and
     malloc then returns its pages and faults them in again; scratch arrays
     live for one call.  The buffers keep ``samples``: the first
-    ``apply_channel`` on them plans its rows for the framing's period
-    ``n_dft + cp_len``, later ones reuse the plan, and one on another array
-    or period raises ``ValueError``.  They keep, per tap position, the whole
-    filtered output of each row span last made there, uncut, and the delay
-    in samples it was made for; a later pass whose tap at that position has
-    the same delay in samples reuses it, and each pass cuts it to the
-    delayed frame.  They keep the unit noise row last drawn, in ``unit``,
-    and the ``SeedSequence`` it was drawn from, in ``seed``; a noise call
-    given that very object reuses the row, and any other seed draws it
-    anew.  The array must not change while the buffers serve it.  One
-    object serves one thread at a time; the experiment runners make one per
-    process of a run, so ``--threads K`` holds K sets, one in each forked
-    worker process.
+    ``apply_channel`` on them plans its rows for its framing's period
+    ``n_dft + cp_len``, later ones reuse the plan at any framing, since a
+    span copies outputs only at the period it was found to repeat with, and
+    one on another array raises ``ValueError``.  They keep, per tap
+    position, the whole filtered output of each row span last made there,
+    uncut, and the delay in samples it was made for; a later pass whose tap
+    at that position has the same delay in samples reuses it, and each pass
+    cuts it to the delayed frame.  They keep the unit noise row last drawn,
+    in ``unit``, and the ``SeedSequence`` it was drawn from, in ``seed``; a
+    noise call given that very object reuses the row, and any other seed
+    draws it anew.  The array must not change while the buffers serve it.
+    One object serves one thread at a time; the experiment runners make one
+    per process of a run, so ``--threads K`` holds K sets, one in each
+    forked worker process.
     """
 
     def __init__(self, samples: np.ndarray):
         self.samples = samples                                  # the array they serve
-        self.period = None                                      # its framing's period, once set
         self.rows = None                                        # its row plan, once made
         self.taps = []                                          # _FilteredTap per tap position
         self.frames = np.empty(samples.shape, dtype=complex)    # the output stack
@@ -221,22 +221,21 @@ def apply_channel(
     the work per row scales with that span; a span that repeats bit for bit
     every ``n_dft + cp_len`` samples is filtered over one period and its
     edges only, with the same output.  With ``buffers``, made from this very
-    array, the result is written into ``buffers.frames``, and a tap whose
+    array, the result is written into ``buffers.frames``, the row plan of
+    the first call on them serves this one at any framing, and a tap whose
     delay in samples equals the one the buffers last filtered at its
     position reuses those filtered spans (see :class:`FrameBuffers`).
     """
     x = np.asarray(samples, dtype=complex)
     fs = params.sample_rate
-    period = params.n_dft + params.cp_len
     n = x.shape[-1]
     delays = [check_tap_delay(tap, fs, n) for tap in realization.taps]
     if buffers is None:
         buffers = FrameBuffers(x)
-    elif buffers.samples is not x or buffers.period not in (None, period):
-        raise ValueError("the buffers were made from another array or framing")
+    elif buffers.samples is not x:
+        raise ValueError("the buffers were made from another array")
     if buffers.rows is None:
-        buffers.rows = _row_plan(x, period)
-        buffers.period = period
+        buffers.rows = _row_plan(x, params.n_dft + params.cp_len)
     buffers.frames.fill(0)
     out = buffers.frames.reshape(-1, n)
     for index, (tap, delay) in enumerate(zip(realization.taps, delays)):

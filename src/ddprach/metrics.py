@@ -1,7 +1,6 @@
-"""Ranging error statistics: RMSE, CDF, and the one CSV writer and reader."""
+"""Ranging error statistics: RMSE, CDF, and the CSV table writer and reader."""
 
 import csv
-import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -14,7 +13,6 @@ __all__ = [
     "read_rows",
     "write_rows",
     "write_results_csv",
-    "read_results_csv",
 ]
 
 
@@ -112,34 +110,3 @@ def write_results_csv(path, records) -> None:
         ({**vars(rec), "los_tag": "los" if rec.los_tag else "nlos"} for rec in records),
     )
 
-
-def _parse_cell(kind, text: str, truth: tuple[str, str]):
-    """One cell as a value of field type ``kind``: ``""`` is ``None`` where
-    the type allows it, and a boolean is one of the two ``truth`` texts."""
-    if type(None) in typing.get_args(kind):
-        if not text:
-            return None
-        (kind,) = set(typing.get_args(kind)) - {type(None)}
-    if kind is bool and text not in truth:
-        raise ValueError(f"expected {' or '.join(truth)}, got {text!r}")
-    return text == truth[0] if kind is bool else kind(text)
-
-
-def read_results_csv(path) -> list[ResultRecord]:
-    """Read back a results CSV written by :func:`write_results_csv`.
-
-    Each cell is parsed by its ``ResultRecord`` field's type.  A foreign
-    header, a row with another field count or a cell that does not parse
-    raises ``ValueError`` naming the path and the line.
-    """
-    records = []
-    for line_no, row in read_rows(path, RESULTS_HEADER):
-        values = {}
-        for f in fields(ResultRecord):
-            truth = ("los", "nlos") if f.name == "los_tag" else ("1", "0")
-            try:
-                values[f.name] = _parse_cell(f.type, row[f.name], truth)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {f.name}: {exc}") from exc
-        records.append(ResultRecord(**values))
-    return records

@@ -450,7 +450,7 @@ def test_planned_channel_matches_unplanned_call(case, convolutions):
     params, x, taps = BUFFER_CASES[case]
     fs = params.sample_rate
     buffers = dirty_buffers(x)
-    assert buffers.samples is x and buffers.rows is None and buffers.period is None
+    assert buffers.samples is x and buffers.rows is None
     # one set of buffers serves passes that reuse the row plan of the first
     # and, where a tap's delay in samples is unchanged, its filtered spans
     a = ChannelRealization(0, 1.0, taps)
@@ -483,28 +483,48 @@ def test_planned_channel_matches_unplanned_call(case, convolutions):
         convolutions.clear()
         plans.append(buffers.rows)
     assert all(plan is plans[0] for plan in plans)
-    assert buffers.period == params.n_dft + params.cp_len
     assert len(buffers.taps) == len(c.taps)
+
+
+@pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+def test_one_plan_serves_every_framing(case, convolutions):
+    params, x, taps = BUFFER_CASES[case]
+    ch = ChannelRealization(0, 1.0, taps)
+    # a plan's span copies outputs only at the period it was found to repeat
+    # with, so a plan made at one cp_len is exact at another; cp_len moves no
+    # tap's delay in samples, so the second call filters nothing
+    for k in (1, -1, 7, -7):
+        if params.cp_len + k < 0:
+            continue
+        other = replace(params, cp_len=params.cp_len + k)
+        for first, second in [(params, other), (other, params)]:
+            expected = apply_channel(second, ch, x)
+            buffers = dirty_buffers(x)
+            apply_channel(first, ch, x, buffers=buffers)
+            plan = buffers.rows
+            convolutions.clear()
+            assert same_bits(apply_channel(second, ch, x, buffers=buffers), expected)
+            assert not convolutions
+            assert buffers.rows is plan
 
 
 def test_buffers_from_another_array_or_framing_raise():
     params, x, _ = BUFFER_CASES["periodic_toy_preambles_n4"]
     ch = ChannelRealization(0, 1.0, TOY_TAPS)
     buffers = channel.FrameBuffers(x)
-    # the first pass plans the rows and records the framing's period
+    # the first pass plans the rows; another framing may reuse them (see
+    # test_one_plan_serves_every_framing), another array may not
     apply_channel(params, ch, x, buffers=buffers)
-    reframed = replace(params, cp_len=params.cp_len + 1)
     other_shape = channel.FrameBuffers(x[:1])
-    for other_params, other, other_buffers in [
-        (params, x.copy(), buffers),
-        (reframed, x, buffers),
+    for other, other_buffers in [
+        (x.copy(), buffers),
         # the buffers' own output stack as the input: it can never be
         # overwritten while it is read
-        (params, buffers.frames, buffers),
-        (params, x, other_shape),
+        (buffers.frames, buffers),
+        (x, other_shape),
     ]:
-        with pytest.raises(ValueError, match="another array or framing"):
-            apply_channel(other_params, ch, other, buffers=other_buffers)
+        with pytest.raises(ValueError, match="another array"):
+            apply_channel(params, ch, other, buffers=other_buffers)
 
 
 def test_plan_skips_all_zero_rows():
@@ -828,6 +848,38 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "taps.csv"
     path.write_text("a,b,c\n")
     with pytest.raises(TapFileError):
+        load_taps(path)
+
+
+def test_load_rejects_empty_file(tmp_path):
+    path = tmp_path / "taps.csv"
+    path.write_text("")
+    with pytest.raises(TapFileError, match="line 1: expected header"):
+        load_taps(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "taps.csv"
+    # a blank line between the rows and a trailing one ended by \r\n
+    path.write_text(
+        "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
+        "0,30.0,0.0,0.0,1e-7,0.0\n"
+        "\n"
+        "0,30.0,-3.0,0.0,5e-7,0.0\n"
+        "\r\n",
+        newline="",
+    )
+    assert [tap.delay_s for tap in load_taps(path)[0].taps] == [1e-7, 5e-7]
+
+
+def test_load_rejects_short_row(tmp_path):
+    path = tmp_path / "taps.csv"
+    path.write_text(
+        "point_index,true_distance_m,gain_db,phase_rad,delay_s,doppler_hz\n"
+        "0,30.0,0.0,0.0,1e-7,0.0\n"
+        "0,30.0,0.0,0.0,1e-7\n"
+    )
+    with pytest.raises(TapFileError, match="line 3: expected 6 fields, got 5"):
         load_taps(path)
 
 

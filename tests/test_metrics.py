@@ -1,18 +1,11 @@
-"""Error statistics and results-CSV round trips."""
+"""Error statistics: RMSE and the empirical CDF."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ddprach import (
-    ResultRecord,
-    error_cdf,
-    read_results_csv,
-    rmse,
-    write_results_csv,
-)
-from ddprach.metrics import RESULTS_HEADER
+from ddprach import error_cdf, rmse
 
 
 # ---------------------------------------------------------------------------
@@ -91,60 +84,3 @@ def test_cdf_empty_raises():
     with pytest.raises(ValueError):
         error_cdf([])
 
-
-# ---------------------------------------------------------------------------
-# results CSV
-# ---------------------------------------------------------------------------
-
-def test_results_csv_round_trip(tmp_path):
-    records = [
-        ResultRecord("otfs", 15e3, 10.0, 3, True, 60.0, 58.55, 1.45, True),
-        ResultRecord("ofdm", 30e3, 0.0, 7, False, 120.0, None, None, False),
-    ]
-    path = tmp_path / "results.csv"
-    write_results_csv(path, records)
-    with open(path, "a", newline="") as fh:
-        fh.write("\r\n")  # a trailing blank line
-    loaded = read_results_csv(path)
-    assert len(loaded) == 2
-    assert loaded[0].scheme == "otfs"
-    assert loaded[0].los_tag is True
-    assert loaded[0].error_m == pytest.approx(1.45, rel=1e-9)
-    assert loaded[1].est_d_m is None
-    assert loaded[1].error_m is None
-    assert loaded[1].detected is False
-    assert loaded[1].los_tag is False
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "a,b,c\n1,2,3\n",
-        # the results header, then a row of 8 fields
-        ",".join(RESULTS_HEADER) + "\notfs,15000.0,10.0,3,los,60.0,58.55,1.45\n",
-        "",
-    ],
-    ids=["foreign_header", "short_row", "empty_file"],
-)
-def test_results_csv_rejects_foreign_header(tmp_path, text):
-    path = tmp_path / "other.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        read_results_csv(path)
-
-
-@pytest.mark.parametrize(
-    "row, column",
-    [
-        ("otfs,15000.0,10.0,3,los,sixty,58.55,1.45,1", "true_d_m"),
-        ("otfs,15000.0,10.0,3,los,60.0,58.55,1.45,", "detected"),
-        ("otfs,15000.0,10.0,3.5,los,60.0,58.55,1.45,1", "point_index"),
-        ("otfs,15000.0,10.0,3,1,60.0,58.55,1.45,1", "los_tag"),
-    ],
-    ids=["text_number", "empty_boolean", "float_index", "numeric_los_tag"],
-)
-def test_results_csv_names_the_line_of_a_bad_cell(tmp_path, row, column):
-    path = tmp_path / "results.csv"
-    path.write_text(",".join(RESULTS_HEADER) + "\n" + row + "\n")
-    with pytest.raises(ValueError, match=f"line 2: {column}: "):
-        read_results_csv(path)
