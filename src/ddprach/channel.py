@@ -613,13 +613,13 @@ def synthesize_scenario_channel(
     tap adds a random excess delay, a random reflection loss relative to
     free space at its own path length, an antenna gain drawn at a random
     arrival elevation, a uniform phase and a Doppler from a random arrival
-    direction.
+    direction.  ``seed`` feeds these echoes only: a draw without them makes
+    no generator.
 
     The delays are one-way: the model assumes a ground node on the UAV's
     clock.  A real PRACH receiver measures a round trip, since the UE times
     its preamble from the downlink it received (ROADMAP item 16).
     """
-    rng = np.random.default_rng(seed)
     wavelength = SPEED_OF_LIGHT / carrier_hz
     distance = point.distance_m
     tau0 = distance / SPEED_OF_LIGHT
@@ -637,6 +637,7 @@ def synthesize_scenario_channel(
     )
     taps = [ChannelTap(los_gain, tau0, doppler0)]
     if nlos is not None:
+        rng = np.random.default_rng(seed)
         for _ in range(nlos.count):
             excess = rng.uniform(*nlos.excess_delay_range_s)
             loss_db = rng.uniform(*nlos.relative_power_db_range)

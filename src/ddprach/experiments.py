@@ -11,21 +11,18 @@ order; each item runs every sweep value and every scheme.  With
 starts processes) the trajectory points are split into ``min(K, count)``
 contiguous ranges, one process each: the calling process runs the first and
 ``os.fork`` children the others (so this needs a platform with ``fork``,
-such as Linux); each builds a pass once for consecutive flights that agree
-in ``cfg.scenario.trajectory``, and each range's records come back in range
-order.  Memory grows with K, one interpreter's worth of pages touched per
-child, and spans or counters recorded by a wrapper installed in the calling
-process see its own range only: the benchmark's traced
-speed-tradeoff at ``--threads 2`` counts 840 interpolated taps where one
-process counts 1680.  Each process keeps one set of ``FrameBuffers`` made
+such as Linux); each builds every flight's pass, and each range's records
+come back in range order.  Memory grows with K, one interpreter's worth of
+pages touched per child, and spans or counters recorded by a wrapper
+installed in the calling process see its own range only: the benchmark's
+traced speed-tradeoff at ``--threads 2`` counts 840 interpolated taps where
+one process counts 1680.  Each process keeps one set of ``FrameBuffers`` made
 from the stack, which plans its rows once and keeps each tap's filtered
 spans: the trials of a point share its line-of-sight tap, and the values of
 a ``speed_mps`` or ``tilt_deg`` sweep share an item's tap delays, so they
-filter each tap once.  An item draws a synthetic channel once for
-consecutive flights that agree in ``cfg.scenario``, ``cfg.channel`` and
-``tilt_deg``, which the run decides once from its flights: a
-``delta_f_hz`` sweep draws one per item, a ``speed_mps`` or ``tilt_deg``
-sweep one per item and value.  Seeds for the channel draw and the noise
+filter each tap once.  Every flight of an item draws its own synthetic
+channel from the item's channel seed, so values that change nothing the
+draw reads fly equal channels.  Seeds for the channel draw and the noise
 draw are derived by hashing the master seed together with the item indices, so
 results depend neither on the execution order nor on K; all schemes and
 sweep values of an item share the channel and noise seeds, making
@@ -132,34 +129,23 @@ def _run_points(
 ) -> list[list[ResultRecord]]:
     """One record list per flight over the work items of ``points``, in
     canonical order."""
-    # a flight flies the previous flight's pass when it samples the same one
-    trajectories, spec = [], None
-    for flight in flown:
-        if flight.cfg.scenario.trajectory != spec:
-            spec = flight.cfg.scenario.trajectory
-            trajectory = build_trajectory(**asdict(spec))
-        trajectories.append(trajectory)
-    # a flight flies the previous flight's channel when it would draw it from
-    # the same scenario, channel section and tilt
-    keys = [(f.cfg.scenario, f.cfg.channel, f.tilt_deg) for f in flown]
-    redraw = [i == 0 or key != keys[i - 1] for i, key in enumerate(keys)]
+    trajectories = [build_trajectory(**asdict(f.cfg.scenario.trajectory)) for f in flown]
     # one set of buffers, and the one row plan they make, serves every item
     buffers = FrameBuffers(stack)
     runs = [[] for _ in flown]
     for point_idx in points:
         for trial in range(cfg.trials):
             # default_rng leaves a SeedSequence as it was, so every value
-            # draws the same taps and noise from these; the buffers draw the
-            # noise row of this very noise seed once
+            # draws its taps and noise from the same seeds; the buffers draw
+            # the noise row of this very noise seed once
             noise_seed = _stream_seed(cfg.seed, _NOISE_STREAM, point_idx, trial)
             channel_seed = _stream_seed(cfg.seed, _CHANNEL_STREAM, point_idx, trial)
-            for flight, trajectory, records, draw in zip(flown, trajectories, runs, redraw):
-                point = trajectory[point_idx]
+            for flight, trajectory, records in zip(flown, trajectories, runs):
                 if file_taps is not None:
                     realization = file_taps[point_idx]
-                elif draw:
+                else:
                     realization = synthesize_scenario_channel(
-                        point,
+                        trajectory[point_idx],
                         flight.cfg.scenario.carrier_hz,
                         flight.cfg.scenario.antenna,
                         flight.tilt_deg,
@@ -167,7 +153,7 @@ def _run_points(
                         seed=channel_seed,
                         g_t_db=flight.cfg.channel.g_t_db,
                     )
-                records += _run_config(flight, point, realization, noise_seed, buffers)
+                records += _run_config(flight, realization, noise_seed, buffers)
     return runs
 
 
@@ -236,11 +222,10 @@ def _child(fn, item, write_fd: int):
         os._exit(code)
 
 
-def _run_config(flight: Flight, point, realization, noise_seed, buffers) -> list[ResultRecord]:
+def _run_config(flight: Flight, realization, noise_seed, buffers) -> list[ResultRecord]:
     """The records of one work item under one flight, one per scheme.
 
-    ``point`` is the item's ``TrajectoryPoint`` on the flight's pass,
-    ``realization`` its channel, ``noise_seed`` the item's noise
+    ``realization`` is the item's channel, ``noise_seed`` the item's noise
     ``SeedSequence`` and ``buffers`` the run's :class:`FrameBuffers`, made
     from its preamble stack, which draw that seed's unit noise row on the
     item's first noise call and reuse it on the others.
@@ -268,7 +253,7 @@ def _run_config(flight: Flight, point, realization, noise_seed, buffers) -> list
                 scheme=scheme,
                 delta_f_hz=cfg.waveform.delta_f_hz,
                 speed_mps=cfg.scenario.trajectory.speed_mps,
-                point_index=point.index,
+                point_index=realization.point_index,
                 los_tag=realization.los_tag,
                 true_d_m=true_d,
                 est_d_m=est_d,

@@ -56,5 +56,5 @@ def convolutions(channel_numpy):
 def rng_seeds(channel_numpy):
     """The seed of each ``np.random.default_rng`` that ``ddprach.channel``
     makes, in order: one per unit noise row drawn, and one per synthesized
-    channel."""
+    channel with echoes, the only taps its seed feeds."""
     return channel_numpy.seeds

@@ -1075,6 +1075,18 @@ def test_nlos_spec_adds_taps_sorted():
     assert delays[0] == pytest.approx(30.0 / 299792458.0, rel=1e-12)
 
 
+def test_only_echoes_draw_from_the_seed(rng_seeds):
+    from ddprach import NlosSpec
+
+    kwargs = dict(carrier_hz=1775e6, antenna=AntennaConfig(), tilt_deg=5.0)
+    seed = np.random.SeedSequence(77)
+    # the line-of-sight tap alone is geometry: no generator is made
+    synthesize_scenario_channel(overhead_point(), nlos=None, seed=seed, **kwargs)
+    assert rng_seeds == []
+    synthesize_scenario_channel(overhead_point(), nlos=NlosSpec(), seed=seed, **kwargs)
+    assert rng_seeds == [seed]
+
+
 def test_synthesis_deterministic_per_seed():
     from ddprach import NlosSpec
 

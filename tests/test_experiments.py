@@ -126,14 +126,22 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_README_DEFAULT_SHA256
 
 
-# the CSV of the benchmark's other two workloads at seed 0, the README default
-# with the overrides below: command, file name, overrides, --threads and
-# SHA-256, recorded before the sweep runners read the grid's set-ups (the
-# speed sweep's again when the propulsion power derived its hover constants
-# from the weight, which moved its power_w column alone, and when the link
-# budget took Friis's gain product; the one-tap cdf-sweep-los has a per-frame
-# SNR, so no gain reaches its numbers)
+# the CSV of the README default with the overrides below at seed 0, for the
+# benchmark's other two workloads and for cdf-sweep as the README runs it:
+# command, file name, overrides, --threads and SHA-256.  The workloads' were
+# recorded before the sweep runners read the grid's set-ups (the speed
+# sweep's again when the propulsion power derived its hover constants from
+# the weight, which moved its power_w column alone, and when the link budget
+# took Friis's gain product; the one-tap cdf-sweep-los has a per-frame SNR,
+# so no gain reaches its numbers).  The README's three spacings over the full
+# framing, with echoes, were recorded when every value of an item began to
+# draw its own channel from the item's seed, where the first value's draw
+# had served the others: the draws are equal, so no byte moved.
 GOLDEN_BENCHMARK_SWEEPS = {
+    "cdf-sweep-readme": (
+        "cdf-sweep", "cdf.csv", {}, 1,
+        "1b7d90e7c773d2a912900802e715941bccec279e11c88f8e640ce78ca0f31ed3",
+    ),
     "cdf-sweep-los": (
         "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
         "4c65723eab5f185568b9800e087d77dad13af7c936837fd97b989a9a74f2ec6b",
@@ -281,9 +289,8 @@ def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch, rng_seeds):
     cfg = parse_config(toy_tree(sweep={"axis": "delta_f_hz", "values": values}))
     run_cdf_sweep(cfg)
     items = [(point, trial) for point in range(3) for trial in range(2)]
-    # no spacing changes the channel, so the item's first value draws it and
-    # the others fly that realization
-    assert_draws(rng_seeds, cfg.seed, items, channels_per_item=1)
+    # every value draws its channel from the item's one channel seed
+    assert_draws(rng_seeds, cfg.seed, items, channels_per_item=len(values))
     # every value of an item in turn, all on one shared stack
     rates = [value * cfg.waveform.n_dft for value in values]
     assert [rate for rate, _ in calls["apply"]] == rates * len(items)
@@ -302,13 +309,13 @@ def test_speed_sweep_draws_a_channel_per_value(rng_seeds):
     assert_draws(rng_seeds, cfg.seed, items, channels_per_item=len(values))
 
 
+# one pass per flight, whether or not the value moves it
 @pytest.mark.parametrize(
     "axis, values, run, passes",
     [
-        ("delta_f_hz", [15e3, 30e3, 60e3], run_cdf_sweep, 1),
+        ("delta_f_hz", [15e3, 30e3, 60e3], run_cdf_sweep, 3),
         # and one in run_tilt_sweep, which counts the pass's in-beam points
-        ("tilt_deg", [0.0, 10.0, 20.0], run_tilt_sweep, 2),
-        # each point of a pass carries its speed
+        ("tilt_deg", [0.0, 10.0, 20.0], run_tilt_sweep, 4),
         ("speed_mps", [5.0, 10.0, 20.0], run_speed_tradeoff, 3),
     ],
 )
@@ -431,10 +438,10 @@ def test_simulate_reuses_the_los_tap_between_trials_of_a_point(
 def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch, failing_point):
     real_run_config = experiments._run_config
 
-    def run_config(flight, point, *args):
-        if point.index == failing_point:
-            raise ValueError(f"no channel at point {point.index}")
-        return real_run_config(flight, point, *args)
+    def run_config(flight, realization, *args):
+        if realization.point_index == failing_point:
+            raise ValueError(f"no channel at point {realization.point_index}")
+        return real_run_config(flight, realization, *args)
 
     # a forked child runs the patched module as it was at the fork
     monkeypatch.setattr(experiments, "_run_config", run_config)
@@ -448,10 +455,10 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch, fa
 def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
     real_run_config = experiments._run_config
 
-    def run_config(flight, point, *args):
-        if point.index == 2:  # in the child, which runs points 1 and 2
+    def run_config(flight, realization, *args):
+        if realization.point_index == 2:  # in the child, which runs points 1 and 2
             os._exit(3)
-        return real_run_config(flight, point, *args)
+        return real_run_config(flight, realization, *args)
 
     monkeypatch.setattr(experiments, "_run_config", run_config)
     with pytest.raises(ChildProcessError, match="exited with code 3 and sent no result"):
@@ -461,10 +468,17 @@ def test_a_worker_that_dies_without_a_result_is_an_error(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "axis, values", [("speed_mps", [0.0, 5.0, 20.0]), ("tilt_deg", [0.0, 10.0, 20.0])]
+    "axis, values",
+    [
+        ("speed_mps", [0.0, 5.0, 20.0]),
+        ("tilt_deg", [0.0, 10.0, 20.0]),
+        ("delta_f_hz", [15e3, 30e3, 60e3]),
+    ],
 )
 def test_sweep_records_equal_runs_of_each_value_alone(axis, values):
-    # every value after an item's first reuses the filtered spans of the first
+    # every value after an item's first reuses the filtered spans of the
+    # first, but for a spacing, which filters anew; every value draws its
+    # channel and noise from the item's seeds, as a run of it alone does
     tree = toy_tree(detection={"interpolate_peak": True}, sweep={"axis": axis, "values": values})
     cfg = parse_config(tree)
     assert cfg.channel.nlos is not None
