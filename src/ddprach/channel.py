@@ -13,13 +13,14 @@ flyover geometry.
 """
 
 import cmath
+import csv
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import read_rows, write_rows
+from .metrics import write_rows
 from .prach_modem import WaveformParams
 from .uav_scenario import AntennaConfig, TrajectoryPoint, antenna_gain
 from .units import SPEED_OF_LIGHT
@@ -32,7 +33,6 @@ __all__ = [
     "TapFileError",
     "apply_channel",
     "add_awgn",
-    "add_noise_power",
     "received_power",
     "load_taps",
     "save_taps",
@@ -105,8 +105,6 @@ def _classify_los(taps: list[ChannelTap]) -> bool:
         return True
     first = abs(taps[0].gain) ** 2
     strongest_late = max(abs(tap.gain) ** 2 for tap in taps[1:])
-    if first == 0.0:
-        return False
     return strongest_late < first * 10.0 ** (-LOS_TAG_MARGIN_DB / 10.0)
 
 
@@ -114,22 +112,21 @@ class FrameBuffers:
     """What a pass over one sample array, an ``(S, L)`` stack or one ``(L,)``
     frame, keeps for a later pass over it to reuse.
 
-    ``apply_channel``, ``add_awgn`` and ``add_noise_power`` write their
-    output into the stack ``frames`` when given ``buffers=`` and return it,
-    so it holds only until the next call on the same buffers.  The stack is
-    kept because one allocated per pass is freed at every work item, and
-    malloc then returns its pages and faults them in again; scratch arrays
-    live for one call.  The buffers keep ``samples``: the first
-    ``apply_channel`` on them plans its rows for its framing's period
-    ``n_dft + cp_len``, later ones reuse the plan at any framing, since a
-    span copies outputs only at the period it was found to repeat with, and
-    one on another array raises ``ValueError``.  They keep, per tap
-    position, the whole filtered output of each row span last made there,
-    uncut, and the delay in samples it was made for; a later pass whose tap
-    at that position has the same delay in samples reuses it, and each pass
-    cuts it to the delayed frame.  They keep the unit noise row last drawn,
-    in ``unit``, and the ``SeedSequence`` it was drawn from, in ``seed``; a
-    noise call given that very object reuses the row, and any other seed
+    ``apply_channel`` and ``add_awgn`` write their output into the stack
+    ``frames`` when given ``buffers=`` and return it, so it holds only until
+    the next call on the same buffers.  The stack is kept because one allocated
+    per pass is freed at every work item, and malloc then returns its pages and
+    faults them in again; scratch arrays live for one call.  The buffers keep
+    ``samples``: the first ``apply_channel`` on them plans its rows for its
+    framing's period ``n_dft + cp_len``, later ones reuse the plan at any
+    framing, since a span copies outputs only at the period it was found to
+    repeat with, and one on another array raises ``ValueError``.  They keep,
+    per tap position, the whole filtered output of each row span last made
+    there, uncut, and the delay in samples it was made for; a later pass whose
+    tap at that position has the same delay in samples reuses it, and each pass
+    cuts it to the delayed frame.  They keep the unit noise row last drawn, in
+    ``unit``, and the ``SeedSequence`` it was drawn from, in ``seed``; an
+    ``add_awgn`` call given that very object reuses the row, and any other seed
     draws it anew.  The array must not change while the buffers serve it.
     One object serves one thread at a time; the experiment runners make one
     per process of a run, so ``--threads K`` holds K sets, one in each
@@ -384,62 +381,61 @@ def _doppler_phasor(tap: ChannelTap, fs: float, n: int) -> np.ndarray:
 
 def add_awgn(
     samples,
-    snr_db: float | None,
+    snr_db: float | None = None,
     seed=None,
     buffers: FrameBuffers | None = None,
+    *,
+    noise_power_watts=None,
 ) -> np.ndarray:
-    """Add circular complex white Gaussian noise at a target SNR.
-
-    The noise variance is scaled to the measured mean power of the input,
-    row by row for a ``(S, L)`` stack: the dot product of the row's float
-    view with itself, over ``L``.  The noise is then added by
-    :func:`add_noise_power` at those per-row powers.  ``snr_db=None`` or
-    ``+inf`` returns a copy of the samples (noiseless) and draws nothing;
-    NaN and ``-inf`` raise ``ValueError``, and so does a row that is all
-    zero or whose noise power would not be finite.  ``seed`` and ``buffers``
-    are used as in :func:`add_noise_power`.
-    """
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    buffers = _load(buffers, samples)
-    if snr_db is None or snr_db == math.inf:
-        return buffers.frames
-    n = buffers.unit.size
-    # not np.dot: OpenBLAS threads a ddot this long, so its bits would follow
-    # the BLAS thread count and its idle threads spin beside forked workers
-    rows = buffers.frames.reshape(-1, n).view(float)
-    signal_power = np.einsum("ij,ij->i", rows, rows) / n
-    if np.any(signal_power == 0.0):
-        raise ValueError("cannot set an SNR on an all-zero waveform")
-    noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    return add_noise_power(buffers.frames, noise_power, seed, buffers)
-
-
-def add_noise_power(
-    samples,
-    noise_power_watts,
-    seed=None,
-    buffers: FrameBuffers | None = None,
-) -> np.ndarray:
-    """Add circular complex white Gaussian noise of absolute mean power.
+    """Add circular complex white Gaussian noise, at a target SNR or of an
+    absolute mean power.
 
     ``samples``, read as complex, is one ``(L,)`` frame or an ``(S, L)``
-    stack.  ``noise_power_watts`` is one power for every row or one per row of a
-    ``(S, L)`` stack; each must be finite and ``>= 0``.  One ``(L,)`` unit
-    noise row, drawn from ``seed``, is scaled to each row's power and added,
-    so each row equals a single-frame call with the same seed.  With
-    ``buffers`` the noise is added in place onto ``buffers.frames``, after
-    copying the input there unless it already is that array; a ``seed`` that
-    is the very ``SeedSequence`` the buffers last drew from reuses their
-    row, bit for bit a new draw's.  ``None`` draws fresh entropy, an ``int``
-    the same bits again and a ``Generator`` its next values.
+    stack.  The two noise arguments exclude each other, as the config's
+    ``noise`` fields do.  ``snr_db`` scales the noise to the measured mean
+    power of each row: the dot product of the row's float view with itself,
+    over ``L``; NaN and ``-inf`` raise ``ValueError``, and so does a row that
+    is all zero.  ``noise_power_watts`` is one power for every row or one per
+    row of a ``(S, L)`` stack.  Either way each power must be finite and
+    ``>= 0``, or ``ValueError`` is raised.  With neither, or ``snr_db=+inf``,
+    a copy of the samples is returned (noiseless) and nothing is drawn.
+
+    One ``(L,)`` unit noise row, drawn from ``seed``, is scaled to each row's
+    power and added, so each row equals a single-frame call with the same
+    seed.  With ``buffers`` the noise is added in place onto
+    ``buffers.frames``, after copying the input there unless it already is
+    that array; a ``seed`` that is the very ``SeedSequence`` the buffers last
+    drew from reuses their row, bit for bit a new draw's.  ``None`` draws
+    fresh entropy, an ``int`` the same bits again and a ``Generator`` its
+    next values.
     """
+    if snr_db is not None and noise_power_watts is not None:
+        raise ValueError("snr_db and noise_power_watts are mutually exclusive")
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    x = np.asarray(samples, dtype=complex)
+    if buffers is None:
+        buffers = FrameBuffers(x)
+    elif buffers.frames.shape != x.shape:
+        raise ValueError(f"buffers hold frames of shape {buffers.frames.shape}, got {x.shape}")
+    if x is not buffers.frames:
+        np.copyto(buffers.frames, x)
+    noise, n = buffers.unit, buffers.unit.size
+    rows = buffers.frames.reshape(-1, n)
+    if noise_power_watts is None:
+        if snr_db is None or snr_db == math.inf:
+            return buffers.frames
+        # not np.dot: OpenBLAS threads a ddot this long, so its bits would
+        # follow the BLAS thread count and its idle threads spin beside
+        # forked workers
+        floats = rows.view(float)
+        signal_power = np.einsum("ij,ij->i", floats, floats) / n
+        if np.any(signal_power == 0.0):
+            raise ValueError("cannot set an SNR on an all-zero waveform")
+        noise_power_watts = signal_power * 10.0 ** (-snr_db / 10.0)
     noise_power = np.asarray(noise_power_watts, dtype=float)
     if not np.isfinite(noise_power).all() or (noise_power < 0).any():
         raise ValueError(f"noise power must be finite and >= 0, got {noise_power_watts}")
-    buffers = _load(buffers, samples)
-    noise, n = buffers.unit, buffers.unit.size
-    rows = buffers.frames.reshape(-1, n)
     row_scales = np.full(len(rows), np.sqrt(noise_power / 2.0))
     # default_rng leaves a SeedSequence as it was, so the row of the very one
     # the buffers last drew from is still theirs; any other seed draws
@@ -454,18 +450,6 @@ def add_noise_power(
         # keep the operand order row_scale * noise, as for the phasor above
         row += row_scale * noise
     return buffers.frames
-
-
-def _load(buffers: FrameBuffers | None, samples) -> FrameBuffers:
-    """Buffers whose ``frames`` hold a complex copy of ``samples``."""
-    x = np.asarray(samples, dtype=complex)
-    if buffers is None:
-        buffers = FrameBuffers(x)
-    elif buffers.frames.shape != x.shape:
-        raise ValueError(f"buffers hold frames of shape {buffers.frames.shape}, got {x.shape}")
-    if x is not buffers.frames:
-        np.copyto(buffers.frames, x)
-    return buffers
 
 
 def received_power(
@@ -535,6 +519,27 @@ def _check_tap_row(row: dict, distances: dict) -> None:
         )
 
 
+def _read_rows(path):
+    """Read a taps file: yield ``(line_no, row)`` for each non-blank line
+    after the header line, ``row`` mapping each column to its text.
+
+    A first line other than :data:`TAPS_HEADER`, or a row with another field
+    count, raises :class:`TapFileError` naming the path and the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != TAPS_HEADER:
+            raise TapFileError(f"{path}: line 1: expected header {','.join(TAPS_HEADER)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TAPS_HEADER):
+                raise TapFileError(
+                    f"{path}: line {line_no}: expected {len(TAPS_HEADER)} fields, got {len(row)}"
+                )
+            yield line_no, dict(zip(TAPS_HEADER, row))
+
+
 def load_taps(path) -> dict[int, ChannelRealization]:
     """Load per-point channel taps from CSV (one row per tap).
 
@@ -547,7 +552,7 @@ def load_taps(path) -> dict[int, ChannelRealization]:
     """
     groups: dict[int, list[ChannelTap]] = {}
     distances: dict[int, float] = {}
-    for line_no, text in read_rows(path, TAPS_HEADER, TapFileError):
+    for line_no, text in _read_rows(path):
         try:
             row = {column: kind(text[column]) for column, (kind, *_) in TAPS_COLUMNS.items()}
             _check_tap_row(row, distances)

@@ -42,7 +42,6 @@ from .channel import (
     FrameBuffers,
     TapFileError,
     add_awgn,
-    add_noise_power,
     apply_channel,
     check_link_budget,
     check_tap_delay,
@@ -233,10 +232,8 @@ def _run_config(flight: Flight, realization, noise_seed, buffers) -> list[Result
     cfg = flight.cfg
     # positional: the benchmark's tracer reads args[0] and args[1]
     rx = apply_channel(cfg.waveform, realization, buffers.samples, buffers=buffers)
-    if cfg.noise.noise_power_watts is not None:
-        rx = add_noise_power(rx, cfg.noise.noise_power_watts, noise_seed, buffers)
-    else:
-        rx = add_awgn(rx, cfg.noise.snr_db, noise_seed, buffers)
+    rx = add_awgn(rx, cfg.noise.snr_db, noise_seed, buffers,
+                  noise_power_watts=cfg.noise.noise_power_watts)
     records = []
     for scheme, samples in zip(cfg.schemes, rx):
         params = flight.params[scheme]

@@ -1,4 +1,4 @@
-"""Ranging error statistics: RMSE, CDF, and the CSV table writer and reader."""
+"""Ranging error statistics: RMSE, CDF, and the CSV table writer."""
 
 import csv
 from dataclasses import dataclass, fields
@@ -10,7 +10,6 @@ __all__ = [
     "RESULTS_HEADER",
     "rmse",
     "error_cdf",
-    "read_rows",
     "write_rows",
     "write_results_csv",
 ]
@@ -79,27 +78,6 @@ def write_rows(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_cell(row[key]) for key in header])
-
-
-def read_rows(path, header, error=ValueError):
-    """Read a CSV table: yield ``(line_no, row)`` for each non-blank line
-    after the ``header`` line, ``row`` mapping each column to its text.
-
-    A first line other than ``header``, or a row with another field count,
-    raises ``error`` naming the path and the line.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise error(f"{path}: line 1: expected header {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise error(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield line_no, dict(zip(header, row))
 
 
 def write_results_csv(path, records) -> None:

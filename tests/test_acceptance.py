@@ -19,7 +19,6 @@ from ddprach import (
     FrameBuffers,
     WaveformParams,
     add_awgn,
-    add_noise_power,
     apply_channel,
     build_trajectory,
     circular_correlation,
@@ -314,8 +313,8 @@ def test_c07_los_bound_slope(report):
         rx0 = apply_channel(params, ChannelRealization(0, true_d, [tap], True), tx)
         errors = []
         for trial in range(200):
-            rx = add_noise_power(rx0, sigma2,
-                                 seed=np.random.SeedSequence([11, trial]))
+            rx = add_awgn(rx0, noise_power_watts=sigma2,
+                          seed=np.random.SeedSequence([11, trial]))
             est = receive_and_estimate_toa(rx, params, target_pfa=1e-3,
                                            interpolate_peak=True)
             assert est.detected

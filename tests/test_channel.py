@@ -18,7 +18,6 @@ from ddprach import (
     TapFileError,
     WaveformParams,
     add_awgn,
-    add_noise_power,
     apply_channel,
     load_taps,
     received_power,
@@ -536,7 +535,9 @@ def test_plan_skips_all_zero_rows():
 NOISE_CALLS = {
     "awgn": lambda x, **kw: add_awgn(x, 5.0, seed=np.random.SeedSequence([1, 2]), **kw),
     "awgn_noiseless": lambda x, **kw: add_awgn(x, None, seed=1, **kw),
-    "noise_power": lambda x, **kw: add_noise_power(x, 0.3, seed=np.random.SeedSequence([3]), **kw),
+    "noise_power": lambda x, **kw: add_awgn(
+        x, noise_power_watts=0.3, seed=np.random.SeedSequence([3]), **kw
+    ),
 }
 NOISE_ROWS = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
 
@@ -566,7 +567,7 @@ def test_noise_draw_is_real_then_imaginary_draw(seed):
     # one 2L draw split in halves is the a + 1j*b of two L draws, bit for bit
     rng = np.random.default_rng(seed)
     expected = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    got = add_noise_power(np.zeros(300), 2.0, seed=seed)
+    got = add_awgn(np.zeros(300), noise_power_watts=2.0, seed=seed)
     assert same_bits(got, expected)
 
 
@@ -577,10 +578,10 @@ def test_drawn_noise_row_matches_seeded_call(rows, rng_seeds):
 
     adds = (
         lambda s, **kw: add_awgn(rows, 5.0, s, **kw),
-        lambda s, **kw: add_noise_power(rows, 0.3, s, **kw),
+        lambda s, **kw: add_awgn(rows, None, s, noise_power_watts=0.3, **kw),
     )
     expected = [add(seed()) for add in adds]
-    unit = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed())
+    unit = add_awgn(np.zeros(rows.shape[-1]), noise_power_watts=2.0, seed=seed())
     buffers = dirty_buffers(rows)
     shared = seed()
     rng_seeds.clear()
@@ -662,20 +663,28 @@ def test_awgn_infinite_snr_passthrough():
     assert np.array_equal(add_awgn(x, None, seed=1), x)
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
-def test_awgn_rejects_nan_and_minus_infinity(snr_db):
+@pytest.mark.parametrize(
+    "snr_db, power, match",
+    [
+        pytest.param(math.nan, None, "snr_db must be", id="nan"),
+        pytest.param(-math.inf, None, "snr_db must be", id="-inf"),
+        pytest.param(5.0, 0.3, "snr_db and noise_power_watts", id="with_noise_power"),
+    ],
+)
+def test_awgn_rejects_nan_and_minus_infinity(snr_db, power, match):
     # -inf asks for infinite noise and NaN for nothing defined: neither may
-    # pass the waveform through noiseless or return NaN samples
+    # pass the waveform through noiseless or return NaN samples; an SNR beside
+    # an absolute power, as the config's noise section, asks for two noises
     x = bandlimited_noise(128, seed=8)
-    with pytest.raises(ValueError, match="snr_db"):
-        add_awgn(x, snr_db, seed=1)
+    with pytest.raises(ValueError, match=match):
+        add_awgn(x, snr_db, seed=1, noise_power_watts=power)
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, -0.1, [0.3, math.nan]])
 def test_noise_power_rejects_non_finite_and_negative(power):
     # a scalar or per-row power, bad in any row, never yields non-finite frames
     with pytest.raises(ValueError, match="noise power"):
-        add_noise_power(NOISE_ROWS, power, seed=1)
+        add_awgn(NOISE_ROWS, noise_power_watts=power, seed=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -695,7 +704,7 @@ def test_awgn_scales_noise_to_the_abs_power(rows, snr_db):
     # the signal power, a dot product of each row's float view, is the mean
     # of |x|^2 to rounding: the noise the SNR sets is the same
     seed = np.random.SeedSequence([4, 4])
-    unit = add_noise_power(np.zeros(rows.shape[-1]), 2.0, seed=seed)
+    unit = add_awgn(np.zeros(rows.shape[-1]), noise_power_watts=2.0, seed=seed)
     noise = add_awgn(rows, snr_db, seed=seed) - rows
     for signal, added in zip(np.atleast_2d(rows), np.atleast_2d(noise)):
         expected = np.mean(np.abs(signal) ** 2) * 10.0 ** (-snr_db / 10.0)
@@ -756,7 +765,7 @@ def test_awgn_zero_power_rejected():
 def test_absolute_noise_power():
     n = 500_000
     x = np.zeros(n) + 1.0
-    out = add_noise_power(x, 0.25, seed=12)
+    out = add_awgn(x, noise_power_watts=0.25, seed=12)
     noise_power = np.mean(np.abs(out - x) ** 2)
     assert noise_power == pytest.approx(0.25, rel=0.01)
 
@@ -765,11 +774,11 @@ def test_stacked_noise_rows_equal_single_calls():
     # rows of different power: add_awgn scales per row, one draw is shared
     rows = np.stack([bandlimited_noise(256, seed=13), 3.0 * bandlimited_noise(256, seed=14)])
     awgn = add_awgn(rows, 5.0, seed=np.random.SeedSequence([1, 2]))
-    absolute = add_noise_power(rows, 0.3, seed=np.random.SeedSequence([1, 2]))
+    absolute = add_awgn(rows, noise_power_watts=0.3, seed=np.random.SeedSequence([1, 2]))
     for i, row in enumerate(rows):
         expected = add_awgn(row, 5.0, seed=np.random.SeedSequence([1, 2]))
         assert np.array_equal(awgn[i], expected)
-        expected = add_noise_power(row, 0.3, seed=np.random.SeedSequence([1, 2]))
+        expected = add_awgn(row, noise_power_watts=0.3, seed=np.random.SeedSequence([1, 2]))
         assert np.array_equal(absolute[i], expected)
     # both rows carry the same unit noise draw
     unit = (awgn - rows) / np.sqrt(np.mean(np.abs(rows) ** 2, axis=1))[:, None]

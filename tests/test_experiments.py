@@ -226,7 +226,7 @@ GOLDEN_SWEEPS = {
     ),
     # absolute noise power (SNR about -10 to 9 dB, so 22 of the 36 records
     # are detected, 2 to 5 of the 6 in each scheme and spacing): every sweep
-    # value adds the same unit noise row through add_noise_power; recorded
+    # value adds the same unit noise row through add_awgn; recorded
     # when the power fell from 5e-7 W, at which Friis's gain product left one
     # record detected
     "cdf_noise_power": (
@@ -249,7 +249,6 @@ def test_sweep_csv_matches_golden_digest(tmp_path, capsys, name):
 
 
 def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
-    calls = {"apply": [], "awgn": 0}
     real_apply, real_awgn = experiments.apply_channel, experiments.add_awgn
 
     def apply(params, realization, samples, **kwargs):
@@ -262,12 +261,15 @@ def test_one_channel_pass_and_noise_draw_per_item(monkeypatch):
 
     monkeypatch.setattr(experiments, "apply_channel", apply)
     monkeypatch.setattr(experiments, "add_awgn", awgn)
-    cfg = parse_config(toy_tree())
-    records = run_simulate(cfg)
-    items = 3 * 2
-    assert len(records) == items * 2
-    assert calls["awgn"] == items
-    assert calls["apply"] == [(2, cfg.waveform.frame_len)] * items
+    # noise relative to each frame, then an absolute floor: the same one call
+    for noise in ({}, {"noise": {"snr_db": None, "noise_power_watts": 5e-8}}):
+        calls = {"apply": [], "awgn": 0}
+        cfg = parse_config(toy_tree(**noise))
+        records = run_simulate(cfg)
+        items = 3 * 2
+        assert len(records) == items * 2
+        assert calls["awgn"] == items, noise
+        assert calls["apply"] == [(2, cfg.waveform.frame_len)] * items
 
 
 def test_sweep_draws_noise_once_per_item_and_plans_once(monkeypatch, rng_seeds):

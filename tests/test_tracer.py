@@ -19,6 +19,10 @@ noise: {snr_db: 10.0}
 trials: 2
 seed: 7
 """
+# the toy config with an absolute noise floor in place of its SNR
+ABSOLUTE_NOISE_CONFIG = TOY_CONFIG.replace(
+    "noise: {snr_db: 10.0}", "noise: {snr_db: null, noise_power_watts: 1.0e-12}"
+)
 
 # each benchmark command on the toy config: its sweep and its thread count
 BENCHMARK_COMMANDS = [
@@ -53,15 +57,15 @@ SPAN_NAMES = {
 }
 
 
-def trace(tmp_path, command, text, threads) -> dict:
-    """The tracer's dump of one command on ``TOY_CONFIG + text``."""
+def trace(tmp_path, command, text, threads, base=TOY_CONFIG) -> dict:
+    """The tracer's dump of one command on ``base + text``."""
     # the benchmark's own probe runs the command in a fresh interpreter, so
     # its set-up calls are checked too and the tracer's monkeypatching of the
     # ddprach modules cannot leak into other tests
     run = tmp_path / command
     run.mkdir()
     config = run / "cfg.yaml"
-    config.write_text(TOY_CONFIG + text)
+    config.write_text(base + text)
     result, spans = run / "result.json", run / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -77,11 +81,15 @@ def trace(tmp_path, command, text, threads) -> dict:
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_tracer_records_every_layer(tmp_path, threads):
-    dump = trace(tmp_path, "simulate", "", threads)
-    names = collections.Counter(span["name"] for span in dump["spans"])
-    for name in ("channel.apply", "channel.awgn", "prach_modem.receive", "dd_transform.wigner"):
-        assert names.get(name, 0) >= 1, name
-    assert dump["counts"].get("channel.interp_taps", 0) > 0
+    # an absolute noise floor goes through the same wrapped add_awgn call
+    for mode, base in (("snr", TOY_CONFIG), ("absolute", ABSOLUTE_NOISE_CONFIG)):
+        (tmp_path / mode).mkdir()
+        dump = trace(tmp_path / mode, "simulate", "", threads, base)
+        names = collections.Counter(span["name"] for span in dump["spans"])
+        for name in ("channel.apply", "channel.awgn", "prach_modem.receive",
+                     "dd_transform.wigner"):
+            assert names.get(name, 0) >= 1, name
+        assert dump["counts"].get("channel.interp_taps", 0) > 0
 
 
 def test_tracer_records_every_span_of_the_benchmark_commands(tmp_path):
