@@ -164,10 +164,9 @@ class _FilteredTap:
 
 
 def _row_plan(x: np.ndarray, period: int) -> list:
-    """``(row, first, stop, operand, period)`` per row of ``x`` with a nonzero
-    sample: the row index, the nonzero span ``first .. stop - 1``, the real
-    operand that :func:`_filter_tap` convolves and the span's period, or
-    ``None`` for a span that does not repeat.
+    """``(row, first, stop, operand, pieces, copies)`` per row of ``x`` with a
+    nonzero sample: the recipe by which :func:`_filter_tap` fills the row's
+    filtered nonzero span ``first .. stop - 1``.
 
     ``np.convolve`` computes filtered span sample ``j`` as one dot product of
     the kernel with span samples ``j - K + 1 .. j`` (``K <= _INTERP_TAPS``
@@ -176,10 +175,15 @@ def _row_plan(x: np.ndarray, period: int) -> list:
     ``j - period``, so a copy of that output is exact.  Only a head of
     ``period + _REACH`` samples and, for the outputs past the span end, the
     last ``_REACH`` samples need filtering; otherwise the whole span does.
-    The kernels are real, so the operand holds each of these halves' real
+    The kernels are real, so ``operand`` holds each of these halves' real
     and imaginary parts, ``[re, gap, im]`` or ``[head re, gap, head im, gap,
     tail re, gap, tail im]``, and goes through one real convolution; each
     ``_REACH``-sample zero gap keeps the outputs of its neighbours apart.
+    Each of ``pieces``, ``(lo, hi, at, size)``, fills filtered samples
+    ``lo .. hi - 1`` (``hi=None``: to the last) with the real parts of the
+    convolution from output ``at`` on and the imaginary parts ``size``
+    outputs later; each of ``copies``, ``(lo, hi, source)``, in order, then
+    repeats the filtered samples from ``source`` on into ``lo .. hi - 1``.
     """
     n = x.shape[-1]
     rows = []
@@ -190,13 +194,19 @@ def _row_plan(x: np.ndarray, period: int) -> list:
         first = int(nonzero.argmax())
         stop = n - int(nonzero[::-1].argmax())
         span = row[first:stop]
+        end = span.size
         if _repeats(span, period):
-            pieces, repeat = (span[: period + _REACH], span[-_REACH:]), period
+            head = period + _REACH
+            halves = (span[:head], span[-_REACH:])
+            # the outputs past the span end read the tail, the last half
+            # pair; those before it repeat every period
+            pieces = [(0, head, 0, head + _REACH), (end, None, 2 * head + 3 * _REACH, 2 * _REACH)]
+            copies = [(i, min(i + period, end), i - period) for i in range(head, end, period)]
         else:
-            pieces, repeat = (span,), None
+            halves, pieces, copies = (span,), [(0, None, 0, end + _REACH)], []
         # no gap after the last half: a trailing one changes output bits
-        parts = [part for p in pieces for part in (p.real, _INTERP_GAP, p.imag, _INTERP_GAP)]
-        rows.append((index, first, stop, np.concatenate(parts[:-1]), repeat))
+        parts = [part for h in halves for part in (h.real, _INTERP_GAP, h.imag, _INTERP_GAP)]
+        rows.append((index, first, stop, np.concatenate(parts[:-1]), pieces, copies))
     return rows
 
 
@@ -301,10 +311,9 @@ def _filter_tap(filtered: _FilteredTap, delay: float, rows: list) -> None:
 
     ``rows`` is a row plan from :func:`_row_plan`.  Each span
     ``first .. stop - 1`` is filtered by the tap's kernel, whole, into
-    ``filtered.storage``, with one convolution of its operand;
-    :func:`_add_tap` cuts it to the delayed frame.  Of a periodic span only
-    the head and the tail are filtered; every output between them is a copy
-    of the one a period earlier.
+    ``filtered.storage``, with one convolution of its operand, whose outputs
+    fill the span's pieces before its copies are made; :func:`_add_tap` cuts
+    it to the delayed frame.
     """
     filtered.delay = None  # a fill cut short by an error must never match
     n0, kernel = _tap_delay(delay)
@@ -313,35 +322,20 @@ def _filter_tap(filtered: _FilteredTap, delay: float, rows: list) -> None:
     lead = (kernel.size - 1) // 2
     spans = []
     used = 0
-    for row, first, stop, operand, period in rows:
-        end = stop - first
-        values = filtered.storage[used : used + end + kernel.size - 1]
+    for row, first, stop, operand, pieces, copies in rows:
+        values = filtered.storage[used : used + stop - first + kernel.size - 1]
         used += values.size
         convolved = np.convolve(operand, kernel)
-        if period is None:
-            _take(values, convolved, 0, end)
-        else:
-            head = period + _REACH
-            _take(values[:head], convolved, 0, head)
-            # the outputs past the span end read the tail, the last half
-            # pair; those before it repeat every period
-            _take(values[end:], convolved, 2 * (head + _REACH) + _REACH, _REACH)
-            for i in range(head, end, period):
-                k = min(i + period, end)
-                values[i:k] = values[i - period : k - period]
+        for lo, hi, at, size in pieces:
+            out = values[lo:hi]
+            out.real = convolved[at : at + out.size]
+            out.imag = convolved[at + size : at + size + out.size]
+        for lo, hi, source in copies:
+            values[lo:hi] = values[source : source + hi - lo]
         spans.append((row, n0 + first - lead, values))
     filtered.spans = spans
     filtered.n0 = n0
     filtered.delay = delay
-
-
-def _take(out: np.ndarray, convolved: np.ndarray, at: int, size: int) -> None:
-    """Fill ``out`` from ``convolved``, an operand's convolution: the real
-    parts from output ``at`` on, the imaginary parts ``size + _REACH``
-    outputs later, ``size`` being the length of the real half read there."""
-    imag = at + size + _REACH
-    out.real = convolved[at : at + out.size]
-    out.imag = convolved[imag : imag + out.size]
 
 
 def _add_tap(out: np.ndarray, filtered: _FilteredTap, tap: ChannelTap, fs: float):
@@ -641,7 +635,7 @@ def synthesize_scenario_channel(
         -2j * np.pi * carrier_hz * tau0
     )
     taps = [ChannelTap(los_gain, tau0, doppler0)]
-    if nlos is not None:
+    if nlos and nlos.count:
         rng = np.random.default_rng(seed)
         for _ in range(nlos.count):
             excess = rng.uniform(*nlos.excess_delay_range_s)

@@ -1092,6 +1092,9 @@ def test_only_echoes_draw_from_the_seed(rng_seeds):
     # the line-of-sight tap alone is geometry: no generator is made
     synthesize_scenario_channel(overhead_point(), nlos=None, seed=seed, **kwargs)
     assert rng_seeds == []
+    # and so is a population of no echoes
+    synthesize_scenario_channel(overhead_point(), nlos=NlosSpec(count=0), seed=seed, **kwargs)
+    assert rng_seeds == []
     synthesize_scenario_channel(overhead_point(), nlos=NlosSpec(), seed=seed, **kwargs)
     assert rng_seeds == [seed]
 
