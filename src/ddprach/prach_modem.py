@@ -17,8 +17,12 @@ the power summed over rows unchanged; the row sum thus resolves no Doppler.
 
 The per-symbol correlation powers are combined non-coherently into one
 ``(m,)`` power array, the profile.  Its maximum is thresholded against an
-order-statistics noise model (see :func:`detection_threshold`) and the peak
-lag is scaled to DFT-rate samples and to metres.
+order-statistics noise model (see :func:`detection_threshold`).  The time of
+arrival is the first arrival, not the strongest: a detected frame reads the
+earliest bin before the peak whose power is within 6 dB of it and above the
+threshold, a leading-edge search (Dardari et al., Proc. IEEE 2009; Guvenc &
+Chong, IEEE COMST 2009), and that lag is scaled to DFT-rate samples and to
+metres.
 """
 
 import functools
@@ -98,10 +102,10 @@ class ToaEstimate:
     """Detector output for one received frame."""
 
     detected: bool
-    sample_delay: int                 # peak delay in DFT-rate samples; < 0 if early
+    sample_delay: int                 # first-path delay in DFT-rate samples; < 0 if early
     threshold: float                  # detection threshold on the profile
     profile: np.ndarray               # read-only (m,) combined power over delay bins
-    refined_sample_delay: float | None = None  # sub-bin peak, if requested
+    refined_sample_delay: float | None = None  # sub-bin first path, if requested
 
 
 def build_preamble_grid(zc: np.ndarray, params: WaveformParams) -> np.ndarray:
@@ -194,24 +198,57 @@ def _combined_profile(tf: np.ndarray, params: WaveformParams) -> np.ndarray:
     return values
 
 
+# a first path may lie up to 6 dB below the peak in power; a sinc main lobe's
+# first sidelobe, 13.3 dB below its peak, stays out of reach (ROADMAP item 4)
+_FIRST_PATH_LEVEL = 10.0 ** (-6.0 / 10.0)
+
+
+def _first_path_lag(values: np.ndarray, lag: int, threshold: float,
+                    params: WaveformParams) -> int:
+    """The signed lag of the earliest bin at the first-path level before ``lag``.
+
+    The level is ``max(threshold, peak - 6 dB)``, the peak being the bin at
+    ``lag``.  The search runs from ``W = min(floor(cp_len * m / n_dft),
+    m - G)`` down to ``G = max(2, ceil(m / B))`` bins before ``lag``, ``B``
+    being the reference's occupied bins (``m`` for ``otfs``, ``n_zc`` for
+    ``ofdm``): ``G`` skips the peak's own main lobe and its neighbour, and
+    the ``m - G`` cap keeps a window as long as the profile from wrapping
+    onto the peak.  ``lag`` itself when no bin reaches the level.
+    """
+    occupied = params.m if params.modulation == "otfs" else params.n_zc
+    guard = max(2, math.ceil(params.m / occupied))
+    window = min(params.cp_len * params.m // params.n_dft, params.m - guard)
+    if window < guard:
+        return lag
+    level = max(threshold, values[lag % params.m] * _FIRST_PATH_LEVEL)
+    lags = np.arange(lag - window, lag - guard + 1)  # earliest first
+    hits = values.take(lags, mode="wrap") >= level
+    first = int(np.argmax(hits))
+    return int(lags[first]) if hits[first] else lag
+
+
 def receive_and_estimate_toa(
     samples,
     params: WaveformParams,
     target_pfa: float = 1e-3,
     interpolate_peak: bool = False,
 ) -> ToaEstimate:
-    """Detect the preamble and estimate its time of arrival.
+    """Detect the preamble and estimate the time of arrival of its first path.
 
     Demodulates ``samples``, one frame framed as ``params`` says, applies
     the matched filter to every symbol, combines the correlation powers
     non-coherently and compares the peak against :func:`detection_threshold`.
     The peak delay bin ``b`` is read as the lag ``b``, or as ``b - m`` when
     it lies past the CP (``b > cp_len * m / n_dft``) and within one main
-    lobe of the profile's end (``b >= m - ceil(m / n_zc)``), and rescaled to
-    DFT-rate samples (``lag * n_dft / m``), so an early peak gives a negative
-    delay.  With ``interpolate_peak`` the two profile bins flanking the peak
-    refine the lag to a sub-bin position (``refined_sample_delay``); the
-    integer read-out is unchanged.
+    lobe of the profile's end (``b >= m - ceil(m / n_zc)``).  A detected
+    frame then reads the earliest bin before that lag whose power is at
+    least ``max(threshold, peak - 6 dB)`` (see :func:`_first_path_lag`), so
+    a strong late echo does not hide the line of sight; a miss keeps the
+    peak's lag.  The lag is rescaled to DFT-rate samples (``lag * n_dft /
+    m``), so an early arrival gives a negative delay.  With
+    ``interpolate_peak`` the two profile bins flanking the chosen bin refine
+    the lag to a sub-bin position (``refined_sample_delay``); the integer
+    read-out is unchanged.
     """
     tf = wigner_demodulate(samples, params.n_dft, params.cp_len, params.m, params.n)
     values = _combined_profile(tf, params)
@@ -224,13 +261,15 @@ def receive_and_estimate_toa(
     past_cp = peak > params.cp_len * params.m / params.n_dft
     in_last_lobe = peak >= params.m - math.ceil(params.m / params.n_zc)
     lag = peak - params.m if past_cp and in_last_lobe else peak
+    if detected:
+        lag = _first_path_lag(values, lag, threshold, params)
     sample_delay = int(round(lag * stride))
     refined = None
     if interpolate_peak and detected:
         amplitudes = np.sqrt(values)
-        left = amplitudes[(peak - 1) % params.m]
-        right = amplitudes[(peak + 1) % params.m]
-        centre = amplitudes[peak]
+        left = amplitudes[(lag - 1) % params.m]
+        right = amplitudes[(lag + 1) % params.m]
+        centre = amplitudes[lag % params.m]
         if right >= left:
             offset = right / (centre + right)
         else:

@@ -108,9 +108,11 @@ def test_seed_changes_channel_draws():
 # results.csv of the README default at two trials, the benchmark's
 # simulate-default run, as written before each row span's tap fill became one
 # convolution: the full-size framing must not move a bit (recorded again when
-# the link budget took Friis's gain product, which moves every tap's power)
+# the link budget took Friis's gain product, which moves every tap's power,
+# and when the receiver read the first path in place of the strongest bin,
+# which moves the records whose peak is an echo)
 GOLDEN_README_DEFAULT_SHA256 = (
-    "697359219a42c9caa217f0909c1a14be0ec2dcca4edc6414d894a5520086a9d8"
+    "bcff58359195d28cb86bc7b2ab0c884aac5ad97add842e219a1ece70c7300806"
 )
 
 
@@ -136,11 +138,13 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
 # so no gain reaches its numbers).  The README's three spacings over the full
 # framing, with echoes, were recorded when every value of an item began to
 # draw its own channel from the item's seed, where the first value's draw
-# had served the others: the draws are equal, so no byte moved.
+# had served the others: the draws are equal, so no byte moved.  The two
+# with echoes were recorded again when the receiver read the first path in
+# place of the strongest bin; the one-tap cdf-sweep-los kept its bytes.
 GOLDEN_BENCHMARK_SWEEPS = {
     "cdf-sweep-readme": (
         "cdf-sweep", "cdf.csv", {}, 1,
-        "1b7d90e7c773d2a912900802e715941bccec279e11c88f8e640ce78ca0f31ed3",
+        "c6e1801d2e5fbabcb8a3946a266490623d7a2f2e4b88ee1e36550d6c0cc0fecb",
     ),
     "cdf-sweep-los": (
         "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
@@ -149,7 +153,7 @@ GOLDEN_BENCHMARK_SWEEPS = {
     "speed-tradeoff-2t": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [5.0, 10.0, 15.0, 20.0]}}, 2,
-        "65eaf53400be1267fc1988e59643a529391a6be13976459fa422985bb613ff3b",
+        "7616d49b469bcc82ab2ba466c5dc6e43e9262a9c6ac452b6ff113209156feeff",
     ),
 }
 
@@ -175,9 +179,10 @@ def test_schemes_share_channel_and_noise():
 
 # results.csv of the config below, as written before the channel pass and the
 # noise draw were shared between schemes; the shared pass must not move a bit
-# (recorded again when the link budget took Friis's gain product)
+# (recorded again when the link budget took Friis's gain product, and when
+# the receiver read the first path in place of the strongest bin)
 GOLDEN_NLOS_RESULTS_SHA256 = (
-    "79b45b99f26d1864cc133d100be816d7b504d6e18733a6c8db68a8c578da2bce"
+    "82e068d3194e48b7615f3e30f2bf5b53f4a58d48626a3b158589669e7210b353"
 )
 
 

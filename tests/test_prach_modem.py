@@ -421,6 +421,50 @@ def test_zc_delay_doppler_alias_is_pinned():
 
 
 # ---------------------------------------------------------------------------
+# first-path read-out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_stronger_late_echo_reads_the_line_of_sight(scheme):
+    """A line-of-sight tap at bin 30 and an echo 3 dB stronger 20 bins later
+    read the line of sight, not the echo's peak at bin 50.
+
+    ``otfs`` reads the tap's own bin.  ``ofdm``'s main lobe, ``m / n_zc``
+    (about 7.4) bins from its top to its first null, stays within 3 dB of
+    its top over several bins, so the echo's level (the tap's power less
+    3 dB) is met on the lobe's leading edge, less than one main lobe before
+    the tap.
+    """
+    params = WaveformParams(modulation=scheme)  # README default
+    fs = params.sample_rate
+    taps = [ChannelTap(1.0, 60.0 / fs, 0.0), ChannelTap(math.sqrt(2.0), 100.0 / fs, 0.0)]
+    rx = apply_channel(params, ChannelRealization(0, 0.0, taps, False), transmit(params))
+    est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
+    assert est.detected
+    assert int(np.argmax(est.profile)) == 50  # the echo is the strongest bin
+    if scheme == "otfs":
+        assert est.sample_delay == 60
+    else:
+        assert 60 - params.n_dft / params.n_zc < est.sample_delay <= 60
+    assert abs(est.refined_sample_delay - 60.0) < params.n_dft / params.n_zc
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_lone_tap_reads_the_peak_bin(scheme):
+    """A tap 0.6 bin past bin 30 peaks at bin 31 and leaves bin 30 within
+    6 dB of it (3.2 dB below, for ``otfs``): the search skips the peak's
+    neighbour, so the read-out is the peak's bin, not the one before."""
+    params = WaveformParams(modulation=scheme)  # README default
+    rx = apply_channel(params, single_tap(params, 61.2), transmit(params))
+    est = receive_and_estimate_toa(rx, params)
+    assert est.detected
+    peak = int(np.argmax(est.profile))
+    assert peak == 31
+    assert est.profile[30] >= est.profile[peak] * 10 ** (-6 / 10)
+    assert est.sample_delay == 62
+
+
+# ---------------------------------------------------------------------------
 # sub-bin refinement
 # ---------------------------------------------------------------------------
 
