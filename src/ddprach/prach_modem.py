@@ -21,8 +21,8 @@ order-statistics noise model (see :func:`detection_threshold`).  The time of
 arrival is the first arrival, not the strongest: a detected frame reads the
 earliest bin before the peak whose power is within 6 dB of it and above the
 threshold, a leading-edge search (Dardari et al., Proc. IEEE 2009; Guvenc &
-Chong, IEEE COMST 2009), and that lag is scaled to DFT-rate samples and to
-metres.
+Chong, IEEE COMST 2009) that then climbs to the top of that bin's lobe, and
+that lag is scaled to DFT-rate samples and to metres.
 """
 
 import functools
@@ -205,26 +205,40 @@ _FIRST_PATH_LEVEL = 10.0 ** (-6.0 / 10.0)
 
 def _first_path_lag(values: np.ndarray, lag: int, threshold: float,
                     params: WaveformParams) -> int:
-    """The signed lag of the earliest bin at the first-path level before ``lag``.
+    """The signed lag of the first path: the top of the earliest run of bins
+    at the first-path level before ``lag``.
 
     The level is ``max(threshold, peak - 6 dB)``, the peak being the bin at
-    ``lag``.  The search runs from ``W = min(floor(cp_len * m / n_dft),
-    m - G)`` down to ``G = max(2, ceil(m / B))`` bins before ``lag``, ``B``
-    being the reference's occupied bins (``m`` for ``otfs``, ``n_zc`` for
-    ``ofdm``): ``G`` skips the peak's own main lobe and its neighbour, and
-    the ``m - G`` cap keeps a window as long as the profile from wrapping
-    onto the peak.  ``lag`` itself when no bin reaches the level.
+    ``lag``.  The earliest bin at that level is the leading edge of a main
+    lobe, which for ``ofdm``, about ``m / n_zc`` bins wide, lies bins before
+    the path; the read-out climbs from it while the next bin is stronger,
+    to the lobe's top.  The search runs from ``W = min(C, m - C - 1)``
+    down to ``G = max(2, ceil(m / B))`` bins before ``lag``, ``C`` being the CP in
+    bins (``floor(cp_len * m / n_dft)``) and ``B`` the reference's occupied
+    bins (``m`` for ``otfs``, ``n_zc`` for ``ofdm``).  ``G`` skips the
+    peak's own main lobe and its neighbour.  The profile is cyclic, so the
+    bin ``k`` before the peak is also the image of an echo ``m - k`` bins
+    after it; ``W`` stops where that echo would still lie within the CP, so
+    no late echo is read as an arrival nearly ``m`` bins early; the climb
+    stays in the window too.  ``lag`` itself when no bin reaches the level
+    or the window is shorter than ``G``.
     """
     occupied = params.m if params.modulation == "otfs" else params.n_zc
     guard = max(2, math.ceil(params.m / occupied))
-    window = min(params.cp_len * params.m // params.n_dft, params.m - guard)
+    cp_bins = params.cp_len * params.m // params.n_dft
+    window = min(cp_bins, params.m - cp_bins - 1)
     if window < guard:
         return lag
     level = max(threshold, values[lag % params.m] * _FIRST_PATH_LEVEL)
     lags = np.arange(lag - window, lag - guard + 1)  # earliest first
-    hits = values.take(lags, mode="wrap") >= level
-    first = int(np.argmax(hits))
-    return int(lags[first]) if hits[first] else lag
+    powers = values.take(lags, mode="wrap")
+    first = int(np.argmax(powers >= level))
+    if powers[first] < level:
+        return lag
+    # from the lobe's leading edge up to its top
+    while first + 1 < len(lags) and powers[first + 1] > powers[first]:
+        first += 1
+    return int(lags[first])
 
 
 def receive_and_estimate_toa(
@@ -241,11 +255,12 @@ def receive_and_estimate_toa(
     The peak delay bin ``b`` is read as the lag ``b``, or as ``b - m`` when
     it lies past the CP (``b > cp_len * m / n_dft``) and within one main
     lobe of the profile's end (``b >= m - ceil(m / n_zc)``).  A detected
-    frame then reads the earliest bin before that lag whose power is at
-    least ``max(threshold, peak - 6 dB)`` (see :func:`_first_path_lag`), so
-    a strong late echo does not hide the line of sight; a miss keeps the
-    peak's lag.  The lag is rescaled to DFT-rate samples (``lag * n_dft /
-    m``), so an early arrival gives a negative delay.  With
+    frame then reads the top of the earliest run of bins before that lag
+    whose power is at least ``max(threshold, peak - 6 dB)`` (see
+    :func:`_first_path_lag`), so a strong late echo does not hide the line
+    of sight; a miss keeps the peak's lag.  The lag is rescaled to DFT-rate
+    samples (``lag * n_dft / m``), so an early arrival gives a negative
+    delay.  With
     ``interpolate_peak`` the two profile bins flanking the chosen bin refine
     the lag to a sub-bin position (``refined_sample_delay``); the integer
     read-out is unchanged.

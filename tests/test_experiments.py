@@ -112,7 +112,7 @@ def test_seed_changes_channel_draws():
 # and when the receiver read the first path in place of the strongest bin,
 # which moves the records whose peak is an echo)
 GOLDEN_README_DEFAULT_SHA256 = (
-    "bcff58359195d28cb86bc7b2ab0c884aac5ad97add842e219a1ece70c7300806"
+    "40b045543ed36e49c455e0e85c4f165257b45e96d5268d53de0e59d6b2ceac24"
 )
 
 
@@ -144,7 +144,7 @@ def test_readme_default_reads_no_wrapped_peak(tmp_path):
 GOLDEN_BENCHMARK_SWEEPS = {
     "cdf-sweep-readme": (
         "cdf-sweep", "cdf.csv", {}, 1,
-        "c6e1801d2e5fbabcb8a3946a266490623d7a2f2e4b88ee1e36550d6c0cc0fecb",
+        "354c2dabe20b831355254267a2def6539a78866b641237bcf72af1d033039b7b",
     ),
     "cdf-sweep-los": (
         "cdf-sweep", "cdf.csv", {"channel": {"nlos": None}}, 1,
@@ -153,7 +153,7 @@ GOLDEN_BENCHMARK_SWEEPS = {
     "speed-tradeoff-2t": (
         "speed-tradeoff", "speed_tradeoff.csv",
         {"sweep": {"axis": "speed_mps", "values": [5.0, 10.0, 15.0, 20.0]}}, 2,
-        "7616d49b469bcc82ab2ba466c5dc6e43e9262a9c6ac452b6ff113209156feeff",
+        "8ef316f330df0f8c0909dba90375af6da59ccb6c8db81d63dc77a7059f711391",
     ),
 }
 
@@ -182,7 +182,7 @@ def test_schemes_share_channel_and_noise():
 # (recorded again when the link budget took Friis's gain product, and when
 # the receiver read the first path in place of the strongest bin)
 GOLDEN_NLOS_RESULTS_SHA256 = (
-    "82e068d3194e48b7615f3e30f2bf5b53f4a58d48626a3b158589669e7210b353"
+    "db02bdfb0cae2419d31ca3cdf18ae7aa9471689805616997671c1c4ccd032969"
 )
 
 

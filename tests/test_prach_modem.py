@@ -429,11 +429,11 @@ def test_stronger_late_echo_reads_the_line_of_sight(scheme):
     """A line-of-sight tap at bin 30 and an echo 3 dB stronger 20 bins later
     read the line of sight, not the echo's peak at bin 50.
 
-    ``otfs`` reads the tap's own bin.  ``ofdm``'s main lobe, ``m / n_zc``
-    (about 7.4) bins from its top to its first null, stays within 3 dB of
-    its top over several bins, so the echo's level (the tap's power less
-    3 dB) is met on the lobe's leading edge, less than one main lobe before
-    the tap.
+    ``ofdm``'s main lobe, ``m / n_zc`` (about 7.4) bins from its top to its
+    first null, stays within 3 dB of its top over several bins, so the
+    echo's level (the tap's power less 3 dB) is first met on the lobe's
+    leading edge, bins before the tap; the read-out climbs to the lobe's
+    top, the tap's bin, and the refinement stays within a bin of it.
     """
     params = WaveformParams(modulation=scheme)  # README default
     fs = params.sample_rate
@@ -442,11 +442,25 @@ def test_stronger_late_echo_reads_the_line_of_sight(scheme):
     est = receive_and_estimate_toa(rx, params, interpolate_peak=True)
     assert est.detected
     assert int(np.argmax(est.profile)) == 50  # the echo is the strongest bin
-    if scheme == "otfs":
-        assert est.sample_delay == 60
-    else:
-        assert 60 - params.n_dft / params.n_zc < est.sample_delay <= 60
-    assert abs(est.refined_sample_delay - 60.0) < params.n_dft / params.n_zc
+    assert est.sample_delay == 60
+    assert abs(est.refined_sample_delay - 60.0) < params.n_dft / params.m
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
+def test_full_length_cp_reads_no_late_echo_as_early(scheme):
+    """With ``cp_len = n_dft`` the CP spans the whole cyclic profile, so
+    every bin before the peak is also the image of a late echo within the
+    CP.  A line-of-sight tap at bin 30 and an echo 3 dB weaker 10 bins
+    later read the line of sight; a search reaching the echo's bin from
+    behind would read it as a lag nearly ``m`` bins early."""
+    params = WaveformParams(cp_len=2048, modulation=scheme)  # n_dft = 2048
+    fs = params.sample_rate
+    taps = [ChannelTap(1.0, 60.0 / fs, 0.0), ChannelTap(math.sqrt(0.5), 80.0 / fs, 0.0)]
+    rx = apply_channel(params, ChannelRealization(0, 0.0, taps, False), transmit(params))
+    est = receive_and_estimate_toa(rx, params)
+    assert est.detected
+    assert int(np.argmax(est.profile)) == 30
+    assert est.sample_delay == 60
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "ofdm"])
